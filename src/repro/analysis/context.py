@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..sil import ast
+from ..sil.delta import StatementIdentity, statement_identity
 from ..sil.typecheck import TypeInfo
 from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix
@@ -360,12 +361,20 @@ class AnalysisContext:
     #: IncrementalSession` threads one memo through successive solves of
     #: edited program versions.
     visit_memo: Optional["VisitMemo"] = None
-    #: Epoch the in-memory transfer-cache ``id(stmt)`` keys are scoped to.
-    #: Bare contexts share epoch 0 (so ad-hoc ``analyze_program`` calls keep
-    #: hitting the process-wide cache across calls); every
-    #: :class:`~repro.analysis.engine.BatchAnalyzer` allocates a fresh epoch
-    #: so reused CPython object ids can never collide across batches.
+    #: Epoch the call-site memo's ``id(stmt)`` keys are scoped to.  That
+    #: memo stays id-keyed because a call's projection and effect also
+    #: depend on the callee's program-specific summary; basic-statement
+    #: transfers key on content and need no epoch.  Bare contexts share
+    #: epoch 0; every :class:`~repro.analysis.engine.BatchAnalyzer`
+    #: allocates a fresh epoch so reused CPython object ids can never
+    #: collide across batches.
     memo_epoch: int = 0
+    #: ``id(stmt) -> statement_identity(stmt)`` for the statements this run
+    #: has analyzed, so each is rendered once per run (the transfer-cache
+    #: key, the persistent key and the call-site memo's label all use it).
+    #: Per context on purpose: an identity cached on the AST node would go
+    #: stale when a caller mutates the node between runs.
+    statement_identities: Dict[int, StatementIdentity] = field(default_factory=dict)
 
     # Filled by the pipeline passes.
     summaries: Optional[Dict[str, ProcedureSummary]] = None
@@ -376,3 +385,11 @@ class AnalysisContext:
     def __post_init__(self) -> None:
         if self.transfer_cache is None:
             self.transfer_cache = GLOBAL_TRANSFER_CACHE
+
+    def identity_of(self, stmt: ast.Stmt) -> StatementIdentity:
+        """``stmt``'s :func:`~repro.sil.delta.statement_identity`, rendered
+        at most once per run (see :attr:`statement_identities`)."""
+        identity = self.statement_identities.get(id(stmt))
+        if identity is None:
+            identity = self.statement_identities[id(stmt)] = statement_identity(stmt)
+        return identity

@@ -43,12 +43,15 @@ from .structure import StructureDiagnostic
 from .summaries import ProcedureSummary, compute_summaries
 from .transfer import TransferCache
 
-#: Distinct epochs for the ``id(stmt)``-keyed in-memory transfer-cache keys.
-#: Epoch 0 is reserved for bare contexts (ad-hoc :func:`analyze_program`
-#: calls against the process-wide cache); every :class:`BatchAnalyzer`
-#: draws a fresh one, so a statement id recycled by CPython after one batch
-#: dies can never alias a live entry recorded by another batch sharing the
-#: same :class:`TransferCache`.
+#: Distinct epochs for the ``id(stmt)``-keyed call-site memo, the one
+#: in-memory memo that is not content-keyed (a call's outcome also depends
+#: on the callee's program-specific summary; basic-statement transfers key
+#: on statement content and need no epoch).  Epoch 0 is reserved for bare
+#: contexts (ad-hoc :func:`analyze_program` calls against the process-wide
+#: cache); every :class:`BatchAnalyzer` draws a fresh one, so a statement
+#: id recycled by CPython after one batch dies can never alias a live
+#: call-site entry recorded by another batch sharing the same
+#: :class:`TransferCache`.
 _MEMO_EPOCHS = itertools.count(1)
 
 
@@ -298,7 +301,7 @@ class BatchAnalyzer:
         self.limits = limits
         self.entry = entry
         self.stats = AnalysisStats()
-        #: Scopes this batch's ``id(stmt)``-keyed transfer-cache entries.
+        #: Scopes this batch's ``id(stmt)``-keyed call-site memo entries.
         self.memo_epoch = next(_MEMO_EPOCHS)
         #: Cross-run procedure-visit memo; attached by
         #: :class:`repro.analysis.reanalysis.IncrementalSession`, ``None``

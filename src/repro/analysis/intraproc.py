@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional, TYPE_CHECKING
 
 from ..sil import ast
+from ..sil.delta import identity_label
 from ..sil.typecheck import TypeInfo
 from .context import AnalysisRecorder
 from .interproc import (
@@ -141,7 +142,7 @@ class ProcedureAnalyzer:
                     self.limits,
                     cache=context.transfer_cache,
                     stats=context.stats,
-                    epoch=context.memo_epoch,
+                    identity=context.identity_of(stmt),
                 )
             else:
                 result = apply_basic_statement(matrix, stmt, self.limits)
@@ -228,11 +229,13 @@ class ProcedureAnalyzer:
                 self.recorder.record_call_site(callee.name, projected)
             return effect_matrix
 
-        # Pipeline engine: the projection and caller-side effect are pure in
-        # (statement, input matrix), so they memoize over the input's exact
-        # content fingerprint like the basic-statement transfers — with the
-        # statement object pinned in the value and the widening events
-        # captured on the miss and replayed on every hit.  Results are
+        # Pipeline engine: the projection and caller-side effect also depend
+        # on the callee's program-specific summary, so unlike the
+        # content-keyed transfers this memo keys on the statement's id,
+        # scoped by the batch's memo epoch, with the statement object pinned
+        # in the value so its id cannot be recycled and its label stored for
+        # invalidation.  Widening events are captured on the miss and
+        # replayed on every hit.  Results are
         # sealed, not interned: the solver interns the projection itself at
         # the entry-matrix escape point, and the effect matrix is ordinary
         # downstream dataflow.  The *recording* of the projection still
@@ -248,7 +251,7 @@ class ProcedureAnalyzer:
         )
         cached = context.transfer_cache.get_join(key)
         if cached is not None:
-            _stmt, projected, effect_matrix, widening = cached
+            _stmt, _label, projected, effect_matrix, widening = cached
         else:
             with widening_scope(WideningTally()) as widening:
                 projected, effect_matrix = self._call_outcome(
@@ -258,8 +261,9 @@ class ProcedureAnalyzer:
                     projected = projected.seal()
                 effect_matrix = effect_matrix.seal()
             _bump(context.stats, "scratch_matrices_elided")
+            label = identity_label(context.identity_of(stmt))
             context.transfer_cache.put_join(
-                key, (stmt, projected, effect_matrix, widening)
+                key, (stmt, label, projected, effect_matrix, widening)
             )
         widening.add_into(context.stats)
         _count_rows(context.stats, matrix, effect_matrix)

@@ -240,6 +240,9 @@ def run_pipeline(context: AnalysisContext) -> AnalysisContext:
     per application (see :func:`repro.analysis.transfer.
     apply_basic_statement_cached`).
     """
+    # Statement identities are rendered per run: a context handed back to
+    # analyze_program may hold a program edited in place since its last run.
+    context.statement_identities.clear()
     allocated_before = PathMatrix.allocations
     intern_hits_before = PathMatrix.intern_hits
     packed_ops_before = packed_segment_ops()

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..faults import fault_fire
 from ..obs.trace import span
 from ..sil import ast
+from ..sil.delta import StatementIdentity, identity_label, statement_identity
 from ..sil.printer import _format_inline as format_statement_inline
 from .limits import DEFAULT_LIMITS, DEFAULT_TRANSFER_CACHE_SIZE, AnalysisLimits
 from .matrix import PathMatrix, row_delta
@@ -347,14 +348,18 @@ def apply_basic_statement(
 class TransferCache:
     """A size-bounded, policy-governed memo of transfer results.
 
-    **In-memory layer.**  Keys combine ``id(stmt)`` with the input matrix's
-    exact :meth:`~repro.analysis.matrix.PathMatrix.fingerprint` (which
-    includes the :class:`AnalysisLimits`), so a hit is only possible for
-    the same statement applied to an identical matrix under identical
-    limits — the cached result is therefore exactly what recomputation
-    would produce.  The eviction policy (``lru`` / ``lfu`` / ``fifo``, see
-    :mod:`repro.cache.policy`) is selectable; evictions are counted and
-    surfaced through :class:`~repro.analysis.context.AnalysisStats`.
+    **In-memory layer.**  Keys are ``(statement identity, limits, input
+    matrix)``: the statement's :func:`~repro.sil.delta.statement_identity`
+    (its node kind and exact inline rendering), the
+    :class:`AnalysisLimits` the transfer runs under, and the input matrix
+    itself when sealed (its exact :meth:`~repro.analysis.matrix.PathMatrix.
+    fingerprint` otherwise).  A transfer function is a pure function of
+    exactly these, so a hit returns what recomputation would produce — for
+    any statement object with that content, in any procedure of any
+    program, parsed at any time.  The eviction policy (``lru`` / ``lfu`` /
+    ``fifo``, see :mod:`repro.cache.policy`) is selectable; evictions are
+    counted and surfaced through :class:`~repro.analysis.context.
+    AnalysisStats`.
 
     Each entry also stores the :class:`~repro.analysis.telemetry.
     WideningTally` captured while the transfer was computed, so a hit can
@@ -362,16 +367,12 @@ class TransferCache:
     then read exactly as if every application had been computed, which is
     what makes them additive across shard processes.
 
-    Each cache value keeps a strong reference to the statement object, so an
-    ``id`` can never be recycled while any entry for it is alive (entries
-    and their pins are dropped together on eviction).
-
     **Persistent tier.**  With a ``backend`` attached (see
     :mod:`repro.cache.backend`), in-memory misses read through to the
-    content-addressed store under canonical, process-independent keys
-    (:func:`repro.cache.codec.transfer_key`); a persistent hit is decoded,
-    sealed and promoted into the in-memory layer.  Computed results are
-    buffered as encoded deltas and written back in one batch by
+    content-addressed store under the canonical, process-independent form
+    of the same key (:func:`repro.cache.codec.transfer_key`); a persistent
+    hit is decoded, sealed and promoted into the in-memory layer.  Computed
+    results are buffered as encoded deltas and written back in one batch by
     :meth:`flush` — call it when a run or shard completes.
 
     **Degradation.**  A persistent backend may rot or fail without taking
@@ -441,22 +442,11 @@ class TransferCache:
         return len(self._entries)
 
     def get(self, key: Tuple) -> Optional[Tuple[TransferResult, "WideningTally"]]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        return entry[1], entry[2]
+        return self._entries.get(key)
 
-    def put(
-        self,
-        key: Tuple,
-        stmt: ast.BasicStmt,
-        result: TransferResult,
-        widening: Optional["WideningTally"] = None,
-    ) -> int:
+    def put(self, key: Tuple, result: TransferResult, widening: "WideningTally") -> int:
         """Admit an entry; returns the number of in-memory evictions."""
-        return self._entries.put(
-            key, (stmt, result, widening if widening is not None else WideningTally())
-        )
+        return self._entries.put(key, (result, widening))
 
     def get_join(self, key: Tuple):
         """Look up a memoized join/projection entry (see :data:`_joins`)."""
@@ -558,18 +548,15 @@ class TransferCache:
         persistent_key: str,
         result: TransferResult,
         widening: "WideningTally",
-        stmt: Optional[ast.BasicStmt] = None,
+        label: str,
     ) -> None:
-        """Buffer a computed transfer for the next :meth:`flush`."""
+        """Buffer a computed transfer (and its statement label) for :meth:`flush`."""
         if self.backend is None or persistent_key in self._pending:
             return
         from ..cache.codec import encode_entry
 
         self._pending[persistent_key] = encode_entry(result, widening)
-        if stmt is not None:
-            from ..sil.delta import statement_label
-
-            self._pending_labels[persistent_key] = statement_label(stmt)
+        self._pending_labels[persistent_key] = label
 
     def flush(self, stats=None) -> Tuple[int, int]:
         """Write buffered deltas (and read touches) to the backend.
@@ -623,25 +610,21 @@ class TransferCache:
 
         ``labels`` is a set of :func:`repro.sil.delta.statement_label`
         strings — the statements an edit removed or rewrote.  All three
-        tiers are swept: the in-memory transfer entries (whose values pin
-        their statement objects, so the label is recomputed exactly), the
-        memoized call projections, the unflushed pending deltas, and the
-        persistent backend (statement labels are stored with each row).
-        Everything else is kept — this is the delete-by-key-set contract
-        incremental re-analysis relies on, replacing all-or-nothing
-        ``clear()``.  Returns the total number of entries dropped.
+        tiers are swept: the in-memory transfer entries (labelled by the
+        statement identity their key starts with), the memoized call
+        projections (which store their label when put), the unflushed
+        pending deltas, and the persistent backend (statement labels are
+        stored with each row).  No statement is re-rendered.  Everything
+        else is kept — this is the delete-by-key-set contract incremental
+        re-analysis relies on, replacing all-or-nothing ``clear()``.
+        Returns the total number of entries dropped.
         """
         doomed = set(labels)
         if not doomed:
             return 0
-        from ..sil.delta import statement_label
 
         dropped = 0
-        stale_keys = [
-            key
-            for key, value in self._entries.items()
-            if statement_label(value[0]) in doomed
-        ]
+        stale_keys = [key for key in self._entries if identity_label(key[0]) in doomed]
         for key in stale_keys:
             self._entries.remove(key)
         dropped += len(stale_keys)
@@ -649,7 +632,7 @@ class TransferCache:
         stale_joins = [
             key
             for key, value in self._joins.items()
-            if key[0] == "call" and statement_label(value[0]) in doomed
+            if key[0] == "call" and value[1] in doomed
         ]
         for key in stale_joins:
             self._joins.remove(key)
@@ -690,7 +673,7 @@ def apply_basic_statement_cached(
     limits: AnalysisLimits = DEFAULT_LIMITS,
     cache: Optional[TransferCache] = None,
     stats=None,
-    epoch: int = 0,
+    identity: Optional[StatementIdentity] = None,
 ) -> TransferResult:
     """Memoizing wrapper around :func:`apply_basic_statement`.
 
@@ -698,16 +681,21 @@ def apply_basic_statement_cached(
     any object with ``transfer_cache_hits``/``transfer_cache_misses`` and
     the widening counters); pass ``None`` to skip counting.
 
-    ``epoch`` scopes the ``id(stmt)`` component of the in-memory key: two
-    :class:`~repro.analysis.engine.BatchAnalyzer` instances sharing one
-    :class:`TransferCache` pass distinct epochs, so a statement id CPython
-    recycles after one batch's program dies can never alias a live entry
-    recorded by the other (the persistent tier is content-addressed and
-    needs no such scoping).  Bare callers share epoch 0.
+    ``identity`` is ``stmt``'s :func:`~repro.sil.delta.statement_identity`.
+    The pipeline computes it once per statement per analysis run (see
+    :attr:`~repro.analysis.context.AnalysisContext.statement_identities`)
+    and passes it in; when omitted it is rendered here.  It is never cached
+    on the statement itself, because callers may mutate AST nodes between
+    runs.
 
-    The in-memory cache key is ``(epoch, id(stmt), limits,
-    input-fingerprint)``.  The
-    fingerprint is an exact content snapshot built from the input's
+    The in-memory cache key is ``(identity, limits, input matrix)`` — pure
+    content, so every statement object with this rendering, in any
+    procedure or program, shares the entry, and a warm re-submission of a
+    freshly parsed program is answered by one dict probe.  On a miss the
+    same identity keys the persistent tier
+    (:func:`repro.cache.codec.transfer_key`), so the statement is rendered
+    at most once.  For an unsealed input the matrix component is its
+    fingerprint, an exact content snapshot built from the input's
     interned *rows* (so hashing uses precomputed per-row hashes), which
     makes the lookup just as precise as keying on a hash-consed matrix —
     but **without** paying a whole-matrix intern on the cold path, where
@@ -747,7 +735,9 @@ def apply_basic_statement_cached(
     # Sealed inputs (every matrix flowing through the pipeline) key on the
     # matrix object itself: its content hash is cached, so the warm-path
     # probe costs O(1) instead of re-hashing the fingerprint snapshot.
-    key = (epoch, id(stmt), limits, matrix if matrix.is_sealed else matrix.fingerprint())
+    if identity is None:
+        identity = statement_identity(stmt)
+    key = (identity, limits, matrix if matrix.is_sealed else matrix.fingerprint())
     cached = cache.get(key)
     if cached is not None:
         result, widening = cached
@@ -762,11 +752,11 @@ def apply_basic_statement_cached(
     if cache.backend is not None:
         from ..cache.codec import transfer_key
 
-        persistent_key = transfer_key(stmt, limits, matrix)
+        persistent_key = transfer_key(stmt, limits, matrix, identity=identity)
         loaded = cache.load_persistent(persistent_key, matrix.limits)
         if loaded is not None:
             result, widening = loaded
-            evicted = cache.put(key, stmt, result, widening)
+            evicted = cache.put(key, result, widening)
             if stats is not None:
                 stats.transfer_cache_hits += 1
                 _bump(stats, "persistent_cache_hits")
@@ -788,9 +778,9 @@ def apply_basic_statement_cached(
     result.matrix = result.matrix.seal()
     if stats is not None:
         _bump(stats, "scratch_matrices_elided")
-    evicted = cache.put(key, stmt, result, widening)
+    evicted = cache.put(key, result, widening)
     if persistent_key is not None:
-        cache.record_persistent(persistent_key, result, widening, stmt=stmt)
+        cache.record_persistent(persistent_key, result, widening, identity_label(identity))
     if stats is not None:
         stats.transfer_cache_misses += 1
         _bump(stats, "transfer_cache_evictions", evicted)

@@ -1,20 +1,21 @@
 """Canonical, process-independent encoding of transfer-cache entries.
 
 The in-process memoized transfer cache (:class:`repro.analysis.transfer.
-TransferCache`) keys on ``(id(stmt), limits, matrix.fingerprint())`` —
-object identities and interned domain values that mean nothing outside the
-process that built them.  A *persistent* cache entry must instead be keyed
-and stored in a form that is byte-identical across processes (and across
-``PYTHONHASHSEED`` values):
+TransferCache`) keys on ``(statement_identity(stmt), limits, matrix)`` —
+the same content this module keys on, but held as live Python objects
+(a sealed matrix, or its fingerprint of interned rows) whose hashes mean
+nothing outside the process that built them.  A *persistent* cache entry
+must instead be keyed and stored in a form that is byte-identical across
+processes (and across ``PYTHONHASHSEED`` values):
 
 * the **key** (:func:`transfer_key`) is the SHA-256 of a canonical JSON
   document combining the statement's kind + exact source rendering, the
   :class:`~repro.analysis.limits.AnalysisLimits` the transfer runs under,
   and the input matrix's canonical encoding (handles in insertion order,
   entries sorted, the matrix's own limits).  Two lookups collide exactly
-  when the in-memory fingerprints would — same statement content, same
-  bounds, same matrix — so a persistent hit returns precisely what
-  recomputation would produce.  The statement *kind* is part of the key
+  when the in-memory keys would — same statement content, same bounds,
+  same matrix — so a persistent hit returns precisely what recomputation
+  would produce.  The statement *kind* is part of the key
   because two different statement kinds can render identically (a scalar
   copy ``x := y`` prints like a handle copy) while having different
   transfer semantics.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,7 @@ from ..analysis.structure import Certainty, DiagnosticKind, StructureDiagnostic
 from ..analysis.telemetry import WideningTally
 from ..obs.trace import span
 from ..sil import ast
-from ..sil.delta import statement_identity
+from ..sil.delta import StatementIdentity, statement_identity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at runtime: repro.analysis.transfer imports the policy
@@ -110,11 +111,23 @@ def canonical_matrix(matrix: PathMatrix) -> Dict[str, object]:
     return document
 
 
-def transfer_key(stmt: ast.BasicStmt, limits: AnalysisLimits, matrix: PathMatrix) -> str:
-    """The content-addressed persistent key of one transfer application."""
+def transfer_key(
+    stmt: ast.BasicStmt,
+    limits: AnalysisLimits,
+    matrix: PathMatrix,
+    identity: Optional[StatementIdentity] = None,
+) -> str:
+    """The content-addressed persistent key of one transfer application.
+
+    ``identity`` is ``stmt``'s :func:`~repro.sil.delta.statement_identity`
+    when the caller already holds it (the in-memory transfer key is built
+    from it), so a memory miss renders the statement only once.
+    """
+    if identity is None:
+        identity = statement_identity(stmt)
     document = {
         "v": CODEC_VERSION,
-        "stmt": canonical_statement(stmt),
+        "stmt": list(identity),
         "limits": canonical_limits(limits),
         "matrix": canonical_matrix(matrix),
     }

@@ -12,9 +12,10 @@ hold, mirroring :class:`~repro.analysis.context.AnalysisStats` and
   integer *nanoseconds* (``observe`` converts once) — so merging is
   integer addition: exact, associative, commutative;
 * quantiles (p50/p90/p99) are **derived from the fixed bucket
-  boundaries**, never from raw samples, so a merge of shard histograms
-  yields exactly the quantiles a single process observing the union
-  would report;
+  boundaries**, never from raw samples, and clamped to each histogram's
+  exact integer-ns observed range (merged as the min of mins and the max
+  of maxes), so a merge of shard histograms yields exactly the quantiles
+  a single process observing the union would report;
 * registries cross process boundaries only as **plain-data snapshots**
   (:meth:`MetricsRegistry.as_dict` / :meth:`MetricsRegistry.from_dict`),
   the same way shard workers already ship ``AnalysisStats`` home, and
@@ -115,14 +116,18 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram: integer occupancies + an integer-ns sum.
+    """Fixed-bucket histogram: integer occupancies, integer-ns sum and range.
 
     ``boundaries`` are inclusive upper bounds; ``counts`` has one extra
     overflow slot.  Observations are converted to integer nanoseconds up
-    front so the running sum — and therefore every merge — is exact.
+    front so the running sum — and therefore every merge — is exact, and so
+    are ``min_ns`` / ``max_ns``, the observed range (``None`` while empty)
+    every quantile is clamped to.
     """
 
-    __slots__ = ("name", "labels", "boundaries", "counts", "count", "sum_ns")
+    __slots__ = (
+        "name", "labels", "boundaries", "counts", "count", "sum_ns", "min_ns", "max_ns",
+    )
 
     def __init__(
         self,
@@ -138,6 +143,8 @@ class Histogram:
         self.counts = [0] * (len(self.boundaries) + 1)
         self.count = 0
         self.sum_ns = 0
+        self.min_ns: Optional[int] = None
+        self.max_ns: Optional[int] = None
 
     def observe(self, value: float) -> None:
         """Record one observation (seconds for latency histograms)."""
@@ -153,31 +160,52 @@ class Histogram:
         self.counts[index] += 1
         self.count += 1
         self.sum_ns += int(value_ns)
+        self._widen_range(int(value_ns), int(value_ns))
+
+    def _widen_range(self, low_ns: Optional[int], high_ns: Optional[int]) -> None:
+        if low_ns is not None and (self.min_ns is None or low_ns < self.min_ns):
+            self.min_ns = int(low_ns)
+        if high_ns is not None and (self.max_ns is None or high_ns > self.max_ns):
+            self.max_ns = int(high_ns)
+
+    def absorb(self, other: "Histogram") -> None:
+        """Fold ``other`` (same boundaries) into this histogram, exactly."""
+        for i, occupancy in enumerate(other.counts):
+            self.counts[i] += occupancy
+        self.count += other.count
+        self.sum_ns += other.sum_ns
+        self._widen_range(other.min_ns, other.max_ns)
 
     def quantile(self, q: float) -> float:
         """The q-quantile in seconds, interpolated inside its bucket.
 
-        Deterministic given the bucket occupancies (Prometheus-style
-        linear interpolation): a merge of shard histograms reports the
-        same quantiles as the single process would.  The overflow bucket
-        clamps to the largest boundary.
+        Deterministic given the bucket occupancies and the observed range
+        (Prometheus-style linear interpolation): a merge of shard
+        histograms reports the same quantiles as the single process would.
+        The overflow bucket clamps to the largest boundary, and every
+        quantile is then clamped to ``[min, max]`` of the observations — a
+        one-sample histogram reports that sample, not its bucket's
+        midpoint.
         """
         if self.count == 0:
             return 0.0
         rank = q * self.count
         cumulative = 0
+        value = self.boundaries[-1]
         for i, occupancy in enumerate(self.counts):
             if not occupancy:
                 continue
             if cumulative + occupancy >= rank:
-                if i >= len(self.boundaries):
-                    return self.boundaries[-1]
-                lower = self.boundaries[i - 1] if i else 0.0
-                upper = self.boundaries[i]
-                fraction = (rank - cumulative) / occupancy
-                return lower + (upper - lower) * min(1.0, max(0.0, fraction))
+                if i < len(self.boundaries):
+                    lower = self.boundaries[i - 1] if i else 0.0
+                    upper = self.boundaries[i]
+                    fraction = (rank - cumulative) / occupancy
+                    value = lower + (upper - lower) * min(1.0, max(0.0, fraction))
+                break
             cumulative += occupancy
-        return self.boundaries[-1]  # pragma: no cover - unreachable with count > 0
+        if self.min_ns is None or self.max_ns is None:  # a snapshot without a range
+            return value
+        return min(max(value, self.min_ns / 1e9), self.max_ns / 1e9)
 
     def mean(self) -> float:
         return (self.sum_ns / 1e9 / self.count) if self.count else 0.0
@@ -277,6 +305,8 @@ class MetricsRegistry:
                         "counts": list(h.counts),
                         "count": h.count,
                         "sum_ns": h.sum_ns,
+                        "min_ns": h.min_ns,
+                        "max_ns": h.max_ns,
                     }
                     for key, h in sorted(self._histograms.items())
                 },
@@ -299,6 +329,7 @@ class MetricsRegistry:
             histogram.counts = counts
             histogram.count = int(entry["count"])
             histogram.sum_ns = int(entry["sum_ns"])
+            histogram._widen_range(entry.get("min_ns"), entry.get("max_ns"))
         return registry
 
     def canonical(self) -> str:
@@ -317,13 +348,9 @@ class MetricsRegistry:
             for gauge in list(other._gauges.values()):
                 self.gauge(gauge.name, **dict(gauge.labels)).inc(gauge.value)
             for histogram in list(other._histograms.values()):
-                mine = self.histogram(
+                self.histogram(
                     histogram.name, histogram.boundaries, **dict(histogram.labels)
-                )
-                for i, occupancy in enumerate(histogram.counts):
-                    mine.counts[i] += occupancy
-                mine.count += histogram.count
-                mine.sum_ns += histogram.sum_ns
+                ).absorb(histogram)
         return self
 
     def merge(self, *others: "MetricsRegistry") -> "MetricsRegistry":
@@ -387,10 +414,7 @@ def latency_tails(
         rows[key] = _tail_row(histogram)
         if overall is None:
             overall = Histogram(name, histogram.boundaries)
-        for i, occupancy in enumerate(histogram.counts):
-            overall.counts[i] += occupancy
-        overall.count += histogram.count
-        overall.sum_ns += histogram.sum_ns
+        overall.absorb(histogram)
     report = {key: rows[key] for key in sorted(rows)}
     if overall is not None:
         report["_overall"] = _tail_row(overall)

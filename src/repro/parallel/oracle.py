@@ -213,9 +213,11 @@ def batch_oracles(
     """Prepared :class:`PathMatrixOracle`\\ s for a batch of programs.
 
     All oracles share one memoized-transfer cache (the oracle analogue of
-    :func:`repro.analysis.engine.analyze_many`), so preparing a population
-    of generated scenarios — structurally similar programs — hits across
-    programs instead of recomputing every transfer from scratch.
+    :func:`repro.analysis.engine.analyze_many`).  Its transfer entries are
+    keyed on statement content, limits and input matrix, so a statement
+    that reappears — same rendering, same incoming matrix — in another
+    procedure or another program of the population is answered from the
+    entry the first occurrence put instead of being recomputed.
     """
     shared_cache = TransferCache(limits.transfer_cache_size)
     oracles: List[PathMatrixOracle] = []

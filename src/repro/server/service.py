@@ -20,11 +20,14 @@ fresh worker processes — and the per-request stats are merged into the
 lifetime totals that ``cache_stats`` reports.
 
 Why the second request is cheap: the in-memory transfer memo keys on
-``id(stmt)``, so a re-submitted program (freshly parsed, new statement
-objects) misses it — but the persistent tier keys on **content**, so every
-transfer the first request computed is decoded instead of recomputed.
-That read-through is the nonzero ``persistent_cache_hit_rate`` the
-one-shot CLI could never show.
+statement **content** (kind and rendering), limits and input matrix, so a
+re-submitted program — freshly parsed into new statement objects — finds
+every transfer the first request computed with one dict probe each: no
+recomputation, no persistent read, no codec decode.  The persistent tier
+behind it serves only what memory does not hold: entries evicted from the
+bounded memo, and a store filled by an earlier daemon or batch run
+(``--cache-dir``).  The default private memory store is therefore almost
+never read once the memo is warm.
 
 The service is thread-safe under the daemon's bounded worker pool: one
 internal lock serializes the analysis itself (the interning tables are
@@ -82,11 +85,12 @@ class AnalysisService:
     ):
         self.limits = limits
         self.entry = entry
-        # A daemon without an explicit store still deserves a persistent
-        # tier — it is the whole point of staying alive.  The in-process
-        # memory backend under a unique namespace gives cross-*request*
-        # content-addressed hits without touching disk; a CacheConfig from
-        # the CLI (--cache-dir) swaps in a store shared with batch runs.
+        # A daemon without an explicit store gets a private in-process
+        # memory backend under a unique namespace.  The content-keyed
+        # memory memo already answers repeated transfers across requests,
+        # so this store only recovers entries the bounded memo evicted; a
+        # CacheConfig from the CLI (--cache-dir) swaps in a store shared
+        # with batch runs and later daemons.
         self.cache_config = (
             cache.validated()
             if cache is not None

@@ -12,10 +12,11 @@ analysis:
   of every changed body;
 * statement content is identified by :func:`statement_identity` — the
   ``(node kind, exact inline rendering)`` pair — which is **the same
-  canonical rendering contract the persistent cache codec keys on**
-  (:func:`repro.cache.codec.canonical_statement` delegates here), so a
-  delta's stale-statement set names exactly the store rows that can never
-  be looked up again;
+  canonical rendering contract both transfer-cache tiers key on** (the
+  in-memory memo directly, the persistent codec through
+  :func:`repro.cache.codec.transfer_key`), so a delta's stale-statement
+  set names exactly the cached transfers of the statements the edit
+  removed;
 * :func:`statement_rebase_map` produces *stable statement identities across
   reparses*: for procedures whose bodies are textually identical, it maps
   each old statement object's ``id`` to the corresponding statement object
@@ -47,9 +48,10 @@ def statement_identity(stmt: ast.Stmt) -> StatementIdentity:
 
     Two statements with equal identities are structurally identical
     (including every nested statement — the inline rendering recurses), so
-    they denote the same transfer function under any input matrix.  This is
-    the rendering :func:`repro.cache.codec.canonical_statement` builds
-    persistent transfer keys from.
+    they denote the same transfer function under any input matrix.  Both
+    transfer-cache tiers key on it: the in-memory memo of
+    :class:`repro.analysis.transfer.TransferCache` directly, the persistent
+    tier through :func:`repro.cache.codec.transfer_key`.
     """
     return (type(stmt).__name__, _format_inline(stmt))
 

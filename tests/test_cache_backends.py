@@ -29,6 +29,7 @@ from repro.cache import (
     transfer_key,
 )
 from repro.sil import ast
+from repro.sil.delta import statement_identity
 from repro.workloads import generate_scenarios, load
 from repro.workloads.suite import source
 
@@ -357,19 +358,24 @@ class TestTransferCachePersistentTier:
         assert warm.transfer_cache_hits == 2 and warm.persistent_cache_hits == 1
 
     def test_pending_buffer_answers_before_flush(self):
-        # Same statement content at two distinct objects: the second lookup
-        # misses the id()-keyed memory layer but is deduplicated through
-        # the unflushed delta buffer.
+        # Same statement content at two distinct objects.  The memory layer
+        # is content-keyed, so the twin would hit it directly; evicting the
+        # entry from a capacity-1 cache first leaves the unflushed delta
+        # buffer as the only tier that can answer it.
         stmt, matrix = self.make_stmt_and_matrix()
-        cache = TransferCache(capacity=64, backend=MemoryBackend())
+        cache = TransferCache(capacity=1, backend=MemoryBackend())
         stats = AnalysisStats()
         apply_basic_statement_cached(matrix, stmt, cache=cache, stats=stats)
+        apply_basic_statement_cached(
+            matrix, ast.AssignNil(target="c"), cache=cache, stats=stats
+        )
+        assert stats.transfer_cache_evictions == 1
         twin = ast.CopyHandle(target="a", source="b")
         apply_basic_statement_cached(matrix.copy(), twin, cache=cache, stats=stats)
         assert stats.persistent_cache_hits == 1
-        assert stats.transfer_cache_misses == 1
+        assert stats.transfer_cache_misses == 2
         written, _ = cache.flush(stats)
-        assert written == 1  # the dedup never produced a second delta
+        assert written == 2  # the dedup never produced a delta for the twin
 
     def test_corrupt_store_entry_self_heals(self, tmp_path):
         # A payload that fails to decode must be discarded and re-admitted
@@ -425,6 +431,180 @@ class TestTransferCachePersistentTier:
             )
         assert stats.transfer_cache_evictions == 2
         assert cache.evictions == 2
+
+
+TWIN_WALK = """program {program}
+
+procedure main()
+  root, kid: handle
+begin
+  root := new();
+  kid := new();
+  root.left := kid;
+  {walker}(root)
+end
+
+procedure {walker}(h: handle)
+  a, b: handle
+begin
+  a := h.left;
+  b := a;
+  a := h.right;
+  b.right := a
+end
+"""
+
+FLIP = """program flip
+
+procedure main()
+  a, b, c: handle
+begin
+  a := new();
+  c := new();
+  a.left := c;
+  b := a.left
+end
+"""
+
+
+class TestContentKeyedTransferMemo:
+    """The in-memory transfer key is (statement identity, limits, matrix)."""
+
+    def sealed_matrix(self, *handles, entries=()):
+        matrix = PathMatrix(list(handles))
+        for source_handle, target_handle, paths in entries:
+            matrix.set(source_handle, target_handle, PathSet.parse(paths))
+        return matrix.seal()
+
+    def test_equal_renderings_of_different_kinds_never_share(self):
+        copy_stmt = ast.CopyHandle(target="x", source="y")
+        scalar_stmt = ast.ScalarAssign(target="x", expr=ast.Name(ident="y"))
+        assert statement_identity(copy_stmt)[1] == statement_identity(scalar_stmt)[1]
+        matrix = self.sealed_matrix("x", "y", "z", entries=[("z", "y", "L1")])
+        cache, stats = TransferCache(capacity=64), AnalysisStats()
+        copied = apply_basic_statement_cached(matrix, copy_stmt, cache=cache, stats=stats)
+        scalar = apply_basic_statement_cached(matrix, scalar_stmt, cache=cache, stats=stats)
+        assert stats.transfer_cache_misses == 2 and stats.transfer_cache_hits == 0
+        assert len(cache) == 2
+        assert copied.matrix == apply_basic_statement(matrix, copy_stmt).matrix
+        assert scalar.matrix == apply_basic_statement(matrix, scalar_stmt).matrix
+        assert copied.matrix != scalar.matrix
+
+    def test_one_statement_under_two_limits_never_shares(self):
+        # x -> a gains a fifth segment: collapsed under the default
+        # max_segments=4, kept exact under 8.
+        stmt = ast.LoadField(target="a", source="b", field_name=ast.Field.LEFT)
+        matrix = self.sealed_matrix("x", "b", "a", entries=[("x", "b", "L1R1L1R1")])
+        tight, loose = AnalysisLimits(), AnalysisLimits(max_segments=8)
+        cache, stats = TransferCache(capacity=64), AnalysisStats()
+        first = apply_basic_statement_cached(matrix, stmt, tight, cache=cache, stats=stats)
+        second = apply_basic_statement_cached(matrix, stmt, loose, cache=cache, stats=stats)
+        assert stats.transfer_cache_misses == 2 and stats.transfer_cache_hits == 0
+        assert len(cache) == 2
+        assert first.matrix == apply_basic_statement(matrix, stmt, tight).matrix
+        assert second.matrix == apply_basic_statement(matrix, stmt, loose).matrix
+        assert first.matrix != second.matrix
+
+    def test_content_equal_statements_share_across_programs(self):
+        from repro.analysis import analyze_program_reference
+        from repro.sil.normalize import parse_and_normalize
+
+        batch = BatchAnalyzer()
+        counts = []
+        for program_name, walker in (("one", "walk_left"), ("two", "descend")):
+            program, info = parse_and_normalize(
+                TWIN_WALK.format(program=program_name, walker=walker)
+            )
+            before = batch.stats.counters()
+            entries_before = len(batch.cache)
+            result = batch.analyze(program, info)
+            counts.append(
+                (
+                    batch.stats.transfer_cache_hits - before["transfer_cache_hits"],
+                    batch.stats.transfer_cache_misses - before["transfer_cache_misses"],
+                    len(batch.cache) - entries_before,
+                )
+            )
+            reference = analyze_program_reference(program, info)
+            assert result.canonical() == reference.canonical()
+        (_, cold_misses, cold_entries), (warm_hits, warm_misses, warm_entries) = counts
+        assert cold_misses > 0 and cold_entries > 0
+        # Every transfer of the second program, its walker included, is
+        # answered by an entry the first program put.
+        assert warm_misses == 0 and warm_entries == 0
+        assert warm_hits >= cold_misses
+
+    def test_in_place_statement_edit_between_bare_runs_is_not_stale(self):
+        from repro.analysis import analyze_program, analyze_program_reference
+        from repro.sil.normalize import parse_and_normalize
+
+        program, info = parse_and_normalize(FLIP)
+        (load,) = [
+            stmt
+            for stmt in ast.walk_stmt(program.callable("main").body)
+            if isinstance(stmt, ast.LoadField)
+        ]
+        first = analyze_program(program, info)
+        assert first.canonical() == analyze_program_reference(program, info).canonical()
+        load.field_name = ast.Field.RIGHT
+        second = analyze_program(program, info)
+        reference = analyze_program_reference(program, info)
+        assert second.canonical() == reference.canonical()
+        assert second.canonical() != first.canonical()
+
+    def test_invalidate_statements_drops_exactly_the_labelled_entries(self):
+        from repro.sil.delta import statement_label
+        from repro.sil.normalize import parse_and_normalize
+
+        program, info = parse_and_normalize(
+            TWIN_WALK.format(program="one", walker="walk_left")
+        )
+        batch = BatchAnalyzer(cache=CacheConfig(backend="memory", directory="labels"))
+        cold = batch.analyze(program, info).canonical()
+        cache = batch.cache
+        walker = list(ast.walk_stmt(program.callable("walk_left").body))
+        (copy_stmt,) = [s for s in walker if isinstance(s, ast.CopyHandle)]
+        (call,) = [
+            s for s in ast.walk_stmt(program.callable("main").body)
+            if isinstance(s, ast.ProcCall)
+        ]
+        identity = statement_identity(copy_stmt)
+        entries, joins = set(cache._entries), set(cache._joins)
+        pending = len(cache._pending)
+
+        dropped = cache.invalidate_statements(
+            {statement_label(copy_stmt), statement_label(call)}
+        )
+        gone = entries - set(cache._entries)
+        gone_joins = joins - set(cache._joins)
+        assert gone and all(key[0] == identity for key in gone)
+        assert all(key[0] != identity for key in cache._entries)
+        assert gone_joins and all(key[0] == "call" and key[2] == id(call) for key in gone_joins)
+        assert dropped == len(gone) + len(gone_joins) + pending - len(cache._pending)
+        assert len(cache._pending) < pending
+        # Only the dropped transfers recompute; results do not move.
+        before = batch.stats.transfer_cache_misses
+        assert batch.analyze(program, info).canonical() == cold
+        assert batch.stats.transfer_cache_misses - before == len(gone)
+
+    def test_in_place_statement_edit_with_a_reused_context_is_not_stale(self):
+        # A context handed back to analyze_program renders its statement
+        # identities afresh for each run.
+        from repro.analysis import analyze_program, analyze_program_reference
+        from repro.analysis.context import AnalysisContext
+        from repro.sil.normalize import parse_and_normalize
+
+        program, info = parse_and_normalize(FLIP)
+        (load,) = [
+            stmt
+            for stmt in ast.walk_stmt(program.callable("main").body)
+            if isinstance(stmt, ast.LoadField)
+        ]
+        context = AnalysisContext(program=program, info=info)
+        analyze_program(program, info, context=context)
+        load.field_name = ast.Field.RIGHT
+        again = analyze_program(program, info, context=context)
+        assert again.canonical() == analyze_program_reference(program, info).canonical()
 
 
 class TestWarmBatchAnalyzer:

@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
@@ -84,16 +85,35 @@ class TestInstruments:
 class TestQuantiles:
     def test_interpolation_inside_bucket(self):
         histogram = Histogram("h", boundaries=(0.0, 1.0))
-        for _ in range(4):
-            histogram.observe(0.5)
+        for value in (0.1, 0.5, 0.5, 0.9):
+            histogram.observe(value)
         # All mass in (0, 1]: the median interpolates to the bucket midpoint.
         assert histogram.quantile(0.5) == 0.5
-        assert histogram.quantile(1.0) == 1.0
+        # Interpolation alone would report the bucket's upper bound, above
+        # every observation; the quantile is clamped to the largest one.
+        assert histogram.quantile(1.0) == 0.9
+        assert histogram.quantile(0.01) == 0.1
+
+    def test_single_sample_reports_that_sample(self):
+        # One observation at 0.0111 s used to report its bucket's
+        # interpolated p50 0.0175 and p99 0.0249, above the only sample.
+        histogram = Histogram("h", DEFAULT_LATENCY_BUCKETS)
+        histogram.observe(0.0111)
+        for q in (0.5, 0.9, 0.99):
+            assert histogram.quantile(q) == 0.0111
+        assert (histogram.min_ns, histogram.max_ns) == (11_100_000, 11_100_000)
 
     def test_overflow_clamps_to_last_boundary(self):
         histogram = Histogram("h", boundaries=(1.0, 2.0))
+        histogram.observe(1.5)
         histogram.observe(50.0)
-        assert histogram.quantile(0.5) == 2.0
+        # p99 lies in the overflow bucket: the last boundary, inside the
+        # observed range [1.5, 50].
+        assert histogram.quantile(0.99) == 2.0
+        # A lone overflow sample is clamped up to itself.
+        lone = Histogram("h", boundaries=(1.0, 2.0))
+        lone.observe(50.0)
+        assert lone.quantile(0.5) == 50.0
 
     def test_empty_histogram(self):
         assert Histogram("h").quantile(0.99) == 0.0
@@ -113,6 +133,37 @@ class TestQuantiles:
         for q in (0.5, 0.9, 0.99):
             assert merged.quantile(q) == union.quantile(q)
         assert merged.sum_ns == union.sum_ns
+        assert (merged.min_ns, merged.max_ns) == (union.min_ns, union.max_ns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shards=st.lists(
+            st.lists(st.integers(min_value=0, max_value=90 * 10**9), max_size=12),
+            min_size=1,
+            max_size=4,
+        ),
+        q=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_merged_quantiles_stay_inside_the_merged_range(self, shards, q):
+        # Shard histograms travel home as snapshots and merge by absorb;
+        # whatever the bucket interpolation says, no quantile may leave
+        # [min of mins, max of maxes].
+        snapshots = []
+        for samples in shards:
+            registry = MetricsRegistry()
+            histogram = registry.histogram("h")
+            for value_ns in samples:
+                histogram.observe_ns(value_ns)
+            snapshots.append(json.loads(json.dumps(registry.as_dict())))
+        merged = MetricsRegistry().merge(*(MetricsRegistry.from_dict(s) for s in snapshots))
+        (histogram,) = merged.histograms("h")
+        observed = [value for samples in shards for value in samples]
+        assert histogram.count == len(observed)
+        if not observed:
+            assert histogram.quantile(q) == 0.0
+            return
+        assert (histogram.min_ns, histogram.max_ns) == (min(observed), max(observed))
+        assert min(observed) / 1e9 <= histogram.quantile(q) <= max(observed) / 1e9
 
 
 class TestSnapshots:

@@ -54,21 +54,33 @@ class TestAnalyzePairsDirect:
 
 class TestRunWarmDirect:
     def test_warm_second_pass_is_bit_identical(self):
-        # A re-submitted source is freshly parsed, so the id(stmt)-keyed
-        # in-memory memo misses by design; warm reuse across requests
-        # comes from the content-keyed persistent tier.
+        # A re-submitted source is freshly parsed into new statement
+        # objects; the content-keyed in-memory memo answers every transfer
+        # anyway, so the second pass never consults the persistent tier.
         reset_memory_backends()
-        batch = BatchAnalyzer(
-            cache=CacheConfig(backend="memory", directory="warm-paths-test")
-        )
+        config = CacheConfig(backend="memory", directory="warm-paths-test")
+        batch = BatchAnalyzer(cache=config)
         runner = ShardedSuiteRunner(PAIRS, shards=1)
         first = runner.run_warm(batch)
         second = runner.run_warm(batch)
         assert first.results == second.results
+        assert first.results_digest() == second.results_digest()
         assert not first.failures and not second.failures
         assert first.stats.persistent_cache_writes > 0
-        assert second.stats.persistent_cache_hits > 0
+        assert second.stats.transfer_cache_misses == 0
+        assert second.stats.transfer_cache_hit_rate == 1.0
+        assert second.stats.persistent_cache_hits == 0
+        assert second.stats.persistent_cache_misses == 0
         assert second.stats.persistent_cache_writes == 0
+
+        # A fresh batch over the same memory namespace starts with a cold
+        # memo: there the read-through to the persistent tier serves.
+        fresh = runner.run_warm(BatchAnalyzer(cache=config))
+        assert fresh.results == first.results
+        assert fresh.stats.persistent_cache_hits > 0
+        assert fresh.stats.persistent_cache_misses == 0
+        assert fresh.stats.persistent_cache_writes == 0
+        assert fresh.stats.transfer_cache_misses == 0
 
     def test_warm_reports_sum_to_batch_lifetime(self):
         batch = fresh_batch()
