@@ -48,7 +48,7 @@ def _run(config: CacheConfig):
 
 
 def test_ext_warm_run_never_recomputes_cold_unique_keys(tmp_path):
-    config = CacheConfig(backend="disk", directory=str(tmp_path))
+    config = CacheConfig(directory=str(tmp_path))
 
     cold_stats, cold_results, cold_seconds = _run(config)
     warm_stats, warm_results, warm_seconds = _run(config)

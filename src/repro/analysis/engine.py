@@ -269,16 +269,13 @@ class BatchAnalyzer:
     limits, so rungs never share cached transfers.
 
     ``cache`` may name a persistent store (a :class:`~repro.cache.backend.
-    CacheConfig`): the batch's transfer cache then reads through to it —
-    transfers computed by *earlier runs or other shard processes* are
-    decoded instead of recomputed, with their captured widening counts
-    replayed exactly — and buffers its own computed transfers as deltas.
-    Call :meth:`flush` (or :meth:`close`) when the batch is done to write
-    them back; nothing is persisted implicitly.
-
-    ``policy`` selects the in-memory eviction policy on its own — it works
-    with or without a persistent tier (defaulting to the cache config's
-    policy, then ``lru``), so policy comparisons don't require a store.
+    CacheConfig` for the disk store under ``--cache-dir``): the batch's
+    transfer cache then reads through to it — transfers computed by
+    *earlier runs or other shard processes* are decoded instead of
+    recomputed, with their captured widening counts replayed exactly — and
+    buffers its own computed transfers as deltas.  Call :meth:`flush` (or
+    :meth:`close`) when the batch is done to write them back; nothing is
+    persisted implicitly.  Without ``cache`` the batch runs memory-only.
 
     ``transfer_cache`` attaches an *existing* :class:`TransferCache` —
     warm memoized transfers, persistent backend and all — instead of
@@ -286,8 +283,9 @@ class BatchAnalyzer:
     server in :mod:`repro.server`) gives every request a fresh
     :class:`AnalysisStats` while all requests share one warm cache: the
     batch then does **not** own the backend, so :meth:`close` flushes but
-    leaves the backend open for the next batch.  ``cache``/``policy`` are
-    rejected alongside it — the attached cache already made those choices.
+    leaves the backend open for the next batch.  ``cache`` is rejected
+    alongside it — the attached cache already chose its backend.  Tests
+    attach a :class:`~repro.cache.memory.MemoryBackend` this way.
     """
 
     def __init__(
@@ -295,7 +293,6 @@ class BatchAnalyzer:
         limits: LimitsLike = DEFAULT_LIMITS,
         entry: str = "main",
         cache: Optional[CacheConfig] = None,
-        policy: Optional[str] = None,
         transfer_cache: Optional[TransferCache] = None,
     ):
         self.limits = limits
@@ -308,25 +305,17 @@ class BatchAnalyzer:
         #: (no cross-run reuse) for ordinary batches.
         self.visit_memo = None
         if transfer_cache is not None:
-            if cache is not None or policy is not None:
+            if cache is not None:
                 raise ValueError(
                     "BatchAnalyzer(transfer_cache=...) shares an existing cache; "
-                    "cache/policy would silently be ignored — configure them on "
+                    "cache would silently be ignored — attach the backend to "
                     "the shared TransferCache instead"
                 )
-            self.cache_config = None
             self.cache = transfer_cache
             self._owns_backend = False
             return
-        self.cache_config = cache.validated() if cache is not None else None
-        backend = open_backend(self.cache_config) if self.cache_config is not None else None
-        if policy is None:
-            policy = self.cache_config.policy if self.cache_config is not None else "lru"
-        self.cache = TransferCache(
-            base_limits(limits).transfer_cache_size,
-            policy=policy,
-            backend=backend,
-        )
+        backend = open_backend(cache) if cache is not None else None
+        self.cache = TransferCache(base_limits(limits).transfer_cache_size, backend=backend)
         self._owns_backend = True
 
     def flush(self) -> None:

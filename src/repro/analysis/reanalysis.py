@@ -262,15 +262,10 @@ class IncrementalSession:
         limits: LimitsLike = DEFAULT_LIMITS,
         entry: str = "main",
         cache: Optional[CacheConfig] = None,
-        policy: Optional[str] = None,
         transfer_cache: Optional[TransferCache] = None,
     ):
         self.batch = BatchAnalyzer(
-            limits=limits,
-            entry=entry,
-            cache=cache,
-            policy=policy,
-            transfer_cache=transfer_cache,
+            limits=limits, entry=entry, cache=cache, transfer_cache=transfer_cache
         )
         self.memo = VisitMemo()
         self.batch.visit_memo = self.memo

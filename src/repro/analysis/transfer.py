@@ -44,7 +44,7 @@ from .telemetry import WideningTally, widening_scope
 
 # Imported after the sibling analysis modules above: repro.cache's package
 # init pulls in the codec, which reads those modules back.
-from ..cache.policy import PolicyCache
+from ..cache.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache.backend import CacheBackend
@@ -346,7 +346,7 @@ def apply_basic_statement(
 
 
 class TransferCache:
-    """A size-bounded, policy-governed memo of transfer results.
+    """A size-bounded, least-recently-used memo of transfer results.
 
     **In-memory layer.**  Keys are ``(statement identity, limits, input
     matrix)``: the statement's :func:`~repro.sil.delta.statement_identity`
@@ -356,10 +356,9 @@ class TransferCache:
     fingerprint` otherwise).  A transfer function is a pure function of
     exactly these, so a hit returns what recomputation would produce — for
     any statement object with that content, in any procedure of any
-    program, parsed at any time.  The eviction policy (``lru`` / ``lfu`` /
-    ``fifo``, see :mod:`repro.cache.policy`) is selectable; evictions are
-    counted and surfaced through :class:`~repro.analysis.context.
-    AnalysisStats`.
+    program, parsed at any time.  Eviction is least-recently-used (see
+    :mod:`repro.cache.lru`); evictions are counted and surfaced through
+    :class:`~repro.analysis.context.AnalysisStats`.
 
     Each entry also stores the :class:`~repro.analysis.telemetry.
     WideningTally` captured while the transfer was computed, so a hit can
@@ -368,7 +367,8 @@ class TransferCache:
     what makes them additive across shard processes.
 
     **Persistent tier.**  With a ``backend`` attached (see
-    :mod:`repro.cache.backend`), in-memory misses read through to the
+    :mod:`repro.cache.backend`; runs open the disk store under
+    ``--cache-dir``), in-memory misses read through to the
     content-addressed store under the canonical, process-independent form
     of the same key (:func:`repro.cache.codec.transfer_key`); a persistent
     hit is decoded, sealed and promoted into the in-memory layer.  Computed
@@ -386,7 +386,6 @@ class TransferCache:
     """
 
     __slots__ = (
-        "policy",
         "backend",
         "_entries",
         "_joins",
@@ -401,18 +400,16 @@ class TransferCache:
     def __init__(
         self,
         capacity: int = DEFAULT_TRANSFER_CACHE_SIZE,
-        policy: str = "lru",
         backend: Optional["CacheBackend"] = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
     ):
-        self._entries = PolicyCache(capacity, policy)
+        self._entries = LRUCache(capacity)
         #: Second memo space for the *derived* pure operations over interned
         #: matrices — control-flow joins and call-site projections/effects —
         #: which are keyed by matrix identity and are in-memory only (they
         #: recompute cheaply from persistent transfer hits, so they are not
         #: worth codec space).
-        self._joins = PolicyCache(capacity, policy)
-        self.policy = policy
+        self._joins = LRUCache(capacity)
         self.backend = backend
         #: Encoded (key -> payload) deltas computed since the last flush.
         self._pending: Dict[str, str] = {}
@@ -422,7 +419,7 @@ class TransferCache:
         self._pending_labels: Dict[str, str] = {}
         #: Corrupt payloads quarantined (discarded + treated as misses).
         self.quarantined = 0
-        #: Backend I/O errors tolerated so far (get/write/discard).
+        #: Backend I/O errors tolerated so far (get/write/discard/invalidate).
         self.backend_errors = 0
         #: ``True`` once the circuit breaker dropped the backend; the cache
         #: then runs memory-only for the rest of its life.
@@ -649,7 +646,14 @@ class TransferCache:
         dropped += len(stale_pending)
 
         if self.backend is not None:
-            dropped += self.backend.invalidate(doomed)
+            from ..cache.backend import BACKEND_ERRORS
+
+            try:
+                dropped += self.backend.invalidate(doomed)
+            except BACKEND_ERRORS as error:
+                # Skipping the sweep is safe: the store is content-addressed,
+                # so a stale row can never be looked up again.
+                self._note_backend_error("invalidate", error)
         return dropped
 
 

@@ -7,25 +7,26 @@ process.  Layers, bottom to top:
 * :mod:`~repro.cache.codec` — canonical (process- and hash-seed-
   independent) keys and payloads for transfer results, including the
   captured widening tally so replayed hits keep the telemetry exact;
-* :mod:`~repro.cache.policy` — the bounded :class:`PolicyCache` with
-  selectable eviction (``lru`` / ``lfu`` / ``fifo``) and eviction counters;
+* :mod:`~repro.cache.lru` — the bounded least-recently-used
+  :class:`LRUCache` with its eviction counter;
 * :mod:`~repro.cache.backend` — the :class:`CacheBackend` protocol, the
   picklable :class:`CacheConfig` that travels into shard workers, and the
   :func:`open_backend` factory;
-* :mod:`~repro.cache.memory` / :mod:`~repro.cache.disk` — the in-process
-  shared store and the SQLite content-addressed store shards and runs
-  share on disk.
+* :mod:`~repro.cache.disk` — the SQLite content-addressed store that
+  shards, runs and daemons share on disk, the one persistent tier;
+* :mod:`~repro.cache.memory` — the in-process implementation of the same
+  protocol that tests use as a stand-in for the disk store.
 
 Wiring: :class:`repro.analysis.transfer.TransferCache` takes an optional
 backend and reads through to it on in-memory misses, buffering computed
 deltas until ``flush()``;  :class:`repro.analysis.engine.BatchAnalyzer`
 and the sharded suite runner (:mod:`repro.workloads.suite`) accept a
-:class:`CacheConfig`; the CLI exposes ``--cache-dir`` / ``--cache-backend``
-/ ``--cache-policy`` plus the ``repro cache stats|clear`` subcommand.
+:class:`CacheConfig`; the CLI exposes ``--cache-dir`` (the store) and
+``--cache-size`` (the in-memory capacity) plus the ``repro cache
+stats|clear|compact`` subcommand.
 """
 
 from .backend import (
-    BACKENDS,
     DEFAULT_STORE_CAPACITY,
     CacheBackend,
     CacheConfig,
@@ -41,27 +42,23 @@ from .codec import (
     transfer_key,
 )
 from .disk import STORE_FILENAME, DiskBackend
-from .memory import MemoryBackend, reset_memory_backends, shared_memory_backend
-from .policy import POLICIES, PolicyCache
+from .lru import LRUCache
+from .memory import MemoryBackend
 
 __all__ = [
-    "BACKENDS",
     "CODEC_VERSION",
     "DEFAULT_STORE_CAPACITY",
-    "POLICIES",
     "STORE_FILENAME",
     "CacheBackend",
     "CacheConfig",
     "CacheDecodeError",
     "DiskBackend",
+    "LRUCache",
     "MemoryBackend",
-    "PolicyCache",
     "canonical_matrix",
     "canonical_statement",
     "decode_entry",
     "encode_entry",
     "open_backend",
-    "reset_memory_backends",
-    "shared_memory_backend",
     "transfer_key",
 ]

@@ -11,18 +11,22 @@ layer talks to it through exactly two hot calls —
   completes, never per transfer;
 
 plus a cold management surface (``stats`` / ``clear`` / ``close``) used by
-the ``repro cache`` CLI subcommand.
+the ``repro cache`` CLI subcommand.  The one persistent store is the
+SQLite :class:`~repro.cache.disk.DiskBackend` under ``--cache-dir``;
+:class:`~repro.cache.memory.MemoryBackend` implements the same protocol
+in process, as the test double.
 
 Backends are **not** shipped across process boundaries.  A
-:class:`CacheConfig` — a small frozen dataclass — travels in the shard
-payload instead, and each worker opens its own backend from it
-(:func:`open_backend`); SQLite connections and fork do not mix.
+:class:`CacheConfig` — a small frozen dataclass naming the store's
+directory — travels in the shard payload instead, and each worker opens
+its own backend from it (:func:`open_backend`); SQLite connections and
+fork do not mix.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 try:  # Protocol is 3.8+; keep a graceful fallback for exotic interpreters.
@@ -33,11 +37,6 @@ except ImportError:  # pragma: no cover - py<3.8 only
     def runtime_checkable(cls):  # type: ignore[misc]
         return cls
 
-
-from .policy import POLICIES
-
-#: Backend kinds :func:`open_backend` understands.
-BACKENDS = ("memory", "disk")
 
 #: The exception surface a persistent backend is allowed to fail with.
 #: The transfer layer catches exactly these around every backend call —
@@ -56,7 +55,7 @@ DEFAULT_STORE_CAPACITY = 1 << 17
 class CacheBackend(Protocol):
     """What the transfer layer and the CLI need from a persistent store."""
 
-    #: ``"memory"`` or ``"disk"`` — mirrored from the opening config.
+    #: ``"disk"`` for the store, ``"memory"`` for the in-process double.
     kind: str
 
     def get(self, key: str) -> Optional[str]:
@@ -69,10 +68,10 @@ class CacheBackend(Protocol):
 
         Returns ``(written, evicted)`` — entries newly admitted (a key
         already present counts zero: the store is content-addressed, equal
-        keys hold equal payloads) and entries evicted by the policy.
-        ``labels`` optionally maps pending keys to their statement labels
-        (:func:`repro.sil.delta.statement_label`), stored alongside each
-        row so :meth:`invalidate` can sweep by edited statement.
+        keys hold equal payloads) and entries evicted, least recently used
+        first.  ``labels`` optionally maps pending keys to their statement
+        labels (:func:`repro.sil.delta.statement_label`), stored alongside
+        each row so :meth:`invalidate` can sweep by edited statement.
         """
 
     def invalidate(self, labels) -> int:
@@ -114,40 +113,20 @@ class CacheConfig:
     """Everything needed to open the same persistent store anywhere.
 
     Frozen and made of primitives, so it pickles into shard payloads the
-    same way :class:`~repro.analysis.limits.AnalysisLimits` does.  The
-    ``policy`` governs both the in-memory transfer-cache layer and the
-    store's own capacity enforcement.
+    same way :class:`~repro.analysis.limits.AnalysisLimits` does.
     """
 
-    backend: str = "disk"
-    #: Store directory (``disk``) or a shared-store namespace (``memory``).
-    directory: Optional[str] = None
-    policy: str = "lru"
-    #: Entry cap of the *persistent* store (the in-memory layer is bounded
-    #: separately by ``AnalysisLimits.transfer_cache_size``).
-    capacity: int = DEFAULT_STORE_CAPACITY
+    #: Directory of the disk store (``--cache-dir``).
+    directory: str
 
     def validated(self) -> "CacheConfig":
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown cache backend {self.backend!r}; known: {BACKENDS}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown cache policy {self.policy!r}; known: {POLICIES}")
-        if self.backend == "disk" and not self.directory:
-            raise ValueError("the disk cache backend requires a directory (--cache-dir)")
-        return replace(self, capacity=max(1, int(self.capacity)))
+        if not self.directory:
+            raise ValueError("the persistent cache requires a directory (--cache-dir)")
+        return self
 
 
 def open_backend(config: CacheConfig) -> CacheBackend:
     """Open (creating if needed) the store a config describes."""
-    config = config.validated()
-    if config.backend == "memory":
-        from .memory import shared_memory_backend
-
-        return shared_memory_backend(
-            namespace=config.directory or "default",
-            policy=config.policy,
-            capacity=config.capacity,
-        )
     from .disk import DiskBackend
 
-    return DiskBackend(config.directory, policy=config.policy, capacity=config.capacity)
+    return DiskBackend(config.validated().directory)

@@ -56,7 +56,7 @@ from ..sil import ast
 from ..sil.delta import StatementIdentity, statement_identity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily at runtime: repro.analysis.transfer imports the policy
+    # Imported lazily at runtime: repro.analysis.transfer imports the LRU
     # layer of this package, so a module-level import here would be circular.
     from ..analysis.transfer import TransferResult
 

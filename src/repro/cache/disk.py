@@ -1,14 +1,17 @@
 """The disk-backed persistent transfer-cache store (SQLite).
 
 One SQLite file per cache directory, holding content-addressed canonical
-payloads (see :mod:`repro.cache.codec`) plus the access metadata the
-eviction policies rank by and a cumulative-counter table the ``repro cache
-stats`` subcommand reads:
+payloads (see :mod:`repro.cache.codec`) plus the recency metadata eviction
+ranks by and a cumulative-counter table the ``repro cache stats``
+subcommand reads:
 
-* ``entries(key, payload, created, last_used, hits)`` — ``key`` is the
-  SHA-256 transfer key; ``created``/``last_used`` are ticks of a store-wide
-  logical clock (one tick per flush), so recency survives across runs
-  without wall-clock dependence;
+* ``entries(key, payload, created, last_used, hits, stmt)`` — ``key`` is
+  the SHA-256 transfer key; ``created``/``last_used`` are ticks of a
+  store-wide logical clock (one tick per flush), so recency survives
+  across runs without wall-clock dependence; ``stmt`` is the statement
+  label targeted invalidation sweeps by.  ``hits`` is unused; it stays
+  in the schema so that stores written by older versions, which counted
+  per-row hits, open unchanged;
 * ``meta(key, value)`` — the logical clock and lifetime ``hits`` /
   ``misses`` / ``writes`` / ``evictions`` totals.
 
@@ -23,11 +26,8 @@ content-addressed, so equal keys always carry equal payloads and the race
 winner is irrelevant.
 
 Capacity is enforced inside the same transaction: when the entry count
-exceeds the configured cap the policy picks victims —
-
-* ``lru``: smallest ``last_used`` tick first,
-* ``lfu``: fewest ``hits`` first (ties: least recently used),
-* ``fifo``: smallest ``created`` tick first.
+exceeds the configured cap, the least recently used rows (smallest
+``last_used`` tick, ties by key) are evicted.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from ..faults import fault_fire
 from .backend import DEFAULT_STORE_CAPACITY
@@ -86,12 +86,6 @@ _COUNTERS = (
     "retries",
 )
 
-_EVICTION_ORDER = {
-    "lru": "last_used ASC, key ASC",
-    "lfu": "hits ASC, last_used ASC, key ASC",
-    "fifo": "created ASC, key ASC",
-}
-
 
 class DiskBackend:
     """A content-addressed SQLite store shared by shards and by runs."""
@@ -101,17 +95,13 @@ class DiskBackend:
     def __init__(
         self,
         directory: str,
-        policy: str = "lru",
         capacity: int = DEFAULT_STORE_CAPACITY,
         timeout: float = 60.0,
         io_retries: int = DEFAULT_IO_RETRIES,
     ):
-        if policy not in _EVICTION_ORDER:
-            raise ValueError(f"unknown cache policy {policy!r}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / STORE_FILENAME
-        self.policy = policy
         self.capacity = max(1, int(capacity))
         # Autocommit connection: transactions are managed explicitly with
         # BEGIN IMMEDIATE, so pysqlite's implicit-transaction machinery can
@@ -232,28 +222,20 @@ class DiskBackend:
         connection = self._connection
         connection.execute("BEGIN IMMEDIATE")
         try:
-            # Record which policy ranked this store's evictions (last writer
-            # wins) so `repro cache stats` — which opens with the default
-            # policy — reports the policy the data was actually shaped by.
-            connection.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('policy', ?)",
-                (self.policy,),
-            )
             clock = self._bump_meta_locked("clock", 1)
             written = 0
             for key, payload in pending.items():
                 label = labels.get(key) if labels is not None else None
                 cursor = connection.execute(
-                    "INSERT OR IGNORE INTO entries (key, payload, created, last_used, hits, stmt) "
-                    "VALUES (?, ?, ?, ?, 0, ?)",
+                    "INSERT OR IGNORE INTO entries (key, payload, created, last_used, stmt) "
+                    "VALUES (?, ?, ?, ?, ?)",
                     (key, payload, clock, clock, label),
                 )
                 written += cursor.rowcount
-            for key, touches in self._touched.items():
-                connection.execute(
-                    "UPDATE entries SET hits = hits + ?, last_used = ? WHERE key = ?",
-                    (touches, clock, key),
-                )
+            connection.executemany(
+                "UPDATE entries SET last_used = ? WHERE key = ?",
+                ((clock, key) for key in self._touched),
+            )
             evicted = self._enforce_capacity_locked()
             self._bump_meta_locked("hits", self._session_hits)
             self._bump_meta_locked("misses", self._session_misses)
@@ -300,19 +282,25 @@ class DiskBackend:
         if not doomed:
             return 0
         with self._lock:
-            connection = self._connection
-            connection.execute("BEGIN IMMEDIATE")
-            try:
-                placeholders = ",".join("?" for _ in doomed)
-                cursor = connection.execute(
-                    f"DELETE FROM entries WHERE stmt IN ({placeholders})", doomed
-                )
-                dropped = cursor.rowcount
-                self._bump_meta_locked("invalidations", dropped)
-                connection.commit()
-            except BaseException:
-                connection.rollback()
-                raise
+            # Like write(), the whole transaction is the retry unit.
+            return self._with_retry(
+                "cache.write", "invalidate", lambda: self._invalidate_locked(doomed)
+            )
+
+    def _invalidate_locked(self, doomed: List[str]) -> int:
+        connection = self._connection
+        connection.execute("BEGIN IMMEDIATE")
+        try:
+            placeholders = ",".join("?" for _ in doomed)
+            cursor = connection.execute(
+                f"DELETE FROM entries WHERE stmt IN ({placeholders})", doomed
+            )
+            dropped = cursor.rowcount
+            self._bump_meta_locked("invalidations", dropped)
+            connection.commit()
+        except BaseException:
+            connection.rollback()
+            raise
         return dropped
 
     def compact(self, max_age: int = 8) -> Dict[str, int]:
@@ -373,16 +361,9 @@ class DiskBackend:
             size_bytes = os.path.getsize(self.path)
         except OSError:  # pragma: no cover - racing deletion
             size_bytes = 0
-        # Report the policy the store was last *written* under, not this
-        # connection's configuration — the eviction counters were ranked by
-        # the former.
-        policy_row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = 'policy'"
-        ).fetchone()
         return {
             "backend": self.kind,
             "path": str(self.path),
-            "policy": str(policy_row[0]) if policy_row is not None else self.policy,
             "entries": len(self),
             "capacity": self.capacity,
             "size_bytes": size_bytes,
@@ -437,10 +418,9 @@ class DiskBackend:
         excess = count - self.capacity
         if excess <= 0:
             return 0
-        order = _EVICTION_ORDER[self.policy]
         self._connection.execute(
-            f"DELETE FROM entries WHERE key IN "
-            f"(SELECT key FROM entries ORDER BY {order} LIMIT ?)",
+            "DELETE FROM entries WHERE key IN "
+            "(SELECT key FROM entries ORDER BY last_used ASC, key ASC LIMIT ?)",
             (excess,),
         )
         return excess

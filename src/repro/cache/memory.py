@@ -1,24 +1,17 @@
-"""The in-memory persistent-cache backend.
+"""The in-process cache backend: the test double of the backend protocol.
 
-Wraps the same bounded :class:`~repro.cache.policy.PolicyCache` the
-per-run transfer LRU uses, but stores *canonical payload strings* (see
+Wraps the same bounded :class:`~repro.cache.lru.LRUCache` the in-memory
+transfer memo uses, but stores *canonical payload strings* (see
 :mod:`repro.cache.codec`) instead of live objects — so every lookup served
-from it exercises the exact encode/decode path the disk store uses.  That
-makes it two things at once:
-
-* a **process-wide warm-start tier**: successive
-  :class:`~repro.analysis.engine.BatchAnalyzer` runs in one process (bench
-  reruns, notebook sessions) share transfers even though each run builds a
-  private in-memory ``TransferCache``;
-* the **reference implementation** of the backend protocol — cheap enough
-  for tests to hammer, byte-compatible with :class:`~repro.cache.disk.
-  DiskBackend`.
-
-Stores live in a module-level registry keyed by namespace, so two configs
-naming the same namespace share one store.  The registry is per process:
-under the sharded runner each worker gets its own copy (a fork inherits a
-snapshot; a spawn starts empty) and flushed deltas die with the worker —
-cross-process and cross-run persistence is what the disk backend is for.
+from it exercises the exact encode/decode path the disk store uses, and
+it compiles in the same ``cache.get`` / ``cache.write`` fault-injection
+sites.  That makes it a cheap stand-in for
+:class:`~repro.cache.disk.DiskBackend` wherever a test needs a persistent
+tier without a file: attach one to a
+:class:`~repro.analysis.transfer.TransferCache` (``backend=...``), or
+share one instance between several caches to warm them from each other.
+Nothing outside the tests opens it; the store a run configures is always
+the disk store.
 """
 
 from __future__ import annotations
@@ -27,17 +20,16 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..faults import fault_fire
 from .backend import DEFAULT_STORE_CAPACITY
-from .policy import PolicyCache
+from .lru import LRUCache
 
 
 class MemoryBackend:
-    """A process-local, policy-bounded store of canonical payloads."""
+    """A process-local, LRU-bounded store of canonical payloads."""
 
     kind = "memory"
 
-    def __init__(self, policy: str = "lru", capacity: int = DEFAULT_STORE_CAPACITY):
-        self._store = PolicyCache(capacity, policy)
-        self.policy = policy
+    def __init__(self):
+        self._store = LRUCache(DEFAULT_STORE_CAPACITY)
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -105,7 +97,6 @@ class MemoryBackend:
     def stats(self) -> Dict[str, object]:
         return {
             "backend": self.kind,
-            "policy": self.policy,
             "entries": len(self._store),
             "capacity": self._store.capacity,
             "hits": self.hits,
@@ -124,41 +115,4 @@ class MemoryBackend:
         return dropped
 
     def close(self) -> None:
-        """Nothing to release; the store stays registered for later opens."""
-
-
-#: Namespace -> shared store (process-wide).
-_STORES: Dict[str, MemoryBackend] = {}
-
-
-def shared_memory_backend(
-    namespace: str = "default",
-    policy: str = "lru",
-    capacity: int = DEFAULT_STORE_CAPACITY,
-) -> MemoryBackend:
-    """The process-wide store for ``namespace``, created on first open.
-
-    The first open fixes the policy and capacity; later opens with a
-    different policy raise rather than silently re-ranking the store.
-    """
-    store = _STORES.get(namespace)
-    if store is None:
-        store = MemoryBackend(policy=policy, capacity=capacity)
-        _STORES[namespace] = store
-    elif store.policy != policy:
-        raise ValueError(
-            f"memory cache namespace {namespace!r} is already open with policy "
-            f"{store.policy!r} (requested {policy!r})"
-        )
-    elif store._store.capacity != capacity:
-        raise ValueError(
-            f"memory cache namespace {namespace!r} is already open with capacity "
-            f"{store._store.capacity} (requested {capacity}); a later open cannot "
-            f"re-bound the shared store"
-        )
-    return store
-
-
-def reset_memory_backends() -> None:
-    """Drop every registered store (test isolation)."""
-    _STORES.clear()
+        """Nothing to release."""

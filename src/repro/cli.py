@@ -31,10 +31,12 @@ Four subcommands turn the reproduction into a workload-serving frontend:
 * ``client`` — talk to a running daemon: ``ping``, ``version``,
   ``analyze``, ``bench``, ``reanalyze``, ``cache-stats``, ``shutdown``.
 
-``analyze`` and ``bench`` accept the persistent-cache knobs: ``--cache-dir``
-(a disk store shards and *runs* share — rerunning against the same
-directory serves transfers from the store instead of recomputing them),
-``--cache-backend``, ``--cache-policy`` and ``--cache-size``.
+``analyze``, ``bench``, ``reanalyze`` and ``serve`` accept the two cache
+knobs: ``--cache-dir`` (the disk store shards and *runs* share — rerunning
+against the same directory serves transfers from the store instead of
+recomputing them; without it there is no persistent tier) and
+``--cache-size`` (the in-memory transfer memo's capacity).  Both layers
+evict least-recently-used entries.
 
 Everything is built on the PR-1 architecture: scenarios travel as source
 text, every analysis goes through ``AnalysisContext`` and the pass
@@ -53,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis.context import AnalysisStats
 from .analysis.limits import DEFAULT_LIMITS, AnalysisLimits, LimitsLike, base_limits
-from .cache import BACKENDS, POLICIES, STORE_FILENAME, CacheConfig, DiskBackend
+from .cache import STORE_FILENAME, CacheConfig, DiskBackend
 from .faults import FAULT_KINDS, KNOWN_SITES, FaultPlan
 from .workloads.generators import (
     EDIT_KINDS,
@@ -171,8 +173,7 @@ def _add_chaos_options(
 def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     """The validated fault plan ``--chaos``/``--chaos-seed`` describe.
 
-    Raises ``ValueError`` on a malformed spec (reported as exit 2, like the
-    cache-flag errors).
+    Raises ``ValueError`` on a malformed spec (reported as exit 2).
     """
     specs = getattr(args, "chaos", None)
     if not specs:
@@ -185,21 +186,8 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         metavar="DIR",
         help="persistent transfer-cache directory shared across shards and "
-        "runs (enables the disk backend; rerunning against the same "
-        "directory serves cached transfers instead of recomputing)",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        choices=BACKENDS,
-        default=None,
-        help="persistent store kind (default: disk when --cache-dir is "
-        "given, otherwise no persistent tier)",
-    )
-    parser.add_argument(
-        "--cache-policy",
-        choices=POLICIES,
-        default="lru",
-        help="eviction policy of the transfer-cache layers (default: lru)",
+        "runs (without it there is no persistent tier; rerunning against "
+        "the same directory serves cached transfers instead of recomputing)",
     )
     parser.add_argument(
         "--cache-size",
@@ -222,35 +210,9 @@ def _effective_limits(args: argparse.Namespace) -> LimitsLike:
 
 
 def _cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
-    """The persistent-store config the CLI flags describe (None: no tier).
-
-    Raises ``ValueError`` on inconsistent flags (e.g. ``--cache-backend
-    disk`` without ``--cache-dir``).
-    """
-    backend = getattr(args, "cache_backend", None)
+    """The disk store ``--cache-dir`` names (None: no persistent tier)."""
     directory = getattr(args, "cache_dir", None)
-    if backend is None and directory:
-        backend = "disk"
-    if backend is None:
-        return None
-    return CacheConfig(
-        backend=backend, directory=directory, policy=args.cache_policy
-    ).validated()
-
-
-def _warn_if_memory_backend_sharded(
-    cache: Optional[CacheConfig], shards: int, item_count: int
-) -> None:
-    """The memory backend is process-local: flushed deltas die with forked
-    shard workers, so a multi-shard run gains nothing across runs.  Warn
-    rather than fail — single-shard (inline) use is the supported case."""
-    if cache is not None and cache.backend == "memory" and min(shards, item_count) > 1:
-        print(
-            "warning: --cache-backend memory is process-local; shard workers "
-            "discard their flushed deltas at exit. Use --cache-dir (disk) for "
-            "a store that outlives worker processes.",
-            file=sys.stderr,
-        )
+    return CacheConfig(directory) if directory else None
 
 
 def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
@@ -289,7 +251,6 @@ def _print_report(
     rows: bool = True,
     cache: Optional[CacheConfig] = None,
     cache_size: Optional[int] = None,
-    cache_policy: Optional[str] = None,
 ) -> None:
     if rows:
         _print_workload_rows(report.results, report.failures, matrices)
@@ -307,16 +268,8 @@ def _print_report(
     print()
     stats = report.stats
     size = cache_size if cache_size is not None else DEFAULT_LIMITS.transfer_cache_size
-    if cache_policy is not None:
-        policy = cache_policy
-    else:
-        policy = cache.policy if cache is not None else "lru"
-    if cache is None:
-        tier = "none (in-process only)"
-    else:
-        where = f" @ {cache.directory}" if cache.directory else ""
-        tier = f"{cache.backend}{where}"
-    print(f"transfer cache: size={size} policy={policy} persistent={tier}")
+    tier = f"disk @ {cache.directory}" if cache is not None else "none (in-process only)"
+    print(f"transfer cache: size={size} persistent={tier}")
     if stats.persistent_cache_requests:
         print(
             f"  persistent: hits={stats.persistent_cache_hits} "
@@ -426,14 +379,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    _warn_if_memory_backend_sharded(cache, args.shards, len(items))
     limits = _effective_limits(args)
     runner = ShardedSuiteRunner(
         items,
         shards=args.shards,
         limits=limits,
         cache=cache,
-        policy=args.cache_policy,
         faults=faults,
         max_attempts=args.max_attempts,
     )
@@ -459,7 +410,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         rows=False,
         cache=cache,
         cache_size=base_limits(limits).transfer_cache_size,
-        cache_policy=args.cache_policy,
     )
 
     if args.census:
@@ -492,14 +442,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    _warn_if_memory_backend_sharded(cache, args.shards, len(items))
     limits = _effective_limits(args)
     runner = ShardedSuiteRunner(
         items,
         shards=args.shards,
         limits=limits,
         cache=cache,
-        policy=args.cache_policy,
         faults=faults,
         max_attempts=args.max_attempts,
     )
@@ -518,10 +466,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"\nsharded run ({args.shards} shards): {report.seconds:.3f}s"
           f"{' [adaptive limits]' if args.adaptive else ''}")
     _print_report(
-        report,
-        cache=cache,
-        cache_size=base_limits(limits).transfer_cache_size,
-        cache_policy=args.cache_policy,
+        report, cache=cache, cache_size=base_limits(limits).transfer_cache_size
     )
 
     artifact: Dict[str, object] = {
@@ -539,14 +484,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "aliasing": config.aliasing,
             },
         },
-        # The persistent-cache configuration and outcome of this run.  The
-        # persistent hit rate is the cold-vs-warm signal: ~0 against a fresh
-        # --cache-dir, approaching 1 when rerun against a populated one —
-        # while "results_digest" (under "sharded") must not move at all.
+        # The persistent-cache configuration and outcome of this run
+        # ("directory" is null without a store).  The persistent hit rate is
+        # the cold-vs-warm signal: ~0 against a fresh --cache-dir,
+        # approaching 1 when rerun against a populated one — while
+        # "results_digest" (under "sharded") must not move at all.
         "cache": {
-            "backend": cache.backend if cache is not None else None,
             "directory": cache.directory if cache is not None else None,
-            "policy": args.cache_policy,
             "transfer_cache_size": base_limits(limits).transfer_cache_size,
             "persistent": {
                 "hits": report.stats.persistent_cache_hits,
@@ -803,20 +747,13 @@ def cmd_reanalyze(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     try:
-        cache = _cache_config(args)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    try:
         old_program, old_info = parse_and_normalize(old_source)
         new_program, new_info = parse_and_normalize(new_source)
     except Exception as error:  # noqa: BLE001 - front-end rejection
         print(f"front end rejected input: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
 
-    session = IncrementalSession(
-        limits=_effective_limits(args), cache=cache, policy=args.cache_policy
-    )
+    session = IncrementalSession(limits=_effective_limits(args), cache=_cache_config(args))
     try:
         session.analyze(old_program, old_info)
         report = session.reanalyze(new_program, new_info, verify=not args.no_verify)
@@ -845,7 +782,7 @@ def _open_store(args: argparse.Namespace) -> Optional[DiskBackend]:
     store_path = Path(args.cache_dir) / STORE_FILENAME
     if not store_path.exists():
         return None
-    return DiskBackend(args.cache_dir, policy=args.cache_policy)
+    return DiskBackend(args.cache_dir)
 
 
 def cmd_cache_stats(args: argparse.Namespace) -> int:
@@ -961,7 +898,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     where = args.socket or f"{args.host}:{args.port}"
-    store = f"{cache.backend} @ {cache.directory}" if cache else "memory (private)"
+    store = f"disk @ {cache.directory}" if cache else "none"
     print(
         f"analysis server listening on {where} "
         f"(workers={config.workers}, persistent store: {store})",
@@ -1153,7 +1090,7 @@ def client_cache_stats(args: argparse.Namespace, client) -> int:
     cache = response["transfer_cache"]
     print(
         f"transfer cache: {cache['entries']}/{cache['capacity']} entries "
-        f"(policy {cache['policy']}, {cache['evictions']} evictions)"
+        f"({cache['evictions']} evictions)"
     )
     if response["persistent"]:
         print("persistent store:")
@@ -1433,9 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_compact.set_defaults(func=cmd_cache_compact)
     for sub in (cache_stats, cache_clear, cache_compact):
         sub.add_argument("--cache-dir", required=True, metavar="DIR", help="store directory")
-        sub.add_argument(
-            "--cache-policy", choices=POLICIES, default="lru", help=argparse.SUPPRESS
-        )
 
     endpoint = argparse.ArgumentParser(add_help=False)
     endpoint.add_argument(

@@ -1,14 +1,14 @@
 """Analysis-as-a-service: the long-lived daemon over warm analysis state.
 
-The one-shot CLI tears down the interning tables, transfer memos and
-persistent store between invocations; this package keeps them alive in a
-long-lived asyncio daemon and serves them to many concurrent clients over
-a small length-prefixed JSON protocol.
+The one-shot CLI tears down the interning tables and transfer memos
+between invocations; this package keeps them alive in a long-lived
+asyncio daemon and serves them to many concurrent clients over a small
+length-prefixed JSON protocol.
 
 * :mod:`.protocol` — the frame layout, op vocabulary and error codes;
 * :mod:`.service` — :class:`AnalysisService`, the warm shared state
-  (server-lifetime transfer cache + open backend + merged stats) and the
-  request handlers over it;
+  (server-lifetime transfer cache + optional disk store + merged stats)
+  and the request handlers over it;
 * :mod:`.daemon` — :class:`AnalysisServer`, the asyncio socket server
   with its bounded worker pool, per-request timeouts and graceful drain;
 * :mod:`.client` — :class:`AnalysisClient`, the synchronous client the

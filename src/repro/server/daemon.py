@@ -24,8 +24,8 @@ that disconnects mid-request costs nothing but the abandoned response.
 :meth:`AnalysisServer.run`): the listener closes immediately, new
 ``analyze``/``bench`` frames on surviving connections get a
 ``shutting_down`` error, in-flight requests drain (bounded by
-``drain_timeout``), the service flushes its persistent cache, and only
-then does the process exit.
+``drain_timeout``), the service flushes its persistent store (if any),
+and only then does the process exit.
 
 For embedding — the protocol tests, notebooks — use
 :meth:`AnalysisServer.start_background`, which runs the same event loop on
@@ -126,8 +126,9 @@ class ServerConfig:
     #: pointer check per injection site.
     faults: Optional[FaultPlan] = None
     limits: LimitsLike = DEFAULT_LIMITS
-    #: Persistent-store config; ``None`` → the service's private in-process
-    #: memory store (warm across requests, gone with the daemon).
+    #: Persistent-store config (``--cache-dir``); ``None`` → no store: the
+    #: in-memory transfer memo stays warm across requests, gone with the
+    #: daemon.
     cache: Optional[CacheConfig] = field(default=None)
 
     def validated(self) -> "ServerConfig":

@@ -3,10 +3,9 @@
 One :class:`AnalysisService` owns everything the one-shot CLI used to tear
 down between invocations:
 
-* one **server-lifetime** :class:`~repro.analysis.transfer.TransferCache`
-  with an open persistent :class:`~repro.cache.backend.CacheBackend`
-  behind it (a private in-process memory store by default, a disk store
-  shared with the batch CLI when configured);
+* one **server-lifetime** :class:`~repro.analysis.transfer.TransferCache`,
+  with the disk store shared with the batch CLI behind it when one is
+  configured (``--cache-dir``) and no persistent tier otherwise;
 * the process-global interned path/matrix domain and ``GLOBAL_SYMBOLS``
   table, which stay hot simply because the process stays alive;
 * server-lifetime merged :class:`~repro.analysis.context.AnalysisStats`.
@@ -23,11 +22,11 @@ Why the second request is cheap: the in-memory transfer memo keys on
 statement **content** (kind and rendering), limits and input matrix, so a
 re-submitted program — freshly parsed into new statement objects — finds
 every transfer the first request computed with one dict probe each: no
-recomputation, no persistent read, no codec decode.  The persistent tier
-behind it serves only what memory does not hold: entries evicted from the
-bounded memo, and a store filled by an earlier daemon or batch run
-(``--cache-dir``).  The default private memory store is therefore almost
-never read once the memo is warm.
+recomputation, no persistent read, no codec decode.  A persistent store
+serves only what memory does not hold — a store filled by an earlier
+daemon or batch run, and entries evicted from the bounded memo — so a
+daemon without ``--cache-dir`` keeps no store at all: a private one would
+only cost an encode per miss and a write per request.
 
 The service is thread-safe under the daemon's bounded worker pool: one
 internal lock serializes the analysis itself (the interning tables are
@@ -40,7 +39,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import uuid
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..analysis.context import AnalysisStats
@@ -85,23 +83,9 @@ class AnalysisService:
     ):
         self.limits = limits
         self.entry = entry
-        # A daemon without an explicit store gets a private in-process
-        # memory backend under a unique namespace.  The content-keyed
-        # memory memo already answers repeated transfers across requests,
-        # so this store only recovers entries the bounded memo evicted; a
-        # CacheConfig from the CLI (--cache-dir) swaps in a store shared
-        # with batch runs and later daemons.
-        self.cache_config = (
-            cache.validated()
-            if cache is not None
-            else CacheConfig(
-                backend="memory", directory=f"analysis-server-{uuid.uuid4().hex}"
-            )
-        )
         self.cache = TransferCache(
             base_limits(limits).transfer_cache_size,
-            policy=self.cache_config.policy,
-            backend=open_backend(self.cache_config),
+            backend=open_backend(cache) if cache is not None else None,
         )
         self.started_at = time.time()
         self.requests_served = 0
@@ -115,9 +99,8 @@ class AnalysisService:
         self._lock = threading.Lock()
         self._closed = False
         logger.info(
-            "analysis service ready (cache backend=%s, policy=%s)",
-            self.cache_config.backend,
-            self.cache_config.policy,
+            "analysis service ready (persistent store: %s)",
+            cache.directory if cache is not None else "none",
         )
 
     # ------------------------------------------------------------------
@@ -287,7 +270,6 @@ class AnalysisService:
             "transfer_cache": {
                 "entries": len(self.cache),
                 "capacity": self.cache.capacity,
-                "policy": self.cache.policy,
                 "evictions": self.cache.evictions,
             },
             "persistent": backend.stats() if backend is not None else None,

@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .generators import Scenario
 
 #: One shard's work order: (index, (name, source) pairs, limits, cache
-#: config, eviction policy, fault plan, attempt).  ``attempt`` starts at 0
+#: config, fault plan, attempt).  ``attempt`` starts at 0
 #: and counts up on every requeue of the same workloads after a worker
 #: crash, bounding retries and giving the crash-injection site a fresh
 #: deterministic draw per attempt.
@@ -62,7 +62,6 @@ ShardPayload = Tuple[
     List[Tuple[str, str]],
     "LimitsLike",
     Optional["CacheConfig"],
-    Optional[str],
     Optional["FaultPlan"],
     int,
 ]
@@ -806,7 +805,7 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
     """
     from ..analysis.engine import BatchAnalyzer
 
-    shard_index, pairs, limits, cache, policy, faults, attempt = payload
+    shard_index, pairs, limits, cache, faults, attempt = payload
     if faults is not None and current_fault_plan() is None:
         install_fault_plan(faults)
     rule = fault_fire("shard.worker", f"{shard_index}@{attempt}")
@@ -814,7 +813,7 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
         raise InjectedWorkerCrash(
             f"injected worker crash (shard {shard_index}, attempt {attempt})"
         )
-    batch = BatchAnalyzer(limits=limits, cache=cache, policy=policy)
+    batch = BatchAnalyzer(limits=limits, cache=cache)
     try:
         return analyze_pairs(batch, pairs, shard=shard_index, attempt=attempt)
     finally:
@@ -993,7 +992,6 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["LimitsLike"] = None,
         cache: Optional["CacheConfig"] = None,
-        policy: Optional[str] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ):
@@ -1009,8 +1007,6 @@ class ShardedSuiteRunner:
         self.shards = max(1, int(shards))
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self.cache = cache.validated() if cache is not None else None
-        #: In-memory eviction policy; meaningful with or without a store.
-        self.policy = policy
         #: Optional :class:`~repro.faults.FaultPlan`, installed for the
         #: duration of each run (and shipped to workers in the payloads).
         self.faults = faults.validated() if faults is not None else None
@@ -1024,7 +1020,6 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["LimitsLike"] = None,
         cache: Optional["CacheConfig"] = None,
-        policy: Optional[str] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> "ShardedSuiteRunner":
@@ -1036,7 +1031,6 @@ class ShardedSuiteRunner:
             shards,
             limits,
             cache,
-            policy,
             faults=faults,
             max_attempts=max_attempts,
         )
@@ -1048,7 +1042,6 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["LimitsLike"] = None,
         cache: Optional["CacheConfig"] = None,
-        policy: Optional[str] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> "ShardedSuiteRunner":
@@ -1058,7 +1051,6 @@ class ShardedSuiteRunner:
             shards,
             limits,
             cache,
-            policy,
             faults=faults,
             max_attempts=max_attempts,
         )
@@ -1068,7 +1060,7 @@ class ShardedSuiteRunner:
     def _payload(
         self, index: int, pairs: List[Tuple[str, str]], attempt: int = 0
     ) -> ShardPayload:
-        return (index, pairs, self.limits, self.cache, self.policy, self.faults, attempt)
+        return (index, pairs, self.limits, self.cache, self.faults, attempt)
 
     def _payloads(self, shards: int) -> List[ShardPayload]:
         buckets: List[List[Tuple[str, str]]] = [[] for _ in range(shards)]
@@ -1141,8 +1133,7 @@ class ShardedSuiteRunner:
         requeued; past it, a synthetic output records every workload as
         failed so the run still completes and reports honestly.
         """
-        index, pairs = payload[0], payload[1]
-        attempt = payload[6]
+        index, pairs, _, _, _, attempt = payload
         names = [name for name, _ in pairs]
         control.counter("suite.shard_crashes_total", kind="worker").inc()
         next_attempt = attempt + 1
@@ -1356,8 +1347,8 @@ class ShardedSuiteRunner:
         hot across requests.  The report's stats are the *growth* during
         this run (see :func:`analyze_pairs`), so per-request reports sum
         exactly into server-lifetime totals.  The runner's own ``limits``/
-        ``cache``/``policy`` are ignored — the batch already owns those
-        choices; the batch is flushed but left open.
+        ``cache`` are ignored — the batch already owns those choices; the
+        batch is flushed but left open.
         """
         clock = stopwatch("suite.run_warm", {"workloads": len(self.items)})
         control = MetricsRegistry()
@@ -1378,7 +1369,7 @@ class ShardedSuiteRunner:
             # warm batch, bounded by ``max_attempts``.
             while payload is not None:
                 output = analyze_pairs(
-                    batch, payload[1], shard=payload[0], attempt=payload[6]
+                    batch, payload[1], shard=payload[0], attempt=payload[5]
                 )
                 payload = self._recover_poisoned(
                     output, control, attempts, allocate_index

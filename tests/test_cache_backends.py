@@ -1,4 +1,4 @@
-"""The persistent transfer-cache subsystem: codec, policies, backends, wiring."""
+"""The persistent transfer-cache subsystem: codec, LRU map, backends, wiring."""
 
 import json
 
@@ -19,26 +19,17 @@ from repro.cache import (
     CacheConfig,
     CacheDecodeError,
     DiskBackend,
+    LRUCache,
     MemoryBackend,
-    PolicyCache,
     decode_entry,
     encode_entry,
     open_backend,
-    reset_memory_backends,
-    shared_memory_backend,
     transfer_key,
 )
 from repro.sil import ast
 from repro.sil.delta import statement_identity
 from repro.workloads import generate_scenarios, load
 from repro.workloads.suite import source
-
-
-@pytest.fixture(autouse=True)
-def _isolated_memory_stores():
-    reset_memory_backends()
-    yield
-    reset_memory_backends()
 
 
 def sample_matrix(limits=None):
@@ -132,12 +123,10 @@ class TestCodec:
 
 
 class TestPolicyCache:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            PolicyCache(4, policy="random")
+    """The bounded map behind the memos; least-recently-used is its one policy."""
 
     def test_lru_evicts_least_recently_used(self):
-        cache = PolicyCache(2, policy="lru")
+        cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh a; b is now the victim
@@ -145,65 +134,25 @@ class TestPolicyCache:
         assert "b" not in cache and "a" in cache and "c" in cache
         assert cache.evictions == 1
 
-    def test_fifo_ignores_touches(self):
-        cache = PolicyCache(2, policy="fifo")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # does not refresh under fifo
-        cache.put("c", 3)
-        assert "a" not in cache and "b" in cache and "c" in cache
-
-    def test_lfu_evicts_least_frequent(self):
-        cache = PolicyCache(2, policy="lfu")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")
-        cache.get("a")
-        cache.get("b")
-        cache.put("c", 3)  # b has fewer hits than a
-        assert "b" not in cache and "a" in cache
-
-    def test_lfu_ties_break_towards_least_recent(self):
-        cache = PolicyCache(2, policy="lfu")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")
-        cache.get("b")  # equal frequency; a is older
-        cache.put("c", 3)
-        assert "a" not in cache and "b" in cache
-
     def test_put_of_existing_key_is_touch_only(self):
-        cache = PolicyCache(2, policy="lru")
+        cache = LRUCache(2)
         cache.put("a", 1)
         assert cache.put("a", 99) == 0
         assert cache.get("a") == 1  # entries are immutable once admitted
 
     def test_remove_drops_without_counting_an_eviction(self):
-        cache = PolicyCache(2, policy="lfu")
+        cache = LRUCache(2)
         cache.put("a", 1)
         assert cache.remove("a") is True
         assert cache.remove("a") is False
         assert "a" not in cache and cache.evictions == 0
-        # The lazy lfu heap tolerates removed keys on later evictions.
+        # A removed key leaves no trace in the recency order: b is the
+        # least recently used entry when d arrives.
         cache.put("b", 2)
         cache.put("c", 3)
         cache.put("d", 4)
         assert len(cache) == 2 and cache.evictions == 1
-
-    def test_lfu_eviction_correct_under_heavy_touch_churn(self):
-        # Many touches per key exercise the lazy-deletion heap (every
-        # touch leaves a stale snapshot behind).
-        cache = PolicyCache(3, policy="lfu")
-        for key, touches in (("a", 5), ("b", 1), ("c", 3)):
-            cache.put(key, key)
-            for _ in range(touches):
-                cache.get(key)
-        cache.put("d", "d")  # victim must be b (fewest hits)
-        assert "b" not in cache
-        cache.get("d")
-        cache.get("d")
-        cache.put("e", "e")  # now c (3) < a (5), d (2) is fewer than both
-        assert "d" not in cache and "a" in cache and "c" in cache
+        assert "b" not in cache and "c" in cache and "d" in cache
 
 
 class TestMemoryBackend:
@@ -220,13 +169,6 @@ class TestMemoryBackend:
         backend = MemoryBackend()
         backend.write({"k": "p"})
         assert backend.write({"k": "p"}) == (0, 0)
-
-    def test_shared_namespace_returns_same_store(self):
-        first = shared_memory_backend("ns")
-        second = shared_memory_backend("ns")
-        assert first is second
-        with pytest.raises(ValueError, match="already open with policy"):
-            shared_memory_backend("ns", policy="lfu")
 
     def test_clear_resets(self):
         backend = MemoryBackend()
@@ -252,22 +194,13 @@ class TestDiskBackend:
         store.close()
 
     def test_capacity_enforced_by_policy(self, tmp_path):
-        store = DiskBackend(str(tmp_path), policy="lru", capacity=2)
+        store = DiskBackend(str(tmp_path), capacity=2)
         store.write({"a": "1", "b": "2"})
         assert store.get("a") == "1"  # touch a in a later flush epoch
         written, evicted = store.write({"c": "3"})
         assert (written, evicted) == (1, 1)
         assert store.get("b") is None  # b was least recently used
         assert store.get("a") == "1" and store.get("c") == "3"
-        store.close()
-
-    def test_fifo_capacity_evicts_oldest_insertion(self, tmp_path):
-        store = DiskBackend(str(tmp_path), policy="fifo", capacity=2)
-        store.write({"a": "1", "b": "2"})
-        store.get("a")
-        store.write({"c": "3"})
-        # a is oldest by creation; its touch does not save it under fifo.
-        assert store.get("a") is None and store.get("b") == "2"
         store.close()
 
     def test_discard_reclassifies_the_hit_and_deletes_the_row(self, tmp_path):
@@ -282,16 +215,6 @@ class TestDiskBackend:
         assert stats["hits"] == 0 and stats["misses"] == 2
         assert store.get("bad") == "repaired"
         store.close()
-
-    def test_stats_report_the_policy_the_store_was_written_under(self, tmp_path):
-        store = DiskBackend(str(tmp_path), policy="lfu")
-        store.write({"k": "p"})
-        store.close()
-        # A later open with a different (e.g. default) policy — exactly what
-        # `repro cache stats` does — must still report the writer's policy.
-        reader = DiskBackend(str(tmp_path), policy="lru")
-        assert reader.stats()["policy"] == "lfu"
-        reader.close()
 
     def test_stats_accumulate_across_sessions(self, tmp_path):
         store = DiskBackend(str(tmp_path))
@@ -309,23 +232,80 @@ class TestDiskBackend:
         reopened.close()
 
 
+#: A store as older versions wrote it: the ranking policy recorded in
+#: ``meta`` (text in the INTEGER ``value`` column) and per-row hit counts.
+OLDER_STORE = """
+CREATE TABLE entries (
+    key       TEXT PRIMARY KEY,
+    payload   TEXT NOT NULL,
+    created   INTEGER NOT NULL,
+    last_used INTEGER NOT NULL,
+    hits      INTEGER NOT NULL DEFAULT 0,
+    stmt      TEXT
+);
+CREATE TABLE meta (key TEXT PRIMARY KEY, value INTEGER NOT NULL);
+CREATE INDEX entries_stmt ON entries (stmt);
+INSERT INTO entries VALUES ('hot', 'payload-hot', 1, 1, 50, 'Assign|x := nil');
+INSERT INTO entries VALUES ('cold', 'payload-cold', 2, 2, 0, 'Load|y := x.left');
+INSERT INTO meta VALUES ('policy', 'lfu');
+INSERT INTO meta VALUES ('clock', 2);
+INSERT INTO meta VALUES ('hits', 50);
+INSERT INTO meta VALUES ('misses', 3);
+INSERT INTO meta VALUES ('writes', 2);
+INSERT INTO meta VALUES ('evictions', 1);
+"""
+
+
+class TestStoreWrittenByAnOlderVersion:
+    def make_store(self, directory):
+        import sqlite3
+
+        from repro.cache import STORE_FILENAME
+
+        connection = sqlite3.connect(str(directory / STORE_FILENAME))
+        connection.executescript(OLDER_STORE)
+        connection.commit()
+        connection.close()
+
+    def test_reads_writes_evicts_and_compacts(self, tmp_path):
+        self.make_store(tmp_path)
+        store = DiskBackend(str(tmp_path), capacity=2)
+        try:
+            assert store.get("cold") == "payload-cold"
+            # "hot" has the most hits but the oldest use: it is the victim.
+            assert store.write({"new": "payload-new"}) == (1, 1)
+            assert store.get("hot") is None
+            assert store.get("cold") == "payload-cold"
+            assert store.get("new") == "payload-new"
+            stats = store.stats()
+            assert "policy" not in stats
+            assert (stats["entries"], stats["hits"], stats["misses"]) == (2, 51, 3)
+            assert (stats["writes"], stats["evictions"]) == (3, 2)
+            report = store.compact(max_age=8)
+            assert report["swept"] == 0 and report["remaining"] == 2
+            assert store.stats()["compactions"] == 1
+        finally:
+            store.close()
+
+    def test_cache_stats_subcommand_reads_it(self, tmp_path, capsys):
+        from repro.cli import main
+
+        self.make_store(tmp_path)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert "policy" not in stats
+        assert (stats["entries"], stats["hits"], stats["evictions"]) == (2, 50, 1)
+
+
 class TestCacheConfig:
     def test_disk_requires_directory(self):
         with pytest.raises(ValueError, match="requires a directory"):
-            CacheConfig(backend="disk", directory=None).validated()
-
-    def test_unknown_backend_and_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            CacheConfig(backend="redis", directory="x").validated()
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            CacheConfig(backend="memory", policy="mru").validated()
+            CacheConfig(directory=None).validated()
 
     def test_open_backend_dispatches(self, tmp_path):
-        disk = open_backend(CacheConfig(backend="disk", directory=str(tmp_path)))
-        assert disk.kind == "disk"
+        disk = open_backend(CacheConfig(directory=str(tmp_path)))
+        assert isinstance(disk, DiskBackend) and disk.kind == "disk"
         disk.close()
-        memory = open_backend(CacheConfig(backend="memory"))
-        assert memory.kind == "memory"
 
 
 class TestTransferCachePersistentTier:
@@ -385,7 +365,7 @@ class TestTransferCachePersistentTier:
         from repro.cache import STORE_FILENAME
 
         stmt, matrix = self.make_stmt_and_matrix()
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
         cold = BatchAnalyzer(limits=AnalysisLimits(), cache=config)
         reference = apply_basic_statement_cached(
             matrix, stmt, cache=cold.cache, stats=cold.stats
@@ -559,7 +539,7 @@ class TestContentKeyedTransferMemo:
         program, info = parse_and_normalize(
             TWIN_WALK.format(program="one", walker="walk_left")
         )
-        batch = BatchAnalyzer(cache=CacheConfig(backend="memory", directory="labels"))
+        batch = BatchAnalyzer(transfer_cache=TransferCache(backend=MemoryBackend()))
         cold = batch.analyze(program, info).canonical()
         cache = batch.cache
         walker = list(ast.walk_stmt(program.callable("walk_left").body))
@@ -618,7 +598,7 @@ class TestWarmBatchAnalyzer:
 
     def test_warm_run_replays_widening_telemetry_exactly(self, tmp_path):
         program, info = self.deep_program()
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
 
         cold = BatchAnalyzer(cache=config)
         cold_result = cold.analyze(program, info)
@@ -640,7 +620,7 @@ class TestWarmBatchAnalyzer:
         from dataclasses import replace
 
         program, info = load("add_and_reverse", depth=3)
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
         cold = BatchAnalyzer(cache=config)
         reference = cold.analyze(program, info).canonical()
         cold.close()
@@ -651,31 +631,6 @@ class TestWarmBatchAnalyzer:
         assert warm.stats.transfer_cache_evictions > 0
         assert warm.stats.transfer_cache_misses == 0
         warm.close()
-
-    def test_memory_backend_warms_across_batches_in_process(self):
-        program, info = load("tree_add", depth=3)
-        config = CacheConfig(backend="memory", directory="warm-test")
-        first = BatchAnalyzer(cache=config)
-        reference = first.analyze(program, info).canonical()
-        first.close()
-        second = BatchAnalyzer(cache=config)
-        assert second.analyze(program, info).canonical() == reference
-        assert second.stats.persistent_cache_hits > 0
-        assert second.stats.transfer_cache_misses == 0
-        second.close()
-
-
-class TestStandalonePolicySelection:
-    def test_batch_analyzer_policy_without_persistent_tier(self):
-        batch = BatchAnalyzer(policy="lfu")
-        assert batch.cache.policy == "lfu" and batch.cache.backend is None
-
-    def test_cache_config_policy_still_applies_by_default(self, tmp_path):
-        config = CacheConfig(backend="disk", directory=str(tmp_path), policy="fifo")
-        batch = BatchAnalyzer(cache=config)
-        assert batch.cache.policy == "fifo"
-        batch.close()
-
 
 class TestStatsRoundTrip:
     def test_new_counters_merge_and_round_trip(self):

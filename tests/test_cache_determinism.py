@@ -31,7 +31,7 @@ from repro.workloads import generate_scenarios
 from repro.workloads.suite import source
 
 directory = sys.argv[1]
-batch = BatchAnalyzer(cache=CacheConfig(backend="disk", directory=directory))
+batch = BatchAnalyzer(cache=CacheConfig(directory=directory))
 sources = [source(name, depth=3) for name in ("add_and_reverse", "bst_build")]
 sources += [s.source for s in generate_scenarios(2, base_seed=11, families=["deep"])]
 for text in sources:

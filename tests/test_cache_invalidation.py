@@ -3,14 +3,20 @@
 Both backends must honor the delete-by-statement-label contract that
 incremental re-analysis relies on: rows keyed by statements an edit
 removed are reclaimed, everything else stays warm, and rows written
-without labels (pre-label-tracking stores) are never matched.  The disk
-backend additionally supports generation-based compaction with VACUUM.
+without labels (pre-label-tracking stores) are never matched.  A sweep
+that fails costs no result: the disk store retries a transient error, and
+the transfer layer tolerates the rest.  The disk backend additionally
+supports generation-based compaction with VACUUM.
 """
 
 import sqlite3
 
+from repro.analysis.reanalysis import IncrementalSession
+from repro.analysis.transfer import TransferCache
 from repro.cache import STORE_FILENAME, DiskBackend
 from repro.cache.memory import MemoryBackend
+from repro.faults import FaultPlan, fault_scope
+from repro.sil.normalize import parse_and_normalize
 
 
 def populate(backend):
@@ -95,6 +101,53 @@ class TestDiskInvalidation:
             assert backend.get("legacy") == "old-payload"
             assert backend.invalidate({"Assign|x := nil"}) == 0
             assert backend.get("legacy") == "old-payload"
+        finally:
+            backend.close()
+
+
+FLIP = """program flip
+
+procedure main()
+  a, b, c: handle
+begin
+  a := new();
+  c := new();
+  a.left := c;
+  b := a.{field}
+end
+"""
+
+
+class FailingInvalidateBackend(MemoryBackend):
+    def invalidate(self, labels):
+        raise OSError("store unavailable")
+
+
+class TestInvalidationFaults:
+    def test_backend_error_during_reanalysis_costs_no_result(self):
+        cache = TransferCache(backend=FailingInvalidateBackend())
+        session = IncrementalSession(transfer_cache=cache)
+        session.analyze(*parse_and_normalize(FLIP.format(field="left")))
+        report = session.reanalyze(
+            *parse_and_normalize(FLIP.format(field="right")), verify=True
+        )
+        assert report.delta.stale_statement_labels  # the sweep was attempted
+        assert report.verified is True
+        assert report.transfers_invalidated > 0  # the in-memory tiers still swept
+        assert cache.backend_errors == 1
+        assert not cache.degraded
+
+    def test_transient_disk_error_during_invalidation_is_retried(self, tmp_path):
+        backend = DiskBackend(str(tmp_path))
+        try:
+            populate(backend)
+            plan = FaultPlan.parse(["cache.write=io_error:1.0:invalidate#1"])
+            with fault_scope(plan):
+                assert backend.invalidate({"Assign|x := nil"}) == 2
+            assert backend.get("key-a") is None and backend.get("key-b") is None
+            assert backend.get("key-c") == "payload-c"
+            backend.write({})  # folds the session's retry count into the store
+            assert backend.stats()["retries"] == 1
         finally:
             backend.close()
 

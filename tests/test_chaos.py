@@ -41,9 +41,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
+from repro.analysis.engine import BatchAnalyzer
+from repro.analysis.transfer import TransferCache
 from repro.cache.backend import CacheConfig
 from repro.cache.disk import DiskBackend, STORE_FILENAME
-from repro.cache.memory import shared_memory_backend
+from repro.cache.memory import MemoryBackend
 from repro.faults import (
     FAULT_KINDS,
     FaultPlan,
@@ -251,7 +253,7 @@ class TestShardRecovery:
 
 
 def _disk_config(tmp_path):
-    return CacheConfig(backend="disk", directory=str(tmp_path / "store"))
+    return CacheConfig(directory=str(tmp_path / "store"))
 
 
 class TestCorruptPayloadQuarantine:
@@ -285,12 +287,18 @@ class TestCorruptPayloadQuarantine:
             backend.close()
 
     def test_memory_store_corruption_is_quarantined(self, baseline):
-        namespace = f"chaos-{uuid.uuid4().hex}"
-        cache = CacheConfig(backend="memory", directory=namespace)
-        cold = ShardedSuiteRunner.from_names(NAMES, shards=1, cache=cache).run()
+        # One store shared by two runs, each with a cold in-memory memo.
+        backend = MemoryBackend()
+        runner = ShardedSuiteRunner.from_names(NAMES, shards=1)
+
+        def run_over_store():
+            return runner.run_warm(
+                BatchAnalyzer(transfer_cache=TransferCache(backend=backend))
+            )
+
+        cold = run_over_store()
         assert cold.results_digest() == baseline.results_digest()
 
-        backend = shared_memory_backend(namespace)
         keys = [key for key, _ in backend._store.items()]
         assert keys
         for key in keys:
@@ -300,7 +308,7 @@ class TestCorruptPayloadQuarantine:
             backend._store.put(key, "garbage payload")
         assert backend._store.get(keys[0]) == "garbage payload"
 
-        warm = ShardedSuiteRunner.from_names(NAMES, shards=1, cache=cache).run()
+        warm = run_over_store()
         assert not warm.failures
         assert warm.results_digest() == baseline.results_digest()
         assert warm.metrics.counter("cache.quarantined_total").value == len(keys)

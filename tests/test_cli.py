@@ -81,12 +81,12 @@ class TestCacheOptions:
     def test_analyze_reports_configured_cache_size(self, capsys):
         assert main(["analyze", "tree_add", "--cache-size", "512"]) == 0
         out = capsys.readouterr().out
-        assert "transfer cache: size=512 policy=lru" in out
+        assert "transfer cache: size=512 persistent=" in out
 
     def test_analyze_default_cache_line_without_persistent_tier(self, capsys):
         assert main(["analyze", "tree_add"]) == 0
         out = capsys.readouterr().out
-        assert "transfer cache: size=4096 policy=lru persistent=none" in out
+        assert "transfer cache: size=4096 persistent=none" in out
 
     def test_analyze_warm_rerun_against_cache_dir(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "store")
@@ -99,54 +99,6 @@ class TestCacheOptions:
         warm = capsys.readouterr().out
         assert "hit_rate=1.0000" in warm
         assert "writes=0" in warm
-
-    def test_cache_policy_flag_accepted(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "store")
-        assert main(
-            ["analyze", "tree_add", "--cache-dir", cache_dir, "--cache-policy", "lfu"]
-        ) == 0
-        assert "policy=lfu" in capsys.readouterr().out
-        # The store records the policy it was written under; stats reports
-        # it even though the stats subcommand opens with the default.
-        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["policy"] == "lfu"
-
-    def test_cache_policy_applies_without_persistent_tier(self, capsys):
-        # --cache-policy governs the in-memory layer on its own: no
-        # --cache-dir/--cache-backend needed for an lru-vs-lfu comparison.
-        assert main(["analyze", "tree_add", "--cache-policy", "lfu"]) == 0
-        assert "policy=lfu persistent=none" in capsys.readouterr().out
-
-    def test_disk_backend_without_dir_fails_cleanly(self, capsys):
-        assert main(["analyze", "tree_add", "--cache-backend", "disk"]) == 2
-        assert "requires a directory" in capsys.readouterr().err
-
-    def test_memory_backend_with_multiple_shards_warns(self, tmp_path, capsys):
-        from repro.cache import reset_memory_backends
-
-        reset_memory_backends()
-        try:
-            assert main(
-                ["analyze", "tree_add", "bst_build", "--cache-backend", "memory",
-                 "--shards", "2"]
-            ) == 0
-            err = capsys.readouterr().err
-            assert "process-local" in err and "--cache-dir" in err
-        finally:
-            reset_memory_backends()
-
-    def test_memory_backend_needs_no_dir(self, capsys):
-        from repro.cache import reset_memory_backends
-
-        reset_memory_backends()
-        try:
-            assert main(["analyze", "tree_add", "--cache-backend", "memory"]) == 0
-            assert "persistent=memory" in capsys.readouterr().out
-            # Same process, fresh run: the shared memory store is warm.
-            assert main(["analyze", "tree_add", "--cache-backend", "memory"]) == 0
-            assert "hit_rate=1.0000" in capsys.readouterr().out
-        finally:
-            reset_memory_backends()
 
 
 class TestCacheSubcommand:
@@ -250,13 +202,12 @@ class TestBenchCommand:
         cache_dir = str(tmp_path / "store")
         assert main(
             ["bench", "--shards", "2", "--seeds", "3", "--cache-dir", cache_dir,
-             "--cache-policy", "lfu", "--cache-size", "2048",
-             "--output", str(artifact_path)]
+             "--cache-size", "2048", "--output", str(artifact_path)]
         ) == 0
         artifact = json.loads(artifact_path.read_text())
         cache = artifact["cache"]
-        assert cache["backend"] == "disk" and cache["directory"] == cache_dir
-        assert cache["policy"] == "lfu"
+        assert cache["directory"] == cache_dir
+        assert "backend" not in cache and "policy" not in cache
         assert cache["transfer_cache_size"] == 2048
         assert cache["persistent"]["writes"] > 0
         assert artifact["verified_identical"] is True
@@ -267,8 +218,7 @@ class TestBenchCommand:
         warm_path = tmp_path / "warm.json"
         assert main(
             ["bench", "--shards", "2", "--seeds", "3", "--cache-dir", cache_dir,
-             "--cache-policy", "lfu", "--cache-size", "2048",
-             "--output", str(warm_path)]
+             "--cache-size", "2048", "--output", str(warm_path)]
         ) == 0
         warm = json.loads(warm_path.read_text())
         assert warm["sharded"]["results_digest"] == digest
@@ -282,7 +232,7 @@ class TestBenchCommand:
              "--output", str(artifact_path)]
         ) == 0
         cache = json.loads(artifact_path.read_text())["cache"]
-        assert cache["backend"] is None
+        assert cache["directory"] is None and "backend" not in cache
         assert cache["persistent"]["hits"] == 0
 
     def test_bench_artifact_records_effective_clamped_knobs(self, tmp_path):

@@ -138,7 +138,7 @@ class TestDeltaDrivenBehavior:
             1, GeneratorConfig(family="list", procedures=2, depth=4)
         )
         pair = generate_edited_pair(scenario.source, 3, edits=1, kinds=("delete",))
-        cache = CacheConfig(backend="disk", directory=str(tmp_path))
+        cache = CacheConfig(directory=str(tmp_path))
         session = IncrementalSession(limits=DEFAULT_LIMITS, cache=cache)
         try:
             program, info = parse_and_normalize(pair.old_source)

@@ -4,15 +4,17 @@ A one-shot CLI run starts every call with an empty in-memory transfer
 memo.  A daemon keeps one for its whole life, and that memo keys on
 statement **content** — so the second request of the same program, freshly
 parsed into new statement objects, is answered entirely from memory: no
-transfer recomputed, no persistent read, no codec decode.  The persistent
-tier still serves wherever the memory layer really is cold: a second
-daemon started over the first daemon's ``--cache-dir`` store.
+transfer recomputed, no persistent read, no codec decode.  A daemon
+without ``--cache-dir`` keeps no persistent store at all; one with it
+reads through wherever the memory layer really is cold: a second daemon
+started over the first daemon's store.
 
 Pinned here:
 
+* a default daemon reports no persistent store, and neither request
+  touches one;
 * the second identical ``analyze`` request shows
-  ``transfer_cache_hit_rate == 1.0`` with zero persistent misses and
-  writes, and bit-identical results;
+  ``transfer_cache_hit_rate == 1.0`` and bit-identical results;
 * a fresh daemon over a disk store the first one filled reads through to
   it (``persistent_cache_hit_rate > 0``, nothing recomputed);
 * server-lifetime stats reported by ``cache_stats`` are exactly the sum
@@ -60,17 +62,22 @@ def client(server):
         yield handle
 
 
+def assert_no_persistent_traffic(*responses):
+    """A default daemon has no persistent store, so no request touches one."""
+    for response in responses:
+        stats = response["stats"]
+        assert stats["persistent_cache_hits"] == 0
+        assert stats["persistent_cache_misses"] == 0
+        assert stats["persistent_cache_writes"] == 0
+
+
 def assert_served_from_memory(cold, warm):
     """``warm`` repeated ``cold``'s programs against a warm in-memory memo."""
-    assert cold["stats"]["persistent_cache_writes"] > 0  # cold filled the store
+    assert_no_persistent_traffic(cold, warm)
     stats = warm["stats"]
     assert stats["transfer_cache_hits"] > 0
     assert stats["transfer_cache_misses"] == 0
     assert stats["transfer_cache_hit_rate"] == 1.0
-    # Every warm transfer is one dict probe: the store is never consulted.
-    assert stats["persistent_cache_hits"] == 0
-    assert stats["persistent_cache_misses"] == 0
-    assert stats["persistent_cache_writes"] == 0
     assert not cold["failures"] and not warm["failures"]
 
 
@@ -87,7 +94,7 @@ class TestWarmSecondRequest:
         # not.  A second daemon over the same --cache-dir starts with a
         # cold memo, so every transfer comes back as a content-addressed
         # read of what the first daemon computed.
-        store = CacheConfig(backend="disk", directory=str(tmp_path / "store"))
+        store = CacheConfig(directory=str(tmp_path / "store"))
         responses = []
         for index in range(2):
             daemon = AnalysisServer(
@@ -153,12 +160,13 @@ class TestLifetimeStats:
         assert stats["server"]["uptime_seconds"] >= 0
 
     def test_cache_stats_reports_warm_state(self, client):
-        client.analyze(NAMES)
+        responses = [client.analyze(NAMES), client.analyze(NAMES)]
         stats = client.cache_stats()
         assert stats["transfer_cache"]["entries"] > 0
         assert stats["transfer_cache"]["capacity"] >= stats["transfer_cache"]["entries"]
-        assert stats["persistent"] is not None
-        assert stats["persistent"]["entries"] > 0
+        # Without --cache-dir the daemon keeps no persistent store.
+        assert stats["persistent"] is None
+        assert_no_persistent_traffic(*responses, {"stats": stats["lifetime_stats"]})
         # The intern tables it reports are the process-global ones — the
         # same vocabulary (and, in-process, the same sizes) as a direct
         # read of intern_table_sizes().
@@ -171,7 +179,7 @@ class TestShutdownFlush:
         daemon = AnalysisServer(
             ServerConfig(
                 socket_path=str(tmp_path / "analysis.sock"),
-                cache=CacheConfig(backend="disk", directory=store_dir),
+                cache=CacheConfig(directory=store_dir),
             )
         ).start_background()
         with AnalysisClient(socket_path=daemon.config.socket_path, timeout=60) as handle:

@@ -240,7 +240,7 @@ class TestPersistentWarmStart:
 
     def test_sharded_warm_run_bit_identical_to_cold_single_process(self, tmp_path):
         scenarios = generate_scenarios(6, base_seed=5)
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
 
         # Cold single-process run populates the store.
         cold_runner = ShardedSuiteRunner.from_scenarios(scenarios, shards=1, cache=config)
@@ -260,7 +260,7 @@ class TestPersistentWarmStart:
         assert warm.widening == cold.widening
 
     def test_persistent_counters_merge_per_shard(self, tmp_path):
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
         runner = ShardedSuiteRunner.from_names(depth=3, shards=3, cache=config)
         report = runner.run()
         persistent_fields = (
@@ -281,7 +281,7 @@ class TestPersistentWarmStart:
 
     def test_warm_run_with_adaptive_limits_matches(self, tmp_path):
         scenarios = generate_scenarios(4, base_seed=90, families=["dag", "deep"])
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
         limits = AnalysisLimits.adaptive()
         cold = ShardedSuiteRunner.from_scenarios(
             scenarios, shards=1, limits=limits, cache=config

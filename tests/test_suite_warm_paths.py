@@ -10,8 +10,8 @@ import pytest
 
 from repro.analysis.context import AnalysisStats
 from repro.analysis.engine import BatchAnalyzer
-from repro.cache import CacheConfig
-from repro.cache.memory import reset_memory_backends
+from repro.analysis.transfer import TransferCache
+from repro.cache import MemoryBackend
 from repro.workloads.suite import ShardedSuiteRunner, analyze_pairs, source
 
 NAMES = ["dag_sharing", "add_and_reverse", "tree_mirror"]
@@ -57,9 +57,8 @@ class TestRunWarmDirect:
         # A re-submitted source is freshly parsed into new statement
         # objects; the content-keyed in-memory memo answers every transfer
         # anyway, so the second pass never consults the persistent tier.
-        reset_memory_backends()
-        config = CacheConfig(backend="memory", directory="warm-paths-test")
-        batch = BatchAnalyzer(cache=config)
+        backend = MemoryBackend()
+        batch = BatchAnalyzer(transfer_cache=TransferCache(backend=backend))
         runner = ShardedSuiteRunner(PAIRS, shards=1)
         first = runner.run_warm(batch)
         second = runner.run_warm(batch)
@@ -73,9 +72,11 @@ class TestRunWarmDirect:
         assert second.stats.persistent_cache_misses == 0
         assert second.stats.persistent_cache_writes == 0
 
-        # A fresh batch over the same memory namespace starts with a cold
-        # memo: there the read-through to the persistent tier serves.
-        fresh = runner.run_warm(BatchAnalyzer(cache=config))
+        # A fresh batch over the same store starts with a cold memo: there
+        # the read-through to the persistent tier serves.
+        fresh = runner.run_warm(
+            BatchAnalyzer(transfer_cache=TransferCache(backend=backend))
+        )
         assert fresh.results == first.results
         assert fresh.stats.persistent_cache_hits > 0
         assert fresh.stats.persistent_cache_misses == 0
