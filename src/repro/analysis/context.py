@@ -81,7 +81,8 @@ class AnalysisStats:
     persistent_cache_writes: int = 0
     #: Entries the persistent store evicted to stay under its capacity.
     persistent_cache_evictions: int = 0
-    #: Path matrices allocated while this context was active.
+    #: Path matrices allocated while this context was active, including
+    #: the join and call-effect results recomputed at every visit.
     matrices_allocated: int = 0
     #: :meth:`PathMatrix.interned` lookups answered from the intern table —
     #: a previously-seen matrix was recognised by a pointer check.
@@ -114,12 +115,14 @@ class AnalysisStats:
     iteration_guard_trips: int = 0
     #: Times the adaptive-limits policy re-ran a program with stepped-up bounds.
     adaptive_escalations: int = 0
-    #: Computed transfer/join results kept in scratch (sealed-not-interned)
-    #: form instead of being eagerly hash-consed — the lazy-interning win.
+    #: Computed results — transfer misses, joins and call effects — kept in
+    #: scratch (sealed-not-interned) form instead of being eagerly
+    #: hash-consed — the lazy-interning win.
     scratch_matrices_elided: int = 0
-    #: Memoized-transfer lookups keyed by fingerprint on a matrix that was
-    #: *not* interned — each one is an intern the eager scheme would have
-    #: paid on the cold path and the lazy scheme deferred.
+    #: Transfer-memo lookups whose input matrix was *not* interned — each
+    #: one is an intern the eager scheme would have paid on the cold path
+    #: and the lazy scheme deferred.  Joins and calls build no memo key, so
+    #: they are not counted.
     lazy_intern_deferrals: int = 0
     #: Packed-segment integer operations executed by the path kernels
     #: (normalization, concat, cancellation) while this context was active.
@@ -361,17 +364,9 @@ class AnalysisContext:
     #: IncrementalSession` threads one memo through successive solves of
     #: edited program versions.
     visit_memo: Optional["VisitMemo"] = None
-    #: Epoch the call-site memo's ``id(stmt)`` keys are scoped to.  That
-    #: memo stays id-keyed because a call's projection and effect also
-    #: depend on the callee's program-specific summary; basic-statement
-    #: transfers key on content and need no epoch.  Bare contexts share
-    #: epoch 0; every :class:`~repro.analysis.engine.BatchAnalyzer`
-    #: allocates a fresh epoch so reused CPython object ids can never
-    #: collide across batches.
-    memo_epoch: int = 0
     #: ``id(stmt) -> statement_identity(stmt)`` for the statements this run
     #: has analyzed, so each is rendered once per run (the transfer-cache
-    #: key, the persistent key and the call-site memo's label all use it).
+    #: key and the persistent key both use it).
     #: Per context on purpose: an identity cached on the AST node would go
     #: stale when a caller mutates the node between runs.
     statement_identities: Dict[int, StatementIdentity] = field(default_factory=dict)

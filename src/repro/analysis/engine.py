@@ -26,7 +26,6 @@ identical results.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -42,17 +41,6 @@ from .pipeline import run_pipeline
 from .structure import StructureDiagnostic
 from .summaries import ProcedureSummary, compute_summaries
 from .transfer import TransferCache
-
-#: Distinct epochs for the ``id(stmt)``-keyed call-site memo, the one
-#: in-memory memo that is not content-keyed (a call's outcome also depends
-#: on the callee's program-specific summary; basic-statement transfers key
-#: on statement content and need no epoch).  Epoch 0 is reserved for bare
-#: contexts (ad-hoc :func:`analyze_program` calls against the process-wide
-#: cache); every :class:`BatchAnalyzer` draws a fresh one, so a statement
-#: id recycled by CPython after one batch dies can never alias a live
-#: call-site entry recorded by another batch sharing the same
-#: :class:`TransferCache`.
-_MEMO_EPOCHS = itertools.count(1)
 
 
 @dataclass
@@ -298,8 +286,6 @@ class BatchAnalyzer:
         self.limits = limits
         self.entry = entry
         self.stats = AnalysisStats()
-        #: Scopes this batch's ``id(stmt)``-keyed call-site memo entries.
-        self.memo_epoch = next(_MEMO_EPOCHS)
         #: Cross-run procedure-visit memo; attached by
         #: :class:`repro.analysis.reanalysis.IncrementalSession`, ``None``
         #: (no cross-run reuse) for ordinary batches.
@@ -354,7 +340,6 @@ class BatchAnalyzer:
                 stats=self.stats,
                 transfer_cache=self.cache,
                 visit_memo=self.visit_memo,
-                memo_epoch=self.memo_epoch,
             )
             run_pipeline(context)
             info = context.info  # reuse type info across escalation re-runs

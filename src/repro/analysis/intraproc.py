@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Optional, TYPE_CHECKING
 
 from ..sil import ast
-from ..sil.delta import identity_label
 from ..sil.typecheck import TypeInfo
 from .context import AnalysisRecorder
 from .interproc import (
@@ -27,13 +26,11 @@ from .interproc import (
 from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix
 from .summaries import ProcedureSummary
-from .telemetry import WideningTally, widening_scope
 from .transfer import (
     _bump,
     _count_rows,
     apply_basic_statement,
     apply_basic_statement_cached,
-    merge_matrices_cached,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,8 +78,8 @@ class ProcedureAnalyzer:
         if self.context is not None:
             # Pipeline mode: every matrix that flows between statements is
             # immutable (transfers copy before mutating), and sealing here
-            # makes all of them hashable — the memoized transfer/join/call
-            # layers then key on the matrix objects with cached hashes.
+            # makes all of them hashable — the transfer memo then keys on
+            # the matrix objects with cached hashes.
             matrix.seal()
         return self.analyze_stmt(proc.body, matrix, proc)
 
@@ -162,19 +159,19 @@ class ProcedureAnalyzer:
     # ------------------------------------------------------------------
 
     def _join(self, first: PathMatrix, second: PathMatrix) -> PathMatrix:
-        """Control-flow join; memoized over interned matrices in pipeline mode.
+        """Control-flow join, recomputed at every visit.
 
-        The reference engine (no context) keeps the plain, unmemoized
-        merge; the pipeline engine joins through the shared transfer cache
-        so re-iterations and re-analyses that join the same (hash-consed)
-        matrices are pointer lookups with exact widening replay.
+        Rows identical on both sides merge by pointer, and a memo of joins
+        traded batch time for daemon time without a net gain (see the
+        layer table in ``docs/architecture.md``).  The pipeline engine
+        seals the result so downstream transfer keys hash it in O(1); its
+        widening events land in the run-level scope.
         """
-        context = self.context
-        if context is None:
-            return first.merge(second)
-        return merge_matrices_cached(
-            first, second, cache=context.transfer_cache, stats=context.stats
-        )
+        merged = first.merge(second)
+        if self.context is None:
+            return merged
+        _bump(self.context.stats, "scratch_matrices_elided")
+        return merged.seal()
 
     def _analyze_while(
         self, stmt: ast.WhileStmt, matrix: PathMatrix, proc: ast.Procedure
@@ -185,10 +182,8 @@ class ProcedureAnalyzer:
             if self.context is not None:
                 self.context.stats.loop_iterations += 1
             body_out = self.analyze_stmt(stmt.body, head, proc)
-            # Pipeline engine: joins are memoized and loop heads are
-            # hash-consed, so the fixed-point test below is a pointer check
-            # once the head stabilizes (the reference engine keeps plain
-            # matrices).
+            # Once the head stabilizes the join reuses its rows by pointer,
+            # so the fixed-point test below is a row-pointer scan.
             new_head = self._join(head, body_out)
             history.append(new_head)
             if new_head == head:
@@ -220,53 +215,19 @@ class ProcedureAnalyzer:
         if result_target is not None:
             result_is_handle = self.info.for_procedure(proc.name).is_handle(result_target)
 
-        context = self.context
-        if context is None:
-            projected, effect_matrix = self._call_outcome(
-                matrix, args, proc, callee, summary, result_target, result_is_handle
-            )
-            if projected is not None:
-                self.recorder.record_call_site(callee.name, projected)
-            return effect_matrix
-
-        # Pipeline engine: the projection and caller-side effect also depend
-        # on the callee's program-specific summary, so unlike the
-        # content-keyed transfers this memo keys on the statement's id,
-        # scoped by the batch's memo epoch, with the statement object pinned
-        # in the value so its id cannot be recycled and its label stored for
-        # invalidation.  Widening events are captured on the miss and
-        # replayed on every hit.  Results are
-        # sealed, not interned: the solver interns the projection itself at
-        # the entry-matrix escape point, and the effect matrix is ordinary
-        # downstream dataflow.  The *recording* of the projection still
-        # happens per visit; only its computation is shared.
-        if not matrix.is_interned:
-            _bump(context.stats, "lazy_intern_deferrals")
-        key = (
-            "call",
-            context.memo_epoch,
-            id(stmt),
-            self.limits,
-            matrix if matrix.is_sealed else matrix.fingerprint(),
+        projected, effect_matrix = self._call_outcome(
+            matrix, args, proc, callee, summary, result_target, result_is_handle
         )
-        cached = context.transfer_cache.get_join(key)
-        if cached is not None:
-            _stmt, _label, projected, effect_matrix, widening = cached
-        else:
-            with widening_scope(WideningTally()) as widening:
-                projected, effect_matrix = self._call_outcome(
-                    matrix, args, proc, callee, summary, result_target, result_is_handle
-                )
-                if projected is not None:
-                    projected = projected.seal()
-                effect_matrix = effect_matrix.seal()
+        context = self.context
+        if context is not None:
+            # Sealed, not interned: the solver interns the projection at the
+            # entry-matrix escape point, and the effect matrix is ordinary
+            # downstream dataflow keyed on by later transfers.
+            if projected is not None:
+                projected = projected.seal()
+            effect_matrix = effect_matrix.seal()
             _bump(context.stats, "scratch_matrices_elided")
-            label = identity_label(context.identity_of(stmt))
-            context.transfer_cache.put_join(
-                key, (stmt, label, projected, effect_matrix, widening)
-            )
-        widening.add_into(context.stats)
-        _count_rows(context.stats, matrix, effect_matrix)
+            _count_rows(context.stats, matrix, effect_matrix)
         if projected is not None:
             self.recorder.record_call_site(callee.name, projected)
         return effect_matrix

@@ -358,7 +358,9 @@ class TransferCache:
     any statement object with that content, in any procedure of any
     program, parsed at any time.  Eviction is least-recently-used (see
     :mod:`repro.cache.lru`); evictions are counted and surfaced through
-    :class:`~repro.analysis.context.AnalysisStats`.
+    :class:`~repro.analysis.context.AnalysisStats`.  This is the only
+    in-memory analysis memo: control-flow joins and call-site effects are
+    recomputed at every visit (see :mod:`repro.analysis.intraproc`).
 
     Each entry also stores the :class:`~repro.analysis.telemetry.
     WideningTally` captured while the transfer was computed, so a hit can
@@ -388,7 +390,6 @@ class TransferCache:
     __slots__ = (
         "backend",
         "_entries",
-        "_joins",
         "_pending",
         "_pending_labels",
         "quarantined",
@@ -404,12 +405,6 @@ class TransferCache:
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
     ):
         self._entries = LRUCache(capacity)
-        #: Second memo space for the *derived* pure operations over interned
-        #: matrices — control-flow joins and call-site projections/effects —
-        #: which are keyed by matrix identity and are in-memory only (they
-        #: recompute cheaply from persistent transfer hits, so they are not
-        #: worth codec space).
-        self._joins = LRUCache(capacity)
         self.backend = backend
         #: Encoded (key -> payload) deltas computed since the last flush.
         self._pending: Dict[str, str] = {}
@@ -444,13 +439,6 @@ class TransferCache:
     def put(self, key: Tuple, result: TransferResult, widening: "WideningTally") -> int:
         """Admit an entry; returns the number of in-memory evictions."""
         return self._entries.put(key, (result, widening))
-
-    def get_join(self, key: Tuple):
-        """Look up a memoized join/projection entry (see :data:`_joins`)."""
-        return self._joins.get(key)
-
-    def put_join(self, key: Tuple, value: Tuple) -> None:
-        self._joins.put(key, value)
 
     # ------------------------------------------------------------------
     # Persistent tier
@@ -591,13 +579,6 @@ class TransferCache:
             _bump(stats, "persistent_cache_evictions", evicted)
         return written, evicted
 
-    def clear(self) -> None:
-        """Drop the in-memory layer and unflushed deltas (not the store)."""
-        self._entries.clear()
-        self._joins.clear()
-        self._pending.clear()
-        self._pending_labels.clear()
-
     # ------------------------------------------------------------------
     # Targeted invalidation
     # ------------------------------------------------------------------
@@ -608,13 +589,11 @@ class TransferCache:
         ``labels`` is a set of :func:`repro.sil.delta.statement_label`
         strings — the statements an edit removed or rewrote.  All three
         tiers are swept: the in-memory transfer entries (labelled by the
-        statement identity their key starts with), the memoized call
-        projections (which store their label when put), the unflushed
-        pending deltas, and the persistent backend (statement labels are
-        stored with each row).  No statement is re-rendered.  Everything
+        statement identity their key starts with), the unflushed pending
+        deltas, and the persistent backend (statement labels are stored
+        with each row).  No statement is re-rendered.  Everything
         else is kept — this is the delete-by-key-set contract incremental
-        re-analysis relies on, replacing all-or-nothing ``clear()``.
-        Returns the total number of entries dropped.
+        re-analysis relies on.  Returns the total number of entries dropped.
         """
         doomed = set(labels)
         if not doomed:
@@ -625,15 +604,6 @@ class TransferCache:
         for key in stale_keys:
             self._entries.remove(key)
         dropped += len(stale_keys)
-
-        stale_joins = [
-            key
-            for key, value in self._joins.items()
-            if key[0] == "call" and value[1] in doomed
-        ]
-        for key in stale_joins:
-            self._joins.remove(key)
-        dropped += len(stale_joins)
 
         stale_pending = [
             key
@@ -800,52 +770,3 @@ def _count_rows(stats, before: PathMatrix, after: PathMatrix) -> None:
     changed, full = row_delta(before, after)
     _bump(stats, "delta_rows_propagated", changed)
     _bump(stats, "full_rows_propagated", full)
-
-
-def merge_matrices_cached(
-    first: PathMatrix,
-    second: PathMatrix,
-    cache: Optional[TransferCache] = None,
-    stats=None,
-) -> PathMatrix:
-    """Memoized control-flow join of two matrices.
-
-    The join is a pure function of its operands, so it memoizes over the
-    pair of exact content fingerprints: loop re-iterations and re-analyses
-    that join the same matrices get the previously computed (sealed)
-    result back with one hash lookup — the fingerprints hash from the
-    operands' precomputed per-row hashes, so no whole-matrix intern is
-    paid on the cold path.  A hit returns the *same* sealed object every
-    time, which is what keeps the loop-convergence check
-    (``new_head == head``) a cheap row-pointer scan.  Widening events
-    fired inside the join (oversized entries collapsing) are captured on
-    the miss and replayed on every hit, keeping the telemetry
-    deterministic per application.  In-memory only — joins are cheap to
-    recompute relative to codec space.
-    """
-    if cache is None:
-        cache = GLOBAL_TRANSFER_CACHE
-    if stats is not None:
-        if not first.is_interned:
-            _bump(stats, "lazy_intern_deferrals")
-        if not second.is_interned:
-            _bump(stats, "lazy_intern_deferrals")
-    key = (
-        "join",
-        first if first.is_sealed else first.fingerprint(),
-        second if second.is_sealed else second.fingerprint(),
-    )
-    cached = cache.get_join(key)
-    if cached is not None:
-        result, widening = cached
-        if stats is not None:
-            widening.add_into(stats)
-        return result
-    with widening_scope(WideningTally()) as widening:
-        result = first.merge(second).seal()
-    if stats is not None:
-        _bump(stats, "scratch_matrices_elided")
-    cache.put_join(key, (result, widening))
-    if stats is not None:
-        widening.add_into(stats)
-    return result

@@ -1,9 +1,9 @@
 """The bounded least-recently-used map behind the in-memory cache layers.
 
-One small mapping type, :class:`LRUCache`, backs the transfer and
-join/call memos of :class:`repro.analysis.transfer.TransferCache` and the
-in-process :class:`~repro.cache.memory.MemoryBackend`; the disk store
-evicts in the same order in SQL (see :mod:`repro.cache.disk`).  A hit
+One small mapping type, :class:`LRUCache`, backs the transfer memo of
+:class:`repro.analysis.transfer.TransferCache` and the in-process
+:class:`~repro.cache.memory.MemoryBackend`; the disk store evicts in the
+same order in SQL (see :mod:`repro.cache.disk`).  A hit
 refreshes the entry, and the victim is the entry untouched for longest:
 transfer lookups cluster around the current fixed-point region, and in a
 hit-ratio vs. capacity sweep no other order (least-frequently-used,

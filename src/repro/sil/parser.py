@@ -41,7 +41,8 @@ Parallel statements use ``||``::
 
 The parser produces *surface* ASTs (arbitrary :class:`~repro.sil.ast.Assign`
 nodes); use :mod:`repro.sil.normalize` to lower them to basic handle
-statements before running the analysis or the interpreter.
+statements before running the analysis or the interpreter.  Input nested
+deeper than :data:`MAX_NESTING_DEPTH` is refused with a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -54,10 +55,18 @@ from .lexer import Token, TokenKind, tokenize
 
 _FIELD_NAMES = {"left": ast.Field.LEFT, "right": ast.Field.RIGHT, "value": ast.Field.VALUE}
 
-_REL_OPS = ("=", "<>", "<", "<=", ">", ">=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*",)
-_MUL_KEYWORDS = ("div", "mod")
+_REL_OPS = frozenset(("=", "<>", "<", "<=", ">", ">="))
+_ADD_OPS = frozenset(("+", "-"))
+_MUL_OPS = frozenset(("*", "div", "mod"))
+
+#: The deepest nesting the parser accepts, in levels of the parsed tree.  A
+#: procedure body is level 1; each nested statement, each parenthesised,
+#: ``not`` or unary-minus operand, each argument list, and each operator or
+#: ``.field`` of a left-associative chain adds one.  Every later pass
+#: (normalize, typecheck, both engines, the printer) walks the tree
+#: recursively, so the cap keeps them far below the interpreter's default
+#: recursion limit.  The deepest program in the corpora is 10 levels.
+MAX_NESTING_DEPTH = 64
 
 
 class Parser:
@@ -66,6 +75,11 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.index = 0
+        #: Tree level of the construct being parsed (see MAX_NESTING_DEPTH).
+        self.depth = 1
+        #: Deepest level reached since the current :meth:`_nested` scope
+        #: began; a chain operator pushes all of it one level down.
+        self.peak = 1
 
     # ------------------------------------------------------------------
     # Token-stream helpers
@@ -115,6 +129,37 @@ class Parser:
             self._advance()
             return True
         return False
+
+    # ------------------------------------------------------------------
+    # Nesting depth
+    # ------------------------------------------------------------------
+
+    def _reach(self, level: int, token: Token) -> None:
+        """Note a node at tree ``level``; refuse it past the cap."""
+        if level > MAX_NESTING_DEPTH:
+            raise self._error(
+                f"nesting deeper than the maximum of {MAX_NESTING_DEPTH} levels", token
+            )
+        if level > self.peak:
+            self.peak = level
+
+    def _nested(self, token: Token, parse, *args):
+        """``parse(*args)`` a child of the construct at ``token``, one level down.
+
+        The child's height is measured from its own level, so a chain
+        inside it sinks only what it has parsed itself.
+        """
+        self.depth += 1
+        self._reach(self.depth, token)
+        outer, self.peak = self.peak, self.depth
+        node = parse(*args)
+        self.peak = max(outer, self.peak)
+        self.depth -= 1
+        return node
+
+    def _sink(self, token: Token) -> None:
+        """Push everything parsed in this scope one level down, under ``token``."""
+        self._reach(self.peak + 1, token)
 
     # ------------------------------------------------------------------
     # Program structure
@@ -221,7 +266,7 @@ class Parser:
         while not self.current.is_keyword("end"):
             if self.current.kind is TokenKind.EOF:
                 raise self._error("unexpected end of input inside block")
-            stmts.append(self.parse_statement())
+            stmts.append(self._nested(self.current, self.parse_statement))
             if not self._accept_symbol(";"):
                 break
         self._expect_keyword("end")
@@ -232,9 +277,10 @@ class Parser:
         first = self.parse_simple_statement()
         if not self.current.is_symbol("||"):
             return first
+        self._sink(self.current)
         branches = [first]
-        while self._accept_symbol("||"):
-            branches.append(self.parse_simple_statement())
+        while self.current.is_symbol("||"):
+            branches.append(self._nested(self._advance(), self.parse_simple_statement))
         return ast.ParallelStmt(branches=branches, loc=first.loc)
 
     def parse_simple_statement(self) -> ast.Stmt:
@@ -253,23 +299,23 @@ class Parser:
         raise self._error("expected a statement")
 
     def _parse_if(self) -> ast.IfStmt:
-        loc = self.current.location
-        self._expect_keyword("if")
-        cond = self.parse_expression()
+        token = self._expect_keyword("if")
+        cond = self._nested(token, self.parse_expression)
         self._expect_keyword("then")
-        then_branch = self.parse_statement()
+        then_branch = self._nested(token, self.parse_statement)
         else_branch: Optional[ast.Stmt] = None
         if self._accept_keyword("else"):
-            else_branch = self.parse_statement()
-        return ast.IfStmt(cond=cond, then_branch=then_branch, else_branch=else_branch, loc=loc)
+            else_branch = self._nested(token, self.parse_statement)
+        return ast.IfStmt(
+            cond=cond, then_branch=then_branch, else_branch=else_branch, loc=token.location
+        )
 
     def _parse_while(self) -> ast.WhileStmt:
-        loc = self.current.location
-        self._expect_keyword("while")
-        cond = self.parse_expression()
+        token = self._expect_keyword("while")
+        cond = self._nested(token, self.parse_expression)
         self._expect_keyword("do")
-        body = self.parse_statement()
-        return ast.WhileStmt(cond=cond, body=body, loc=loc)
+        body = self._nested(token, self.parse_statement)
+        return ast.WhileStmt(cond=cond, body=body, loc=token.location)
 
     def _parse_call_or_assignment(self) -> ast.Stmt:
         name_token = self._expect_ident()
@@ -281,11 +327,9 @@ class Parser:
             return ast.ProcCall(name=name_token.text, args=args, loc=loc)
 
         # Assignment:  ident {.field} := expr
-        lhs: ast.Expr = ast.Name(name_token.text, loc=loc)
-        while self._accept_symbol("."):
-            lhs = ast.FieldAccess(lhs, self._parse_field_name(), loc=loc)
+        lhs = self._nested(name_token, self._parse_fields, ast.Name(name_token.text, loc=loc))
         self._expect_symbol(":=")
-        rhs = self.parse_expression()
+        rhs = self._nested(name_token, self.parse_expression)
         return ast.Assign(lhs=lhs, rhs=rhs, loc=loc)
 
     def _parse_field_name(self) -> ast.Field:
@@ -296,12 +340,12 @@ class Parser:
         raise self._error("expected a field name ('left', 'right' or 'value')")
 
     def _parse_arguments(self) -> List[ast.Expr]:
-        self._expect_symbol("(")
+        token = self._expect_symbol("(")
         args: List[ast.Expr] = []
         if not self.current.is_symbol(")"):
-            args.append(self.parse_expression())
+            args.append(self._nested(token, self.parse_expression))
             while self._accept_symbol(","):
-                args.append(self.parse_expression())
+                args.append(self._nested(token, self.parse_expression))
         self._expect_symbol(")")
         return args
 
@@ -313,68 +357,57 @@ class Parser:
         return self._parse_or()
 
     def _parse_or(self) -> ast.Expr:
-        expr = self._parse_and()
-        while self.current.is_keyword("or"):
-            loc = self._advance().location
-            right = self._parse_and()
-            expr = ast.BinOp("or", expr, right, loc=loc)
-        return expr
+        return self._chain(self._parse_and, ("or",))
 
     def _parse_and(self) -> ast.Expr:
-        expr = self._parse_not()
-        while self.current.is_keyword("and"):
-            loc = self._advance().location
-            right = self._parse_not()
-            expr = ast.BinOp("and", expr, right, loc=loc)
-        return expr
+        return self._chain(self._parse_not, ("and",))
 
     def _parse_not(self) -> ast.Expr:
         if self.current.is_keyword("not"):
-            loc = self._advance().location
-            return ast.UnOp("not", self._parse_not(), loc=loc)
+            token = self._advance()
+            return ast.UnOp("not", self._nested(token, self._parse_not), loc=token.location)
         return self._parse_relational()
 
     def _parse_relational(self) -> ast.Expr:
-        expr = self._parse_additive()
-        for op in _REL_OPS:
-            if self.current.is_symbol(op):
-                loc = self._advance().location
-                right = self._parse_additive()
-                return ast.BinOp(op, expr, right, loc=loc)
-        return expr
+        return self._chain(self._parse_additive, _REL_OPS, repeat=False)
 
     def _parse_additive(self) -> ast.Expr:
-        expr = self._parse_multiplicative()
-        while any(self.current.is_symbol(op) for op in _ADD_OPS):
-            op = self._advance()
-            right = self._parse_multiplicative()
-            expr = ast.BinOp(op.text, expr, right, loc=op.location)
-        return expr
+        return self._chain(self._parse_multiplicative, _ADD_OPS)
 
     def _parse_multiplicative(self) -> ast.Expr:
-        expr = self._parse_unary()
-        while any(self.current.is_symbol(op) for op in _MUL_OPS) or any(
-            self.current.is_keyword(kw) for kw in _MUL_KEYWORDS
-        ):
+        return self._chain(self._parse_unary, _MUL_OPS)
+
+    def _chain(self, operand, operators, repeat: bool = True) -> ast.Expr:
+        """``operand {operator operand}`` as a left-deep tree of BinOps.
+
+        The loop does not recurse, but every later pass walks the tree it
+        builds, so each operator sinks everything parsed so far one level
+        down, beside its right operand.  ``repeat=False`` takes at most one
+        operator (relations do not associate).
+        """
+        expr = operand()
+        while self.current.text in operators:
             op = self._advance()
-            right = self._parse_unary()
-            expr = ast.BinOp(op.text, expr, right, loc=op.location)
+            self._sink(op)
+            expr = ast.BinOp(op.text, expr, self._nested(op, operand), loc=op.location)
+            if not repeat:
+                break
         return expr
 
     def _parse_unary(self) -> ast.Expr:
         if self.current.is_symbol("-"):
-            loc = self._advance().location
-            operand = self._parse_unary()
+            token = self._advance()
+            operand = self._nested(token, self._parse_unary)
             if isinstance(operand, ast.IntLit):
-                return ast.IntLit(-operand.value, loc=loc)
-            return ast.UnOp("-", operand, loc=loc)
-        return self._parse_postfix()
+                return ast.IntLit(-operand.value, loc=token.location)
+            return ast.UnOp("-", operand, loc=token.location)
+        return self._parse_fields(self._parse_primary())
 
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
-        while self._accept_symbol("."):
-            field_name = self._parse_field_name()
-            expr = ast.FieldAccess(expr, field_name, loc=expr.loc)
+    def _parse_fields(self, expr: ast.Expr) -> ast.Expr:
+        """``expr {.field}``: each field sinks the access built so far."""
+        while self.current.is_symbol("."):
+            self._sink(self._advance())
+            expr = ast.FieldAccess(expr, self._parse_field_name(), loc=expr.loc)
         return expr
 
     def _parse_primary(self) -> ast.Expr:
@@ -398,7 +431,7 @@ class Parser:
             return ast.Name(token.text, loc=token.location)
         if token.is_symbol("("):
             self._advance()
-            expr = self.parse_expression()
+            expr = self._nested(token, self.parse_expression)
             self._expect_symbol(")")
             return expr
         raise self._error("expected an expression")

@@ -446,6 +446,24 @@ begin
 end
 """
 
+CALLEE_EDIT = """program callee_edit
+
+procedure main()
+  a, b: handle
+begin
+  a := new();
+  b := new();
+  touch(a, b)
+end
+
+procedure touch(h, t: handle)
+  x: handle
+begin
+  x := new();
+  h.left := x
+end
+"""
+
 
 class TestContentKeyedTransferMemo:
     """The in-memory transfer key is (statement identity, limits, matrix)."""
@@ -532,6 +550,33 @@ class TestContentKeyedTransferMemo:
         assert second.canonical() == reference.canonical()
         assert second.canonical() != first.canonical()
 
+    @pytest.mark.parametrize("runner", ["bare", "reused_batch"])
+    def test_callee_edit_is_not_stale(self, runner):
+        # The caller's call statement is the same object before and after
+        # the edit, so only the callee's new summary can tell the runs apart.
+        from repro.analysis import analyze_program, analyze_program_reference
+        from repro.sil.normalize import parse_and_normalize
+
+        program, info = parse_and_normalize(CALLEE_EDIT)
+        (store,) = [
+            stmt
+            for stmt in ast.walk_stmt(program.callable("touch").body)
+            if isinstance(stmt, ast.StoreField)
+        ]
+        batch = BatchAnalyzer()
+
+        def analyze():
+            if runner == "bare":
+                return analyze_program(program, info)
+            return batch.analyze(program, info)
+
+        first = analyze()
+        assert first.canonical() == analyze_program_reference(program, info).canonical()
+        store.source = "t"
+        second = analyze()
+        assert second.canonical() == analyze_program_reference(program, info).canonical()
+        assert second.canonical() != first.canonical()
+
     def test_invalidate_statements_drops_exactly_the_labelled_entries(self):
         from repro.sil.delta import statement_label
         from repro.sil.normalize import parse_and_normalize
@@ -549,18 +594,20 @@ class TestContentKeyedTransferMemo:
             if isinstance(s, ast.ProcCall)
         ]
         identity = statement_identity(copy_stmt)
-        entries, joins = set(cache._entries), set(cache._joins)
+        entries = set(cache._entries)
+        pending_labels = dict(cache._pending_labels)
         pending = len(cache._pending)
 
         dropped = cache.invalidate_statements(
             {statement_label(copy_stmt), statement_label(call)}
         )
         gone = entries - set(cache._entries)
-        gone_joins = joins - set(cache._joins)
         assert gone and all(key[0] == identity for key in gone)
         assert all(key[0] != identity for key in cache._entries)
-        assert gone_joins and all(key[0] == "call" and key[2] == id(call) for key in gone_joins)
-        assert dropped == len(gone) + len(gone_joins) + pending - len(cache._pending)
+        # A call puts no memo entry, so nothing carrying its label is dropped.
+        gone_pending = pending_labels.keys() - cache._pending_labels.keys()
+        assert {pending_labels[key] for key in gone_pending} == {statement_label(copy_stmt)}
+        assert dropped == len(gone) + pending - len(cache._pending)
         assert len(cache._pending) < pending
         # Only the dropped transfers recompute; results do not move.
         before = batch.stats.transfer_cache_misses

@@ -1,10 +1,21 @@
 """Unit tests for the SIL parser."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.sil import ast
 from repro.sil.errors import ParseError
-from repro.sil.parser import parse_expression, parse_program, parse_statement
+from repro.sil.parser import (
+    MAX_NESTING_DEPTH,
+    parse_expression,
+    parse_program,
+    parse_statement,
+)
 
 MINIMAL = """
 program p
@@ -213,3 +224,98 @@ class TestFigure7Program:
         # Body: a single if statement guarding the recursive case.
         assert len(add_n.body.stmts) == 1
         assert isinstance(add_n.body.stmts[0], ast.IfStmt)
+
+
+def _statements(level):
+    # if-then-begin nests two levels; a last bare block makes it odd.
+    ifs, odd = divmod(level - 2, 2)
+    inner = "begin skip end" if odd else "skip"
+    return "if a <> nil then begin " * ifs + inner + " end" * ifs
+
+
+def _mix(level):
+    # A while-do-begin nest around an if whose condition and branch
+    # descend through not, parentheses, unary minus and a + chain.
+    loops, odd = divmod(level - 8, 2)
+    chain = " + ".join(str(term) for term in range(3 + odd))
+    body = f"if not (a = nil) then i := -({chain})"
+    return "while a <> nil do begin " * loops + body + " end" * loops
+
+
+#: One statement of ``main`` (tree level 2) whose deepest node sits at the
+#: given level, per nesting shape.
+DEEP_SHAPES = {
+    "statements": _statements,
+    "parentheses": lambda level: "i := " + "(" * (level - 3) + "1" + ")" * (level - 3),
+    "not": lambda level: "if " + "not " * (level - 4) + "a = nil then skip",
+    "minus": lambda level: "i := " + "- " * (level - 3) + "i",
+    "plus": lambda level: "i := 1" + " + 1" * (level - 3),
+    "fields": lambda level: "a := b" + ".left" * (level - 3),
+    "mix": _mix,
+}
+
+
+def deep_program(shape, level):
+    # The shallow chain after the deep statement must not add to its depth.
+    return (
+        "program deep\n\nprocedure main()\n  a, b: handle; i: int\nbegin\n"
+        f"  a := new();\n  b := new();\n  {DEEP_SHAPES[shape](level)};\n  i := i + 1\nend\n"
+    )
+
+
+#: Runs in a fresh interpreter at the default recursion limit, on a worker
+#: thread: the whole front end, both engines and a print round trip.
+_AT_CAP_CHECK = """
+import json, sys, threading
+from repro.analysis import analyze_program, analyze_program_reference
+from repro.sil.normalize import parse_and_normalize
+from repro.sil.parser import parse_program
+from repro.sil.printer import format_program
+
+def check(source):
+    program, info = parse_and_normalize(source)
+    if analyze_program(program, info).canonical() != analyze_program_reference(program, info).canonical():
+        return "engines disagree"
+    printed = format_program(parse_program(source))
+    if format_program(parse_program(printed)) != printed:
+        return "print round trip changed the program"
+    return "ok"
+
+def run(sources, results):
+    for shape, source in sources.items():
+        try:
+            results[shape] = check(source)
+        except Exception as error:
+            results[shape] = f"{type(error).__name__}: {error}"
+
+results = {}
+worker = threading.Thread(target=run, args=(json.load(sys.stdin), results))
+worker.start()
+worker.join()
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def at_cap_results():
+    sources = {shape: deep_program(shape, MAX_NESTING_DEPTH) for shape in DEEP_SHAPES}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _AT_CAP_CHECK],
+        input=json.dumps(sources),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+    def test_cap_holds_at_the_default_recursion_limit(self, shape, at_cap_results):
+        assert at_cap_results[shape] == "ok"
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(deep_program(shape, MAX_NESTING_DEPTH + 1))
+        assert f"maximum of {MAX_NESTING_DEPTH} levels" in str(excinfo.value)

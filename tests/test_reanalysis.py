@@ -156,21 +156,16 @@ class TestDeltaDrivenBehavior:
             session.close()
 
 
-class TestMemoEpochScoping:
-    def test_two_batches_sharing_a_cache_never_alias_memo_entries(self):
-        # The in-memory transfer memo keys on id(stmt), which CPython can
-        # recycle.  Epoch-scoped keys make entries from different batches
-        # disjoint even when they analyze the very same program object.
+class TestBatchesSharingACache:
+    def test_two_batches_sharing_a_cache_agree(self):
+        # The second batch answers from entries the first one put, for the
+        # very same program object; every entry is content-keyed, so the
+        # results must not move.
         program, info = parse_and_normalize(deep_scenario().source)
         first = BatchAnalyzer(limits=DEFAULT_LIMITS)
         result_a = first.analyze(program, info)
         shared = first.cache
 
         second = BatchAnalyzer(limits=DEFAULT_LIMITS, transfer_cache=shared)
-        assert second.memo_epoch != first.memo_epoch
         result_b = second.analyze(program, info)
         assert result_digest(result_a) == result_digest(result_b)
-
-    def test_epochs_are_unique_across_batches(self):
-        epochs = {BatchAnalyzer(limits=DEFAULT_LIMITS).memo_epoch for _ in range(5)}
-        assert len(epochs) == 5

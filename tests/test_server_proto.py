@@ -57,6 +57,7 @@ from repro.server.protocol import (
     send_frame,
 )
 from repro.sil.normalize import parse_and_normalize
+from repro.sil.parser import MAX_NESTING_DEPTH
 from repro.workloads.suite import ShardedSuiteRunner, source
 
 
@@ -186,6 +187,19 @@ class TestErrorHandling:
             client.analyze(workloads=["no_such_workload"])
         assert excinfo.value.code == ERR_BAD_REQUEST
         assert "no_such_workload" in excinfo.value.message
+
+    def test_program_past_the_nesting_cap_is_bad_request(self, client):
+        base = "program p\n\nprocedure main()\n  i: int\nbegin\n  i := 1\nend\n"
+        # The assignment's value sits at tree level 3; each parenthesis adds one.
+        parens = MAX_NESTING_DEPTH - 2
+        past_cap = base.replace("i := 1", "i := " + "(" * parens + "1" + ")" * parens)
+        with pytest.raises(ServerError) as excinfo:
+            client.reanalyze(base, past_cap)
+        assert excinfo.value.code == ERR_BAD_REQUEST
+        assert excinfo.value.message.startswith("ParseError")
+        assert f"maximum of {MAX_NESTING_DEPTH} levels" in excinfo.value.message
+        # Same connection, next request: still served.
+        assert client.health()["status"] == "ok"
 
     def test_timeout_is_a_structured_error(self, client):
         with pytest.raises(ServerError) as excinfo:
