@@ -55,17 +55,33 @@ from .lexer import Token, TokenKind, tokenize
 
 _FIELD_NAMES = {"left": ast.Field.LEFT, "right": ast.Field.RIGHT, "value": ast.Field.VALUE}
 
-_REL_OPS = frozenset(("=", "<>", "<", "<=", ">", ">="))
-_ADD_OPS = frozenset(("+", "-"))
-_MUL_OPS = frozenset(("*", "div", "mod"))
+#: Binding power of each binary operator: a higher power binds tighter.
+#: ``not`` binds between ``and`` and the relations, unary minus tighter than
+#: any binary operator, and the relations do not associate.
+_NOT_POWER = 3
+_RELATION_POWER = 4
+_UNARY_POWER = 7
+_BINARY_POWER = {
+    "or": 1,
+    "and": 2,
+    **dict.fromkeys(("=", "<>", "<", "<=", ">", ">="), _RELATION_POWER),
+    "+": 5,
+    "-": 5,
+    "*": 6,
+    "div": 6,
+    "mod": 6,
+}
 
 #: The deepest nesting the parser accepts, in levels of the parsed tree.  A
 #: procedure body is level 1; each nested statement, each parenthesised,
 #: ``not`` or unary-minus operand, each argument list, and each operator or
-#: ``.field`` of a left-associative chain adds one.  Every later pass
-#: (normalize, typecheck, both engines, the printer) walks the tree
-#: recursively, so the cap keeps them far below the interpreter's default
-#: recursion limit.  The deepest program in the corpora is 10 levels.
+#: ``.field`` of a left-associative chain adds one.  The parser takes at
+#: most three frames per level, and so do the later passes (normalize,
+#: typecheck, both engines, the printer), which walk the tree recursively:
+#: at the cap the hungriest needs about 200 frames, a fifth of the
+#: interpreter's default recursion limit.  ``tests/test_parser.py`` runs
+#: every nesting shape at the cap within half that limit.  The deepest
+#: program in the corpora is 10 levels.
 MAX_NESTING_DEPTH = 64
 
 
@@ -77,7 +93,7 @@ class Parser:
         self.index = 0
         #: Tree level of the construct being parsed (see MAX_NESTING_DEPTH).
         self.depth = 1
-        #: Deepest level reached since the current :meth:`_nested` scope
+        #: Deepest level reached since the current :meth:`_enter` scope
         #: began; a chain operator pushes all of it one level down.
         self.peak = 1
 
@@ -88,10 +104,6 @@ class Parser:
     @property
     def current(self) -> Token:
         return self.tokens[self.index]
-
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
 
     def _advance(self) -> Token:
         token = self.current
@@ -134,32 +146,32 @@ class Parser:
     # Nesting depth
     # ------------------------------------------------------------------
 
-    def _reach(self, level: int, token: Token) -> None:
-        """Note a node at tree ``level``; refuse it past the cap."""
+    def _enter(self, token: Token) -> int:
+        """Open a child scope one tree level down, starting at ``token``.
+
+        Returns the enclosing scope's peak for :meth:`_leave`.  No frame
+        stays on the stack while the child is parsed.
+        """
+        self.depth += 1
+        self._check(self.depth, token)
+        outer, self.peak = self.peak, self.depth
+        return outer
+
+    def _leave(self, outer: int) -> None:
+        self.depth -= 1
+        if outer > self.peak:
+            self.peak = outer
+
+    def _sink(self, token: Token) -> None:
+        """Push everything parsed in this scope one level down, under ``token``."""
+        self.peak += 1
+        self._check(self.peak, token)
+
+    def _check(self, level: int, token: Token) -> None:
         if level > MAX_NESTING_DEPTH:
             raise self._error(
                 f"nesting deeper than the maximum of {MAX_NESTING_DEPTH} levels", token
             )
-        if level > self.peak:
-            self.peak = level
-
-    def _nested(self, token: Token, parse, *args):
-        """``parse(*args)`` a child of the construct at ``token``, one level down.
-
-        The child's height is measured from its own level, so a chain
-        inside it sinks only what it has parsed itself.
-        """
-        self.depth += 1
-        self._reach(self.depth, token)
-        outer, self.peak = self.peak, self.depth
-        node = parse(*args)
-        self.peak = max(outer, self.peak)
-        self.depth -= 1
-        return node
-
-    def _sink(self, token: Token) -> None:
-        """Push everything parsed in this scope one level down, under ``token``."""
-        self._reach(self.peak + 1, token)
 
     # ------------------------------------------------------------------
     # Program structure
@@ -266,22 +278,26 @@ class Parser:
         while not self.current.is_keyword("end"):
             if self.current.kind is TokenKind.EOF:
                 raise self._error("unexpected end of input inside block")
-            stmts.append(self._nested(self.current, self.parse_statement))
+            stmts.append(self.parse_statement())
             if not self._accept_symbol(";"):
                 break
         self._expect_keyword("end")
         return ast.Block(stmts=stmts, loc=loc)
 
     def parse_statement(self) -> ast.Stmt:
-        """Parse a statement, combining ``||``-separated branches."""
-        first = self.parse_simple_statement()
-        if not self.current.is_symbol("||"):
-            return first
-        self._sink(self.current)
-        branches = [first]
-        while self.current.is_symbol("||"):
-            branches.append(self._nested(self._advance(), self.parse_simple_statement))
-        return ast.ParallelStmt(branches=branches, loc=first.loc)
+        """Parse a statement one tree level down, combining ``||``-separated branches."""
+        outer = self._enter(self.current)
+        stmt = self.parse_simple_statement()
+        if self.current.is_symbol("||"):
+            self._sink(self.current)
+            branches = [stmt]
+            while self.current.is_symbol("||"):
+                branch = self._enter(self._advance())
+                branches.append(self.parse_simple_statement())
+                self._leave(branch)
+            stmt = ast.ParallelStmt(branches=branches, loc=stmt.loc)
+        self._leave(outer)
+        return stmt
 
     def parse_simple_statement(self) -> ast.Stmt:
         token = self.current
@@ -299,23 +315,21 @@ class Parser:
         raise self._error("expected a statement")
 
     def _parse_if(self) -> ast.IfStmt:
-        token = self._expect_keyword("if")
-        cond = self._nested(token, self.parse_expression)
+        loc = self._expect_keyword("if").location
+        cond = self._parse_expression()
         self._expect_keyword("then")
-        then_branch = self._nested(token, self.parse_statement)
+        then_branch = self.parse_statement()
         else_branch: Optional[ast.Stmt] = None
         if self._accept_keyword("else"):
-            else_branch = self._nested(token, self.parse_statement)
-        return ast.IfStmt(
-            cond=cond, then_branch=then_branch, else_branch=else_branch, loc=token.location
-        )
+            else_branch = self.parse_statement()
+        return ast.IfStmt(cond=cond, then_branch=then_branch, else_branch=else_branch, loc=loc)
 
     def _parse_while(self) -> ast.WhileStmt:
-        token = self._expect_keyword("while")
-        cond = self._nested(token, self.parse_expression)
+        loc = self._expect_keyword("while").location
+        cond = self._parse_expression()
         self._expect_keyword("do")
-        body = self._nested(token, self.parse_statement)
-        return ast.WhileStmt(cond=cond, body=body, loc=token.location)
+        body = self.parse_statement()
+        return ast.WhileStmt(cond=cond, body=body, loc=loc)
 
     def _parse_call_or_assignment(self) -> ast.Stmt:
         name_token = self._expect_ident()
@@ -326,10 +340,12 @@ class Parser:
             args = self._parse_arguments()
             return ast.ProcCall(name=name_token.text, args=args, loc=loc)
 
-        # Assignment:  ident {.field} := expr
-        lhs = self._nested(name_token, self._parse_fields, ast.Name(name_token.text, loc=loc))
+        # Assignment:  ident {.field} := expr.  The target sits one level
+        # below the statement.
+        self._sink(name_token)
+        lhs = self._parse_fields(ast.Name(name_token.text, loc=loc))
         self._expect_symbol(":=")
-        rhs = self._nested(name_token, self.parse_expression)
+        rhs = self._parse_expression()
         return ast.Assign(lhs=lhs, rhs=rhs, loc=loc)
 
     def _parse_field_name(self) -> ast.Field:
@@ -340,12 +356,12 @@ class Parser:
         raise self._error("expected a field name ('left', 'right' or 'value')")
 
     def _parse_arguments(self) -> List[ast.Expr]:
-        token = self._expect_symbol("(")
+        self._expect_symbol("(")
         args: List[ast.Expr] = []
         if not self.current.is_symbol(")"):
-            args.append(self._nested(token, self.parse_expression))
+            args.append(self._parse_expression())
             while self._accept_symbol(","):
-                args.append(self._nested(token, self.parse_expression))
+                args.append(self._parse_expression())
         self._expect_symbol(")")
         return args
 
@@ -354,54 +370,63 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_expression(self) -> ast.Expr:
-        return self._parse_or()
+        return self._parse_expression()
 
-    def _parse_or(self) -> ast.Expr:
-        return self._chain(self._parse_and, ("or",))
+    def _parse_expression(self, power: int = 1) -> ast.Expr:
+        """Parse an expression one tree level down, by precedence climbing.
 
-    def _parse_and(self) -> ast.Expr:
-        return self._chain(self._parse_not, ("and",))
-
-    def _parse_not(self) -> ast.Expr:
-        if self.current.is_keyword("not"):
-            token = self._advance()
-            return ast.UnOp("not", self._nested(token, self._parse_not), loc=token.location)
-        return self._parse_relational()
-
-    def _parse_relational(self) -> ast.Expr:
-        return self._chain(self._parse_additive, _REL_OPS, repeat=False)
-
-    def _parse_additive(self) -> ast.Expr:
-        return self._chain(self._parse_multiplicative, _ADD_OPS)
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        return self._chain(self._parse_unary, _MUL_OPS)
-
-    def _chain(self, operand, operators, repeat: bool = True) -> ast.Expr:
-        """``operand {operator operand}`` as a left-deep tree of BinOps.
-
-        The loop does not recurse, but every later pass walks the tree it
-        builds, so each operator sinks everything parsed so far one level
-        down, beside its right operand.  ``repeat=False`` takes at most one
-        operator (relations do not associate).
+        Only binary operators of at least ``power`` are taken.  They loop
+        into a left-deep tree instead of recursing, but every later pass
+        walks that tree, so each operator sinks everything parsed so far
+        one level down, beside its right operand.  ``ceiling`` refuses an
+        operator the grammar cannot continue with: a second relation, or a
+        relation after a ``not`` operand.
         """
-        expr = operand()
-        while self.current.text in operators:
+        outer = self._enter(self.current)
+        token = self.current
+        if token.is_keyword("not") and power <= _NOT_POWER:
+            self._advance()
+            operand = self._parse_expression(_NOT_POWER)
+            expr: ast.Expr = ast.UnOp("not", operand, loc=token.location)
+            ceiling = _NOT_POWER - 1
+        else:
+            expr = self._parse_operand()
+            ceiling = _UNARY_POWER
+        while power <= _BINARY_POWER.get(self.current.text, 0) <= ceiling:
             op = self._advance()
             self._sink(op)
-            expr = ast.BinOp(op.text, expr, self._nested(op, operand), loc=op.location)
-            if not repeat:
-                break
+            op_power = _BINARY_POWER[op.text]
+            expr = ast.BinOp(op.text, expr, self._parse_expression(op_power + 1), loc=op.location)
+            ceiling = op_power - 1 if op_power == _RELATION_POWER else op_power
+        self._leave(outer)
         return expr
 
-    def _parse_unary(self) -> ast.Expr:
-        if self.current.is_symbol("-"):
-            token = self._advance()
-            operand = self._nested(token, self._parse_unary)
+    def _parse_operand(self) -> ast.Expr:
+        """A unary minus, or a primary followed by its ``.field`` accesses."""
+        token = self._advance()
+        if token.is_symbol("-"):
+            operand = self._parse_expression(_UNARY_POWER)
             if isinstance(operand, ast.IntLit):
                 return ast.IntLit(-operand.value, loc=token.location)
             return ast.UnOp("-", operand, loc=token.location)
-        return self._parse_fields(self._parse_primary())
+        if token.kind is TokenKind.INT:
+            expr: ast.Expr = ast.IntLit(int(token.text), loc=token.location)
+        elif token.is_keyword("nil"):
+            expr = ast.NilLit(loc=token.location)
+        elif token.is_keyword("new"):
+            self._expect_symbol("(")
+            self._expect_symbol(")")
+            expr = ast.NewExpr(loc=token.location)
+        elif token.kind is TokenKind.IDENT and self.current.is_symbol("("):
+            expr = ast.CallExpr(token.text, self._parse_arguments(), loc=token.location)
+        elif token.kind is TokenKind.IDENT:
+            expr = ast.Name(token.text, loc=token.location)
+        elif token.is_symbol("("):
+            expr = self._parse_expression()
+            self._expect_symbol(")")
+        else:
+            raise self._error("expected an expression", token)
+        return self._parse_fields(expr)
 
     def _parse_fields(self, expr: ast.Expr) -> ast.Expr:
         """``expr {.field}``: each field sinks the access built so far."""
@@ -409,33 +434,6 @@ class Parser:
             self._sink(self._advance())
             expr = ast.FieldAccess(expr, self._parse_field_name(), loc=expr.loc)
         return expr
-
-    def _parse_primary(self) -> ast.Expr:
-        token = self.current
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return ast.IntLit(int(token.text), loc=token.location)
-        if token.is_keyword("nil"):
-            self._advance()
-            return ast.NilLit(loc=token.location)
-        if token.is_keyword("new"):
-            self._advance()
-            self._expect_symbol("(")
-            self._expect_symbol(")")
-            return ast.NewExpr(loc=token.location)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self.current.is_symbol("("):
-                args = self._parse_arguments()
-                return ast.CallExpr(token.text, args, loc=token.location)
-            return ast.Name(token.text, loc=token.location)
-        if token.is_symbol("("):
-            self._advance()
-            expr = self._nested(token, self.parse_expression)
-            self._expect_symbol(")")
-            return expr
-        raise self._error("expected an expression")
-
 
 def parse_program(source: str) -> ast.Program:
     """Parse SIL source text into a (surface) :class:`~repro.sil.ast.Program`."""

@@ -251,6 +251,8 @@ DEEP_SHAPES = {
     "minus": lambda level: "i := " + "- " * (level - 3) + "i",
     "plus": lambda level: "i := 1" + " + 1" * (level - 3),
     "fields": lambda level: "a := b" + ".left" * (level - 3),
+    "calls": lambda level: "i := " + "f(" * (level - 3) + "1" + ")" * (level - 3),
+    "call_arguments": lambda level: "p(" + "f(" * (level - 3) + "i" + ")" * (level - 3) + ")",
     "mix": _mix,
 }
 
@@ -259,14 +261,18 @@ def deep_program(shape, level):
     # The shallow chain after the deep statement must not add to its depth.
     return (
         "program deep\n\nprocedure main()\n  a, b: handle; i: int\nbegin\n"
-        f"  a := new();\n  b := new();\n  {DEEP_SHAPES[shape](level)};\n  i := i + 1\nend\n"
+        f"  a := new();\n  b := new();\n  {DEEP_SHAPES[shape](level)};\n  i := i + 1\nend\n\n"
+        "function f(n: int): int\nbegin\n  n := n + 1\nend\nreturn (n)\n\n"
+        "procedure p(n: int)\nbegin\n  skip\nend\n"
     )
 
 
-#: Runs in a fresh interpreter at the default recursion limit, on a worker
-#: thread: the whole front end, both engines and a print round trip.
+#: Runs in a fresh interpreter on a worker thread at half the default
+#: recursion limit, so a program at the cap leaves callers at least half the
+#: stack: the whole front end, both engines and a print round trip.
 _AT_CAP_CHECK = """
 import json, sys, threading
+sys.setrecursionlimit(sys.getrecursionlimit() // 2)
 from repro.analysis import analyze_program, analyze_program_reference
 from repro.sil.normalize import parse_and_normalize
 from repro.sil.parser import parse_program
@@ -314,7 +320,7 @@ def at_cap_results():
 
 class TestNestingCap:
     @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
-    def test_cap_holds_at_the_default_recursion_limit(self, shape, at_cap_results):
+    def test_cap_holds_at_half_the_default_recursion_limit(self, shape, at_cap_results):
         assert at_cap_results[shape] == "ok"
         with pytest.raises(ParseError) as excinfo:
             parse_program(deep_program(shape, MAX_NESTING_DEPTH + 1))
