@@ -67,6 +67,10 @@ def result_digest(result: AnalysisResult) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
+_MemoKey = Tuple[str, AnalysisLimits, PathMatrix]
+_MemoVisit = Tuple[AnalysisRecorder, Dict[str, int]]
+
+
 class VisitMemo:
     """Cross-run memo of completed procedure visits.
 
@@ -77,31 +81,52 @@ class VisitMemo:
     entry matrices strongly also pins them in the weak intern table, so a
     later run's content-identical entry matrix resolves to the *same*
     object and the lookup is a plain tuple hash.
+
+    The memo keeps only the visits the latest solve used.  A solve runs
+    between :meth:`begin_run` and :meth:`end_run`; every visit it looks up
+    (a hit) or records (a put) survives, and :meth:`end_run` drops the
+    rest.  A re-solve follows a cold solve's discovery order and
+    entry-matrix evolution, so the kept keys are exactly those a cold solve
+    of the same version records.  A session that lives as long as the
+    daemon therefore holds one version's visits, not one per entry matrix
+    an edited caller ever produced, and its next re-analysis does the same
+    solver work as a fresh session's.
     """
 
-    __slots__ = ("_entries", "fresh_names")
+    __slots__ = ("_entries", "_previous", "fresh_names")
 
     def __init__(self) -> None:
-        self._entries: Dict[
-            Tuple[str, AnalysisLimits, PathMatrix],
-            Tuple[AnalysisRecorder, Dict[str, int]],
-        ] = {}
+        self._entries: Dict[_MemoKey, _MemoVisit] = {}
+        #: The visits kept by the previous solve and not yet used by this
+        #: one (empty between solves).
+        self._previous: Dict[_MemoKey, _MemoVisit] = {}
         #: Procedure names analyzed fresh (memo misses) since
         #: :meth:`begin_run` — the re-analysis report's
         #: ``procedures_reanalyzed``.
         self.fresh_names: Set[str] = set()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._previous)
 
     def begin_run(self) -> None:
-        """Reset the per-solve fresh-visit tracking."""
+        """Start a solve: every kept visit waits to be used again."""
+        self._previous, self._entries = self._entries, {}
         self.fresh_names = set()
+
+    def end_run(self) -> None:
+        """End a solve: drop the visits it did not use."""
+        self._previous = {}
 
     def get(
         self, name: str, limits: AnalysisLimits, entry_matrix: PathMatrix
-    ) -> Optional[Tuple[AnalysisRecorder, Dict[str, int]]]:
-        return self._entries.get((name, limits, entry_matrix.interned()))
+    ) -> Optional[_MemoVisit]:
+        key = (name, limits, entry_matrix.interned())
+        visit = self._entries.get(key)
+        if visit is None:
+            visit = self._previous.pop(key, None)
+            if visit is not None:
+                self._entries[key] = visit
+        return visit
 
     def put(
         self,
@@ -137,10 +162,6 @@ class VisitMemo:
         """
         for recorder, _widening in self._entries.values():
             _rebase_recorder(recorder, mapping)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.fresh_names = set()
 
 
 def _rebase_recorder(recorder: AnalysisRecorder, mapping: Dict[int, ast.Stmt]) -> None:
@@ -255,6 +276,13 @@ class IncrementalSession:
     :meth:`analyze` with the base version, then :meth:`reanalyze` with each
     edited version; each re-analysis re-solves only the dirty frontier and
     reuses every other procedure visit by pointer.
+
+    A session can live as long as its host: the daemon holds the session
+    that solved its last ``reanalyze`` request and continues it when the
+    next request's old version is that request's new one.  It keeps the
+    latest version's program and, through the bounded memo, that
+    version's visits, so its state does not grow with the number of edits.
+    :attr:`stats` accumulates over the session's whole life.
     """
 
     def __init__(
@@ -270,7 +298,6 @@ class IncrementalSession:
         self.memo = VisitMemo()
         self.batch.visit_memo = self.memo
         self._program: Optional[ast.Program] = None
-        self._info: Optional[TypeInfo] = None
 
     @property
     def stats(self) -> AnalysisStats:
@@ -285,10 +312,14 @@ class IncrementalSession:
         self, program: ast.Program, info: Optional[TypeInfo] = None
     ) -> AnalysisResult:
         """Solve the base version cold, populating the visit memo."""
+        result = self._solve(program, info)
+        self._program = program
+        return result
+
+    def _solve(self, program: ast.Program, info: Optional[TypeInfo]) -> AnalysisResult:
         self.memo.begin_run()
         result = self.batch.analyze(program, info)
-        self._program = program
-        self._info = result.info
+        self.memo.end_run()
         return result
 
     def reanalyze(
@@ -325,12 +356,10 @@ class IncrementalSession:
         if stale:
             transfers_invalidated = self.batch.cache.invalidate_statements(stale)
 
-        self.memo.begin_run()
-        result = self.batch.analyze(new_program, info)
+        result = self._solve(new_program, info)
         seconds = time.perf_counter() - started
 
         self._program = new_program
-        self._info = result.info
 
         counters_after = stats.counters()
         stats_delta = {

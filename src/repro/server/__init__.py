@@ -7,8 +7,8 @@ length-prefixed JSON protocol.
 
 * :mod:`.protocol` — the frame layout, op vocabulary and error codes;
 * :mod:`.service` — :class:`AnalysisService`, the warm shared state
-  (server-lifetime transfer cache + optional disk store + merged stats)
-  and the request handlers over it;
+  (server-lifetime transfer cache + optional disk store + merged stats +
+  the held ``reanalyze`` session) and the request handlers over it;
 * :mod:`.daemon` — :class:`AnalysisServer`, the asyncio socket server
   with its bounded worker pool, per-request timeouts and graceful drain;
 * :mod:`.client` — :class:`AnalysisClient`, the synchronous client the

@@ -10,13 +10,23 @@ down between invocations:
   table, which stay hot simply because the process stays alive;
 * server-lifetime merged :class:`~repro.analysis.context.AnalysisStats`.
 
-Every request gets a *fresh* :class:`~repro.analysis.engine.BatchAnalyzer`
-attached to the shared cache (``transfer_cache=...``), so per-request
-stats are exact deltas; the request's items run through
+Every ``analyze``/``bench`` request gets a *fresh*
+:class:`~repro.analysis.engine.BatchAnalyzer` attached to the shared cache
+(``transfer_cache=...``), so per-request stats are exact deltas; the
+request's items run through
 :meth:`~repro.workloads.suite.ShardedSuiteRunner.run_warm` — the same
 suite machinery the sharded CLI uses, pointed at the warm batch instead of
 fresh worker processes — and the per-request stats are merged into the
 lifetime totals that ``cache_stats`` reports.
+
+``reanalyze`` requests share one more piece of state: the **held
+session**, the :class:`~repro.analysis.reanalysis.IncrementalSession`
+that solved the last request's new version, keyed on that version's exact
+source text and the request's limits.  An editor sends each edit with the
+previous one's result as its old version, so the next request finds the
+old version already solved and parses and solves only the new one.  Any
+other request starts a fresh session, which parses and solves its old
+version first.
 
 Why the second request is cheap: the in-memory transfer memo keys on
 statement **content** (kind and rendering), limits and input matrix, so a
@@ -39,7 +49,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..analysis.context import AnalysisStats
 from ..analysis.engine import BatchAnalyzer
@@ -49,7 +59,9 @@ from ..analysis.reanalysis import IncrementalSession, result_digest
 from ..analysis.transfer import TransferCache
 from ..cache.backend import CacheConfig, open_backend
 from ..obs.metrics import MetricsRegistry, latency_tails, render_prometheus
+from ..sil import ast
 from ..sil.normalize import parse_and_normalize
+from ..sil.typecheck import TypeInfo
 from ..workloads.generators import FAMILIES, GeneratorConfig, generate_scenarios
 from ..workloads.suite import WORKLOADS, ShardedSuiteReport, ShardedSuiteRunner, source
 
@@ -72,6 +84,27 @@ def _stats_payload(stats: AnalysisStats) -> Dict[str, float]:
     return payload
 
 
+def _front_end(source: str) -> Tuple[ast.Program, TypeInfo]:
+    """Parse, type-check and normalize one request program (→ ``bad_request``)."""
+    try:
+        return parse_and_normalize(source)
+    except Exception as error:  # noqa: BLE001 - front-end rejection
+        raise RequestError(f"{type(error).__name__}: {error}") from None
+
+
+class _HeldSession(NamedTuple):
+    """The session that solved the last ``reanalyze`` request's new version."""
+
+    source: str
+    limits: LimitsLike
+    session: IncrementalSession
+    digest: str
+
+    def continues(self, old_source: str, limits: LimitsLike) -> bool:
+        """Is a request from ``old_source`` under ``limits`` this session's next edit?"""
+        return self.source == old_source and self.limits == limits
+
+
 class AnalysisService:
     """Warm shared analysis state + the request handlers over it."""
 
@@ -91,6 +124,8 @@ class AnalysisService:
         self.requests_served = 0
         self.requests_by_op: Dict[str, int] = {op: 0 for op in SERVICE_OPS}
         self._lifetime = AnalysisStats()
+        #: The one held ``reanalyze`` session, or ``None``; see :meth:`reanalyze`.
+        self._held: Optional[_HeldSession] = None
         #: Server-lifetime observability registry.  The daemon records its
         #: per-op request counters / latency histograms / transport gauges
         #: here, and every warm suite run's per-workload histograms are
@@ -213,12 +248,22 @@ class AnalysisService:
     def reanalyze(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """Dirty-seeded re-analysis of an edited program over the warm cache.
 
-        The request carries the old and new program sources; the service
-        solves the old version (warm against the server-lifetime persistent
-        tier), diffs, invalidates, and re-solves only the dirty frontier —
-        an :class:`~repro.analysis.reanalysis.IncrementalSession` per
-        request over the shared :class:`TransferCache`, so per-request
-        stats stay exact deltas and still merge into the lifetime totals.
+        The request carries the old and new program sources.  When the old
+        source and the limits equal those of the held session — the one
+        that solved the last request's new version — the request continues
+        it: it parses only the new version, diffs, invalidates, and
+        re-solves the dirty frontier.  Otherwise a fresh
+        :class:`~repro.analysis.reanalysis.IncrementalSession` over the
+        shared :class:`TransferCache` parses and solves the old version
+        first.  ``base_reused`` says which path ran.  Either way the
+        session is taken out of the slot before the solve and put back,
+        holding the new version, only after the flush succeeds, so a failed
+        request leaves no session behind; a front-end rejection of either
+        version answers ``bad_request`` and leaves the slot as it was.
+
+        ``request_stats`` are the whole request's counter deltas: base
+        solve plus re-analysis on a fresh session, the re-analysis alone on
+        a continued one.  The lifetime totals stay their sum.
         ``verify: true`` additionally runs a from-scratch solve of the new
         version and reports whether the warm solution matched it exactly.
         """
@@ -231,29 +276,41 @@ class AnalysisService:
         name = str(params.get("name", "program"))
         verify = bool(params.get("verify", False))
         limits = self._request_limits(params)
-        try:
-            old_program, old_info = parse_and_normalize(old_source)
-            new_program, new_info = parse_and_normalize(new_source)
-        except Exception as error:  # noqa: BLE001 - front-end rejection
-            raise RequestError(f"{type(error).__name__}: {error}") from None
+        new_program, new_info = _front_end(new_source)
         with self._lock:
             if self._closed:
                 raise RequestError("service is closed")
-            session = IncrementalSession(
-                limits=limits, entry=self.entry, transfer_cache=self.cache
-            )
-            base = session.analyze(old_program, old_info)
+            held = self._held
+            reused = held is not None and held.continues(old_source, limits)
+            if reused:
+                session, base_digest = held.session, held.digest
+            else:
+                old_program, old_info = _front_end(old_source)
+                session = IncrementalSession(
+                    limits=limits, entry=self.entry, transfer_cache=self.cache
+                )
+            self._held = None
+            counters_before = session.stats.counters()
+            if not reused:
+                base_digest = result_digest(session.analyze(old_program, old_info))
             report = session.reanalyze(new_program, new_info, verify=verify)
             session.flush()
-            self._lifetime = self._lifetime.merge(session.stats)
+            counters_after = session.stats.counters()
+            request_stats = AnalysisStats.from_dict(
+                {
+                    counter: counters_after[counter] - counters_before[counter]
+                    for counter in counters_after
+                }
+            )
+            self._lifetime = self._lifetime.merge(request_stats)
+            self._held = _HeldSession(new_source, limits, session, report.digest)
             self.requests_served += 1
         self._count("reanalyze")
         payload = report.as_dict()
         payload["program"] = name
-        payload["base_digest"] = result_digest(base)
-        # The whole request's counter deltas (base solve + re-analysis);
-        # the lifetime totals stay the sum of these across requests.
-        payload["request_stats"] = _stats_payload(session.stats)
+        payload["base_digest"] = base_digest
+        payload["base_reused"] = reused
+        payload["request_stats"] = _stats_payload(request_stats)
         return payload
 
     def cache_stats(self, params: Mapping[str, Any] = None) -> Dict[str, Any]:
@@ -328,6 +385,7 @@ class AnalysisService:
             if self._closed:
                 return
             self._closed = True
+            self._held = None
             self.cache.flush(self._lifetime)
             if self.cache.backend is not None:
                 self.cache.backend.close()

@@ -168,9 +168,11 @@ class Lexer:
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
             return Token(kind, text, loc)
 
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() accepts every decimal digit (so
+        # Arabic-Indic digits lex as numbers) but no other digit ('²').
+        if ch.isdecimal():
             start = self.pos
-            while self._peek().isdigit():
+            while self._peek().isdecimal():
                 self._advance()
             return Token(TokenKind.INT, self.source[start : self.pos], loc)
 

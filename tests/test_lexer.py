@@ -4,6 +4,7 @@ import pytest
 
 from repro.sil.errors import LexError
 from repro.sil.lexer import Token, TokenKind, tokenize
+from repro.sil.parser import parse_program
 
 
 def kinds(source):
@@ -113,6 +114,41 @@ class TestErrors:
         with pytest.raises(LexError) as excinfo:
             tokenize("ab\n  @")
         assert excinfo.value.location.line == 2
+
+
+def assignment_program(rhs):
+    return f"program p\n\nprocedure main()\n  i: int\nbegin\n  i := {rhs}\nend\n"
+
+
+class TestUnicodeDigits:
+    """Integers lex from decimal digits only: the digits ``int()`` accepts."""
+
+    def test_superscript_digit_is_a_lex_error_at_its_location(self):
+        # '²' is a digit to str.isdigit but not to int(): it used to end up
+        # inside an INT token and crash the parser with ValueError.
+        with pytest.raises(LexError) as excinfo:
+            parse_program(assignment_program("2\u00b2"))
+        assert "unexpected character '\u00b2'" in str(excinfo.value)
+        assert (excinfo.value.location.line, excinfo.value.location.column) == (6, 9)
+
+    def test_other_decimal_digits_still_parse(self):
+        program = parse_program(assignment_program("\u0661\u0662"))
+        assignment = program.callable("main").body.stmts[0]
+        assert assignment.rhs.value == 12
+
+    def test_daemon_answers_bad_request_with_the_lex_error(self):
+        from repro.server.service import AnalysisService, RequestError
+
+        service = AnalysisService()
+        with pytest.raises(RequestError) as excinfo:
+            service.reanalyze(
+                {
+                    "old_source": assignment_program("2"),
+                    "new_source": assignment_program("2\u00b2"),
+                }
+            )
+        assert str(excinfo.value).startswith("LexError: ")
+        assert "ValueError" not in str(excinfo.value)
 
 
 class TestTokenHelpers:

@@ -20,7 +20,10 @@ Pinned here:
 * server-lifetime stats reported by ``cache_stats`` are exactly the sum
   of the per-request stats carried in the responses;
 * graceful shutdown flushes the persistent store (a disk store survives
-  with the first request's transfers in it).
+  with the first request's transfers in it);
+* a follow-on ``reanalyze`` whose old version is the previous request's
+  new one continues the daemon's held session (``base_reused``), skipping
+  the base solve (see ``test_server_held_session.py``).
 """
 
 from __future__ import annotations
@@ -239,6 +242,33 @@ class TestReanalyzeOp:
             stats["lifetime_stats"]["summaries_reused"]
             == response["request_stats"]["summaries_reused"]
         )
+
+    def test_follow_on_edit_continues_the_held_session(self, client):
+        from repro.workloads import (
+            apply_edit_script,
+            generate_edit_script,
+            make_edit_bench_scenario,
+        )
+
+        versions = [make_edit_bench_scenario(4).source]
+        for seed in (1, 2):
+            script = generate_edit_script(versions[-1], seed, edits=1)
+            versions.append(apply_edit_script(versions[-1], script))
+        first = client.reanalyze(versions[0], versions[1], verify=True)
+        second = client.reanalyze(versions[1], versions[2], verify=True)
+        assert first["verified"] is True and second["verified"] is True
+        assert (first["base_reused"], second["base_reused"]) == (False, True)
+        assert second["base_digest"] == first["digest"]
+        assert (
+            second["request_stats"]["statements_visited"]
+            < first["request_stats"]["statements_visited"]
+        )
+        lifetime = client.cache_stats()["lifetime_stats"]
+        for counter, value in lifetime.items():
+            if counter not in DERIVED:
+                assert value == sum(
+                    r["request_stats"][counter] for r in (first, second)
+                ), counter
 
     def test_reanalyze_rejects_missing_sources(self, client):
         from repro.server.client import ServerError
