@@ -9,16 +9,14 @@ structures keeps the analysis efficient.  This bench measures
 * an ablation over the :class:`AnalysisLimits` bounds showing that tighter
   widening keeps the key disjointness facts while reducing work, and
 * the engine-architecture counters: worklist pops stay strictly below the
-  seed's rounds x procedures product, the memoized transfer cache answers
-  re-analyses, and the :class:`AnalysisStats` snapshot is written to
-  ``BENCH_analysis.json`` for CI to pick up.
+  seed's rounds x procedures product and the memoized transfer cache
+  answers re-analyses.  The exact per-program counters are gated by
+  ``test_work_counters.py``.
 """
 
-import json
 import time
-from pathlib import Path
 
-import pytest
+from work_counters import population
 
 from repro.analysis import analyze_many, analyze_program, analyze_program_reference
 from repro.analysis.limits import AnalysisLimits
@@ -28,32 +26,7 @@ from repro.workloads import (
     load,
     make_handle_web_program,
     make_independent_loads_program,
-    source,
-    time_items,
 )
-from repro.workloads.generators import GeneratorConfig, generate_scenarios
-
-#: Stats artifact consumed by the CI bench-smoke job (repo root).  The
-#: committed copy doubles as the cold-median ratchet baseline, so the
-#: timing population below must stay identical to the CI ratchet job's
-#: ``bench --time --seeds 12 --family dag,deep,mixed`` invocation.
-STATS_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_analysis.json"
-
-#: The ratchet population: every named workload plus the widening-heavy
-#: generated families, with the bench CLI's default generator knobs.
-RATCHET_FAMILIES = ("dag", "deep", "mixed")
-RATCHET_SEEDS = 12
-
-
-def ratchet_population():
-    """The exact ``(name, source)`` items the CI cold-median ratchet times."""
-    config = GeneratorConfig(procedures=2, depth=4, aliasing=0.3).clamped()
-    scenarios = generate_scenarios(
-        RATCHET_SEEDS, base_seed=0, config=config, families=RATCHET_FAMILIES
-    )
-    items = [(name, source(name, depth=4)) for name in WORKLOADS]
-    items += [(scenario.name, scenario.source) for scenario in scenarios]
-    return items
 
 
 def banner(title: str) -> None:
@@ -148,9 +121,6 @@ def test_ext_analysis_worklist_and_cache_stats():
       the retained reference engine), and
     * a re-analysis of the same program is fully served by the memoized
       transfer cache (nonzero hit rate; in fact 100%).
-
-    Writes the aggregate :class:`AnalysisStats` snapshot to
-    ``BENCH_analysis.json``.
     """
     banner("EXT-D' — worklist + transfer-cache statistics")
     print(
@@ -171,17 +141,9 @@ def test_ext_analysis_worklist_and_cache_stats():
         pops = first.stats.worklist_pops
         hit_rate = rerun.stats.transfer_cache_hit_rate
 
-        per_workload[name] = {
-            "worklist_pops": pops,
-            "reference_rounds": reference.iterations,
-            "procedures": procedures,
-            "rounds_times_procedures": bound,
-            "rerun_hit_rate": round(hit_rate, 4),
-            # Per-workload widening telemetry (fresh stats per run, so the
-            # counters are this workload's own — and the safety net never
-            # fires at default limits).
-            "widening": first.stats.widening_counters(),
-        }
+        per_workload[name] = (procedures, pops, bound)
+        # Fresh stats per run, so the safety net is this workload's own —
+        # and it never fires at default limits.
         assert first.stats.iteration_guard_trips == 0
         print(
             f"{name:16s} {pops:5d} {reference.iterations:7d} {procedures:6d} "
@@ -196,49 +158,22 @@ def test_ext_analysis_worklist_and_cache_stats():
         assert hit_rate > 0.0
 
     # Multi-procedure workloads must genuinely beat the old bound.
-    multi = {k: v for k, v in per_workload.items() if v["procedures"] > 1}
-    assert multi and all(
-        row["worklist_pops"] < row["rounds_times_procedures"] for row in multi.values()
-    )
+    multi = [(pops, bound) for procedures, pops, bound in per_workload.values() if procedures > 1]
+    assert multi and all(pops < bound for pops, bound in multi)
 
-    # Batch analysis over the whole suite shares one context; its aggregate
-    # stats are the artifact CI uploads.
+    # Batch analysis over the whole suite shares one context.
     suite_results = analyze_many([load(name, depth=3) for name in names])
     suite_stats = suite_results[0].stats
     print("\naggregate AnalysisStats over the batched suite:")
     print(suite_stats.format())
     assert suite_stats.programs_analyzed == len(names)
 
-    # Wall-clock axis over the ratchet population (the same harness
-    # `python -m repro bench --time` drives): cold + warm medians per
-    # workload, peak interning tables, and the calibration loop the
-    # cold-median CI ratchet normalizes with.
-    items = ratchet_population()
-    timing = time_items(items, reps=5)
-    print("\nper-workload cold/warm median wall time (5 reps each):")
-    for name, row in timing["workloads"].items():
-        print(
-            f"  {name:16s} cold {row['median_seconds']:.6f}s "
-            f"warm {row['warm_median_seconds']:.6f}s"
-        )
-    assert not timing["failures"]
-    assert len(timing["workloads"]) == len(items)
-    assert all(row["median_seconds"] > 0 for row in timing["workloads"].values())
-    # Warm (memoized replay) must beat cold computation across the
-    # population — asserted on the totals, which are noise-stable.
-    cold_total = sum(row["median_seconds"] for row in timing["workloads"].values())
-    warm_total = sum(row["warm_median_seconds"] for row in timing["workloads"].values())
-    assert warm_total < cold_total, (warm_total, cold_total)
-    assert timing["calibration_seconds"] > 0
-    assert timing["intern_tables_peak"].get("matrix_rows_interned", 0) > 0
-    assert timing["intern_tables_peak"].get("symbols_interned", 0) > 0
-
-    # Tail-latency accounting over the same population: one suite run whose
-    # per-workload latency histograms yield the p50/p90/p99 rows (plus the
-    # exact bucket-merged ``_overall``) CI surfaces from the artifact.
+    # Tail-latency accounting over the counter population: one suite run
+    # whose per-workload latency histograms yield the p50/p90/p99 rows
+    # (plus the exact bucket-merged ``_overall``).
     from repro.workloads.suite import ShardedSuiteRunner
 
-    suite_report = ShardedSuiteRunner(items, shards=1).run()
+    suite_report = ShardedSuiteRunner(population(), shards=1).run()
     assert not suite_report.failures
     tails = suite_report.tails()
     print("\nworkload latency tails (from merged histogram buckets):")
@@ -248,12 +183,3 @@ def test_ext_analysis_worklist_and_cache_stats():
             f"p90={row['p90_seconds']:.6f} p99={row['p99_seconds']:.6f}"
         )
     assert set(tails) >= set(WORKLOADS) | {"_overall"}
-
-    artifact = {
-        "suite": suite_stats.as_dict(),
-        "per_workload": per_workload,
-        "timing": timing,
-        "tails": tails,
-    }
-    STATS_ARTIFACT.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {STATS_ARTIFACT}")

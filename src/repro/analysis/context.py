@@ -34,7 +34,6 @@ from ..sil.delta import StatementIdentity, statement_identity
 from ..sil.typecheck import TypeInfo
 from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix
-from .pathset import intern_table_sizes
 from .symbols import GLOBAL_SYMBOLS, SymbolTable
 from .structure import StructureDiagnostic
 from .summaries import ProcedureSummary
@@ -126,6 +125,11 @@ class AnalysisStats:
     lazy_intern_deferrals: int = 0
     #: Packed-segment integer operations executed by the path kernels
     #: (normalization, concat, cancellation) while this context was active.
+    #: Unlike the other counters this one depends on process history: a
+    #: path-set op memo hit skips the normalizations inside the op, and
+    #: skipped ones are never counted, so a process whose memos are warm
+    #: reads lower.  That is why ``benchmarks/work_counters.py`` writes the
+    #: exact counter file from a fresh interpreter.
     packed_segment_ops: int = 0
     #: Worklist visits answered from the cross-run visit memo: the procedure
     #: was popped with an entry matrix (and limits) it had already been
@@ -141,7 +145,7 @@ class AnalysisStats:
     dirty_seed_size: int = 0
 
     #: The additive counter fields, in ``as_dict`` order.  Derived values
-    #: (hit rate) and the global intern-table sizes are excluded.
+    #: (the hit rates) are excluded.
     COUNTER_FIELDS = (
         "worklist_pops",
         "entry_updates",
@@ -220,29 +224,29 @@ class AnalysisStats:
         )
 
     def counters(self) -> Dict[str, int]:
-        """Just the additive counters — no derived values, no global tables.
-
-        This is the right rendering for *merged* cross-process stats: the
-        intern-table sizes :meth:`as_dict` appends are those of the calling
-        process, which reflect none of the shard workers' interning.
-        """
+        """Just the additive counters, without the derived hit rates."""
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
 
     def as_dict(self) -> Dict[str, float]:
-        """A plain-JSON-able snapshot (counters plus global table sizes)."""
+        """A plain-JSON-able snapshot: the counters plus the two hit rates.
+
+        Per-run values only.  The process-global intern-table sizes are
+        process state, reported where a process is: the daemon's
+        ``cache_stats.intern_tables`` and the shards' ``intern_tables``
+        growth.
+        """
         snapshot: Dict[str, float] = dict(self.counters())
         snapshot["transfer_cache_hit_rate"] = round(self.transfer_cache_hit_rate, 4)
         snapshot["persistent_cache_hit_rate"] = round(self.persistent_cache_hit_rate, 4)
-        snapshot.update(intern_table_sizes())
         return snapshot
 
     @classmethod
     def from_dict(cls, snapshot: Dict[str, float]) -> "AnalysisStats":
         """Rebuild stats from an :meth:`as_dict` snapshot.
 
-        Derived values and intern-table sizes in the snapshot are ignored —
-        they are recomputed (or global) on the receiving side.  This is how
-        shard workers ship their counters back across process boundaries.
+        Derived values in the snapshot are ignored — they are recomputed on
+        the receiving side.  This is how shard workers ship their counters
+        back across process boundaries.
         """
         return cls(**{name: int(snapshot.get(name, 0)) for name in cls.COUNTER_FIELDS})
 

@@ -163,9 +163,9 @@ class ProcedureAnalyzer:
 
         Rows identical on both sides merge by pointer.  A memo of joins
         traded batch time for daemon time without a net gain on the
-        benchmark's workloads; only a replay of the same program objects,
-        such as the warm reps of ``bench --time``, ran about twice as fast
-        with it (see the layer table in ``docs/architecture.md``).  The
+        benchmark's workloads; only a replay of the same program objects
+        through one primed ``BatchAnalyzer`` ran about twice as fast with
+        it (see the layer table in ``docs/architecture.md``).  The
         pipeline engine seals the result so downstream transfer keys hash
         it in O(1); its widening events land in the run-level scope.
         """

@@ -104,6 +104,8 @@ _FIELD_CODE: Dict[Field, int] = {Field.LEFT: 0, Field.RIGHT: 1}
 #: (normalizations count one op per segment handled; ``cancel_first`` counts
 #: one per invocation).  Snapshot-diffed into ``AnalysisStats.
 #: packed_segment_ops`` by the pipeline, mirroring ``PathMatrix.allocations``.
+#: Work a path-set op memo hit skips is never counted, so the count reads
+#: lower in a process whose memos are already warm.
 _PACKED_OPS = 0
 
 
@@ -487,9 +489,11 @@ _APPEND_CACHE: Dict[Tuple[Path, Field, AnalysisLimits], Tuple[Path, object]] = {
 
 def append_link(path: Path, field: Field, limits: AnalysisLimits = DEFAULT_LIMITS) -> Path:
     """Extend a path x→b by one explicit edge ``b.field`` giving x→(b.field)."""
-    # Count the kernel op *before* the memo probe (like cancel_first), so
-    # ``packed_segment_ops`` reads the same whether the memo is warm or
-    # cold — deterministic per application, like every other counter.
+    # Count the kernel op *before* the memo probe (like cancel_first), so a
+    # hit in this memo counts the same as a computation.  The path-set op
+    # memos above this one still skip normalizations uncounted, so
+    # ``packed_segment_ops`` depends on process history (see
+    # ``AnalysisStats.packed_segment_ops``).
     global _PACKED_OPS
     _PACKED_OPS += 1
     key = (path, field, limits)

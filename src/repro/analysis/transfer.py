@@ -584,26 +584,19 @@ class TransferCache:
     # ------------------------------------------------------------------
 
     def invalidate_statements(self, labels) -> int:
-        """Drop every cached transfer of the given statement labels.
+        """Drop the stored transfers of the given statement labels.
 
         ``labels`` is a set of :func:`repro.sil.delta.statement_label`
-        strings — the statements an edit removed or rewrote.  All three
-        tiers are swept: the in-memory transfer entries (labelled by the
-        statement identity their key starts with), the unflushed pending
-        deltas, and the persistent backend (statement labels are stored
-        with each row).  No statement is re-rendered.  Everything
-        else is kept — this is the delete-by-key-set contract incremental
-        re-analysis relies on.  Returns the total number of entries dropped.
+        strings — the statements an edit removed or rewrote.  The unflushed
+        pending deltas and the persistent backend (statement labels are
+        stored with each row) are swept.  The in-memory entries are kept:
+        they are keyed on statement content, so they cannot go stale, and
+        the same statement text elsewhere in the program — or in the next
+        version — still hits them.  Returns the number of entries dropped.
         """
         doomed = set(labels)
         if not doomed:
             return 0
-
-        dropped = 0
-        stale_keys = [key for key in self._entries if identity_label(key[0]) in doomed]
-        for key in stale_keys:
-            self._entries.remove(key)
-        dropped += len(stale_keys)
 
         stale_pending = [
             key
@@ -613,7 +606,7 @@ class TransferCache:
         for key in stale_pending:
             self._pending.pop(key, None)
             del self._pending_labels[key]
-        dropped += len(stale_pending)
+        dropped = len(stale_pending)
 
         if self.backend is not None:
             from ..cache.backend import BACKEND_ERRORS

@@ -9,10 +9,10 @@ Four subcommands turn the reproduction into a workload-serving frontend:
 * ``bench`` — run a whole population (every named workload + a seeded
   random scenario population) through the sharded suite runner, verify the
   sharded results are bit-identical to a single-process run, and write the
-  merged per-shard stats artifact (``BENCH_analysis.json``).  ``--time``
-  adds the wall-clock harness (per-workload median analysis time + peak
-  interning-table sizes in a ``timing`` section); ``--profile`` dumps a
-  cProfile top-20 per workload to an artifact directory.
+  merged per-shard stats artifact (``BENCH_analysis.json``).
+  ``--edit-replay`` adds the edit-replay grid: statements visited by cold
+  solves against dirty-seeded re-analyses of edited programs.  Wall time
+  is measured by ``perfbench/``, not here.
 * ``generate`` — emit seeded random SIL scenario sources (stdout or
   ``--out`` directory), optionally cross-checked against the reference
   engine.
@@ -64,9 +64,11 @@ from .workloads.generators import (
     GeneratorConfig,
     Scenario,
     cross_check_scenario,
+    format_edit_replay,
     generate_edited_pair,
     generate_scenario,
     generate_scenarios,
+    measure_edit_replay,
 )
 from .workloads.suite import (
     DEFAULT_MAX_ATTEMPTS,
@@ -76,7 +78,7 @@ from .workloads.suite import (
     source,
 )
 
-#: Default artifact path of ``bench`` (matches the pytest bench artifact).
+#: Default artifact path of ``bench`` (written to the working directory).
 DEFAULT_ARTIFACT = "BENCH_analysis.json"
 
 
@@ -280,10 +282,8 @@ def _print_report(
         )
     print()
     print("merged AnalysisStats:")
-    # Counters only: the intern tables live in the worker processes.
-    for key, value in report.stats.counters().items():
+    for key, value in report.stats.as_dict().items():
         print(f"  {key:28s} {value}")
-    print(f"  {'transfer_cache_hit_rate':28s} {report.stats.transfer_cache_hit_rate:.4f}")
     if report.intern_tables:
         print()
         print("interning-table growth (summed across shard workers):")
@@ -547,70 +547,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{chaos['cache_quarantined']} cache entries quarantined"
         )
 
-    ratchet_regressed = False
-    if args.time or args.profile:
-        from .workloads.timing import (
-            DEFAULT_RATCHET_TOLERANCE,
-            PROFILE_TOP,
-            check_cold_medians,
-            format_profile_top,
-            format_ratchet,
-            format_timing,
-            time_items,
-        )
-
-        # --profile alone only needs the profiled run per workload, not the
-        # full timing medians — drop to a single rep in that case.
-        reps = args.time_reps if args.time else 1
-        print(f"\nwall-clock timing ({reps} reps per workload"
-              f"{', profiling' if args.profile else ''}):")
-        timing = time_items(
-            items,
-            limits=limits,
-            reps=reps,
-            profile_dir=args.profile_dir if args.profile else None,
-        )
-        print(format_timing(timing))
-        if args.profile:
-            profile_top = timing.get("profile_top")
-            if profile_top:
-                print(f"\naggregated cross-workload profile (top {PROFILE_TOP} "
-                      f"by total tottime):")
-                print(format_profile_top(profile_top))
-            print(f"cProfile top-{PROFILE_TOP} tables written to {args.profile_dir}/ "
-                  f"(aggregate: {args.profile_dir}/_aggregate.txt)")
-        if args.time:
-            artifact["timing"] = timing
-        if args.ratchet is not None:
-            if not args.time:
-                print("--ratchet requires --time", file=sys.stderr)
-                return 2
-            baseline_path = Path(args.ratchet)
-            try:
-                baseline_timing = json.loads(baseline_path.read_text())["timing"]
-            except (OSError, KeyError, json.JSONDecodeError) as error:
-                print(
-                    f"cannot load ratchet baseline timing from {baseline_path}: "
-                    f"{type(error).__name__}: {error}",
-                    file=sys.stderr,
-                )
-                return 2
-            tolerance = (
-                args.ratchet_tolerance
-                if args.ratchet_tolerance is not None
-                else DEFAULT_RATCHET_TOLERANCE
-            )
-            verdict = check_cold_medians(timing, baseline_timing, tolerance=tolerance)
-            print(f"\ncold-median ratchet vs {baseline_path} "
-                  f"({verdict['workloads_compared']} shared workloads):")
-            print(format_ratchet(verdict))
-            artifact["ratchet"] = verdict
-            ratchet_regressed = bool(verdict["regressed"])
-
     edit_replay_failed = False
     if args.edit_replay:
-        from .workloads.timing import format_edit_replay, measure_edit_replay
-
         print("\nedit-replay bench (dirty-seeded re-analysis vs cold solves):")
         replay = measure_edit_replay(limits=base_limits(limits))
         print(format_edit_replay(replay))
@@ -641,7 +579,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     output.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {output}")
 
-    if report.failures or verified is False or ratchet_regressed or edit_replay_failed:
+    if report.failures or verified is False or edit_replay_failed:
         return 1
     return 0
 
@@ -1211,56 +1149,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the single-process bit-identity verification run",
     )
     bench.add_argument(
-        "--time",
-        action="store_true",
-        help="wall-clock harness: record per-workload median analysis time "
-        "and peak interning-table sizes into the artifact's timing section",
-    )
-    bench.add_argument(
-        "--time-reps",
-        type=int,
-        default=5,
-        metavar="N",
-        help="analyses per workload for the timing median (default: 5)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="dump a cProfile top-20 per workload to the --profile-dir "
-        "artifact directory (off by default)",
-    )
-    bench.add_argument(
-        "--ratchet",
-        metavar="BASELINE",
-        default=None,
-        help="cold-median ratchet: compare this run's --time cold medians "
-        "against the timing section of a committed bench artifact "
-        "(e.g. BENCH_analysis.json) and exit nonzero on regression "
-        "beyond --ratchet-tolerance; medians are normalized by each "
-        "side's calibration loop so baselines port across machines",
-    )
-    bench.add_argument(
-        "--ratchet-tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="allowed fractional cold-median regression before the ratchet "
-        "fails (default: 0.5)",
-    )
-    bench.add_argument(
         "--edit-replay",
         action="store_true",
         help="run the edit-replay bench (dirty-seeded re-analysis of edited "
         "programs vs cold solves over a program-size x edit-count grid) "
         "into the artifact's edit_replay section; exits nonzero unless "
-        "every cell verifies bit-identical and re-analysis cost scales "
-        "with edit size rather than program size",
-    )
-    bench.add_argument(
-        "--profile-dir",
-        default="BENCH_profiles",
-        metavar="DIR",
-        help="artifact directory for --profile output (default: BENCH_profiles)",
+        "every cell verifies bit-identical and the statements re-analysis "
+        "visits scale with edit size rather than program size",
     )
     _add_generator_options(bench)
     _add_limits_options(bench)

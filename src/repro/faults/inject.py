@@ -7,8 +7,9 @@ Production code asks one question at each injection site::
         raise sqlite3.OperationalError("injected disk I/O error")
 
 With no plan installed (the default, and the only state production runs
-ever see) :func:`fault_fire` is a single module-global ``None`` check —
-the zero-cost guarantee the cold-median ratchet pins.
+ever see) :func:`fault_fire` is a single module-global ``None`` check.
+``benchmarks/work_counters.py`` records that no plan is installed after
+``import repro.cli``, and tier-1 holds that file byte for byte.
 
 With a plan installed, the injector keeps a per-``(site, key)``
 **occurrence counter** so successive decisions at the same site/key get

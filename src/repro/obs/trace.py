@@ -16,8 +16,10 @@ instrumented code talks to through three module-level helpers —
 one module global; with no tracer installed it returns a shared no-op
 context manager and records nothing — no allocation, no clock read (the
 stopwatch still reads the clock, because its callers need the seconds
-regardless).  The cold-median CI ratchet holds the instrumented hot paths
-to this contract (``benchmarks/test_ext_obs_overhead.py``).
+regardless).  ``benchmarks/work_counters.py`` records that no tracer is
+installed after ``import repro.cli`` and counts the spans a traced
+analysis records; tier-1 compares that file byte for byte, so a span
+added inside a per-statement loop fails the build.
 
 **Clocks and processes.**  Timestamps are ``time.perf_counter_ns()`` —
 monotonic, unaffected by wall-clock steps.  On Linux it is

@@ -76,14 +76,6 @@ class RequestError(ValueError):
     """A request was well-framed but semantically invalid (→ ``bad_request``)."""
 
 
-def _stats_payload(stats: AnalysisStats) -> Dict[str, float]:
-    """Counters plus the derived hit rates, without the process-global tables."""
-    payload: Dict[str, float] = dict(stats.counters())
-    payload["transfer_cache_hit_rate"] = round(stats.transfer_cache_hit_rate, 4)
-    payload["persistent_cache_hit_rate"] = round(stats.persistent_cache_hit_rate, 4)
-    return payload
-
-
 def _front_end(source: str) -> Tuple[ast.Program, TypeInfo]:
     """Parse, type-check and normalize one request program (→ ``bad_request``)."""
     try:
@@ -200,7 +192,7 @@ class AnalysisService:
             "failures": report.failures,
             "widening": report.widening,
             "results_digest": report.results_digest(),
-            "stats": _stats_payload(report.stats),
+            "stats": report.stats.as_dict(),
             "intern_table_growth": report.intern_tables,
             "seconds": round(report.seconds, 4),
         }
@@ -310,7 +302,7 @@ class AnalysisService:
         payload["program"] = name
         payload["base_digest"] = base_digest
         payload["base_reused"] = reused
-        payload["request_stats"] = _stats_payload(request_stats)
+        payload["request_stats"] = request_stats.as_dict()
         return payload
 
     def cache_stats(self, params: Mapping[str, Any] = None) -> Dict[str, Any]:
@@ -323,7 +315,7 @@ class AnalysisService:
                 "requests_served": self.requests_served,
                 "requests_by_op": dict(self.requests_by_op),
             },
-            "lifetime_stats": _stats_payload(self._lifetime),
+            "lifetime_stats": self._lifetime.as_dict(),
             "transfer_cache": {
                 "entries": len(self.cache),
                 "capacity": self.cache.capacity,

@@ -5,7 +5,9 @@ concrete execution), the analysis-cost bench (EXT-D), the examples, and —
 via the seeded *scenario* generator (:func:`generate_scenario` /
 :func:`generate_scenarios`) — the batch-analysis frontend
 (``python -m repro``), which feeds whole populations of random SIL
-programs through the sharded suite runner.
+programs through the sharded suite runner.  The seeded edit scripts drive
+incremental re-analysis and its edit-replay bench
+(:func:`measure_edit_replay`, ``repro bench --edit-replay``).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.limits import DEFAULT_LIMITS, LimitsLike
+from ..obs.trace import span
 from ..runtime.heap import Heap, TreeSpec
 from ..sil import ast
 from ..sil.builder import HANDLE, INT, ProgramBuilder, field, lit, name, new, not_nil
@@ -262,7 +266,7 @@ def cross_check_scenario(scenario: Scenario, limits=None) -> bool:
     comparison is engine-vs-engine at one fixed set of bounds.
     """
     from ..analysis import analyze_program, analyze_program_reference
-    from ..analysis.limits import DEFAULT_LIMITS, base_limits
+    from ..analysis.limits import base_limits
 
     limits = base_limits(limits) if limits is not None else DEFAULT_LIMITS
     program, info = scenario.load()
@@ -875,3 +879,123 @@ def make_edit_bench_scenario(procedures: int, seed: int = 0, depth: int = 4) -> 
         config=GeneratorConfig(family="list", procedures=procedures, depth=depth),
         source=source,
     )
+
+
+#: Default program sizes (walker counts) for the edit-replay bench.
+DEFAULT_EDIT_SIZES = (4, 8, 16)
+
+#: Default edit-script lengths for the edit-replay bench.
+DEFAULT_EDIT_COUNTS = (1, 2, 4)
+
+
+def measure_edit_replay(
+    sizes: Sequence[int] = DEFAULT_EDIT_SIZES,
+    edit_counts: Sequence[int] = DEFAULT_EDIT_COUNTS,
+    seed: int = 0,
+    limits: LimitsLike = DEFAULT_LIMITS,
+    kinds: Sequence[str] = ("insert",),
+) -> Dict[str, object]:
+    """The edit-replay bench: re-analysis work vs. edit size vs. program size.
+
+    For every program size ``n`` (the walker count of
+    :func:`make_edit_bench_scenario`) and every edit-script length ``k``,
+    count the statements a **cold** solve visits and the statements a
+    dirty-seeded **warm** re-analysis of an
+    :class:`~repro.analysis.reanalysis.IncrementalSession` visits after a
+    seeded ``k``-step edit script.  Along the size axis (fixed ``k``) the
+    cold count grows with ``n`` while the warm count should not — the
+    re-analysis cost scales with the edit, not the program — and the
+    ``scaling`` summary states both ratios.  Every warm cell also reports
+    the reuse counters and verifies the warm digest against a cold solve
+    of the edited program.  The report holds counts only, so it is the
+    same on every run and every host.
+    """
+    from ..analysis.reanalysis import IncrementalSession
+
+    sizes = tuple(sorted(set(int(n) for n in sizes)))
+    edit_counts = tuple(sorted(set(int(k) for k in edit_counts)))
+    cells: Dict[str, Dict[str, object]] = {}
+    with span("bench.edit_replay", {"sizes": len(sizes), "edit_counts": len(edit_counts)}):
+        for size in sizes:
+            scenario = make_edit_bench_scenario(size, seed=seed)
+            old_program, old_info = parse_and_normalize(scenario.source)
+            for count in edit_counts:
+                pair = generate_edited_pair(
+                    scenario.source, seed + count, edits=count, kinds=kinds
+                )
+                new_program, new_info = parse_and_normalize(pair.new_source)
+                session = IncrementalSession(limits=limits)
+                session.analyze(old_program, old_info)
+                cold_visited = session.stats.statements_visited
+                report = session.reanalyze(new_program, new_info, verify=True)
+                session.close()
+                cells[f"n{size}_k{count}"] = {
+                    "size": size,
+                    "edits": count,
+                    "cold_statements_visited": cold_visited,
+                    "warm_statements_visited": report.stats_delta["statements_visited"],
+                    "summaries_reused": report.summaries_reused,
+                    "procedures_reanalyzed": len(report.procedures_reanalyzed),
+                    "procedures_total": len(new_program.all_callables),
+                    "dirty_seed_size": report.dirty_seed_size,
+                    "verified": bool(report.verified),
+                    "script": pair.script.as_dict(),
+                }
+    base_k, last_k = edit_counts[0], edit_counts[-1]
+    small = cells[f"n{sizes[0]}_k{base_k}"]
+    large = cells[f"n{sizes[-1]}_k{base_k}"]
+    longest = cells[f"n{sizes[-1]}_k{last_k}"]
+    cold_ratio = _ratio(large["cold_statements_visited"], small["cold_statements_visited"])
+    warm_ratio = _ratio(large["warm_statements_visited"], small["warm_statements_visited"])
+    return {
+        "sizes": list(sizes),
+        "edit_counts": list(edit_counts),
+        "seed": seed,
+        "kinds": list(kinds),
+        "cells": cells,
+        "scaling": {
+            # Size axis at the smallest edit count: cold grows, warm should not.
+            "cold_size_ratio": cold_ratio,
+            "warm_size_ratio": warm_ratio,
+            # Edit axis at the largest size: warm grows with the script length.
+            "warm_edit_ratio": _ratio(
+                longest["warm_statements_visited"], large["warm_statements_visited"]
+            ),
+            "scales_with_edit_not_program": bool(
+                cold_ratio is not None
+                and warm_ratio is not None
+                and warm_ratio < cold_ratio
+            ),
+        },
+    }
+
+
+def _ratio(numerator: int, denominator: int) -> Optional[float]:
+    return round(numerator / denominator, 4) if denominator else None
+
+
+def format_edit_replay(report: Dict[str, object]) -> str:
+    """Human-readable rendering of a :func:`measure_edit_replay` result."""
+    lines = [
+        f"{'cell':12s} {'cold-stmts':>10s} {'warm-stmts':>10s} "
+        f"{'reused':>7s} {'re-an':>6s} {'total':>6s} {'ok':>3s}"
+    ]
+    for key, cell in report["cells"].items():
+        lines.append(
+            f"{key:12s} {cell['cold_statements_visited']:>10} "
+            f"{cell['warm_statements_visited']:>10} {cell['summaries_reused']:>7} "
+            f"{cell['procedures_reanalyzed']:>6} {cell['procedures_total']:>6} "
+            f"{'yes' if cell['verified'] else 'NO':>3s}"
+        )
+    scaling = report["scaling"]
+    lines.append(
+        f"size-axis ratios (cold {scaling['cold_size_ratio']} vs warm "
+        f"{scaling['warm_size_ratio']}), edit-axis warm ratio "
+        f"{scaling['warm_edit_ratio']} -> "
+        + (
+            "cost scales with edit size"
+            if scaling["scales_with_edit_not_program"]
+            else "NO separation"
+        )
+    )
+    return "\n".join(lines)

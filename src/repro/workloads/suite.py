@@ -941,20 +941,13 @@ class ShardedSuiteReport:
         return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
     def as_dict(self) -> Dict:
-        # Counters only: as_dict() would append *this* process's intern-table
-        # sizes, which reflect none of the shard workers' interning.  The
-        # hit rate here is advisory display output — consumers rebuilding
-        # stats must recompute it from the raw hit/miss counters.
-        merged_stats = dict(self.stats.counters())
-        merged_stats["transfer_cache_hit_rate"] = round(self.stats.transfer_cache_hit_rate, 4)
-        merged_stats["persistent_cache_hit_rate"] = round(
-            self.stats.persistent_cache_hit_rate, 4
-        )
+        # The hit rates in "stats" are advisory display output — consumers
+        # rebuilding stats must recompute them from the raw hit/miss counters.
         return {
             "workloads_analyzed": len(self.results),
             "results_digest": self.results_digest(),
             "seconds": round(self.seconds, 4),
-            "stats": merged_stats,
+            "stats": self.stats.as_dict(),
             "shards": [shard.as_dict() for shard in self.shards],
             "widening": {name: dict(row) for name, row in self.widening.items()},
             "intern_tables": dict(self.intern_tables),

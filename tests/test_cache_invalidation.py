@@ -133,7 +133,7 @@ class TestInvalidationFaults:
         )
         assert report.delta.stale_statement_labels  # the sweep was attempted
         assert report.verified is True
-        assert report.transfers_invalidated > 0  # the in-memory tiers still swept
+        assert report.transfers_invalidated > 0  # the pending deltas still swept
         assert cache.backend_errors == 1
         assert not cache.degraded
 

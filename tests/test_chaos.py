@@ -7,9 +7,9 @@ The contract pinned here, layer by layer:
   hash of ``(seed, site, kind, key, occurrence)``, so a chaos scenario
   replays identically run over run.
 * **Zero cost when idle** — with no plan installed, ``fault_fire`` returns
-  ``None`` and nothing else happens (the cold-median ratchet in
-  ``benchmarks/test_ext_obs_overhead.py`` pins the "no plan installed"
-  overhead; here we pin the semantics).
+  ``None`` and nothing else happens (``benchmarks/work_counters.json``
+  records that ``import repro.cli`` installs no plan; here we pin the
+  semantics).
 * **Shard recovery** — a crashed worker or poisoned shard output gets its
   pending workloads requeued under a bounded attempt budget, and the merged
   report is *bit-identical* (results digest) to a fault-free run; exhausted

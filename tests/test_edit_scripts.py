@@ -116,11 +116,27 @@ class TestEditReplayBench:
     def test_tiny_grid_verifies_every_cell(self):
         from repro.workloads import format_edit_replay, measure_edit_replay
 
-        report = measure_edit_replay(sizes=(2, 4), edit_counts=(1,), reps=1)
-        assert sorted(report["cells"]) == ["n2_k1", "n4_k1"]
-        for cell in report["cells"].values():
-            assert cell["verified"] is True
-            assert cell["summaries_reused"] > 0
-            assert cell["procedures_reanalyzed"] < cell["procedures_total"]
+        report = measure_edit_replay(sizes=(4, 16), edit_counts=(1,))
+        assert sorted(report["cells"]) == ["n16_k1", "n4_k1"]
+        counts = {
+            key: (
+                cell["cold_statements_visited"],
+                cell["warm_statements_visited"],
+                cell["summaries_reused"],
+                cell["procedures_reanalyzed"],
+                cell["procedures_total"],
+            )
+            for key, cell in report["cells"].items()
+        }
+        # Cold solves visit four times the statements at four times the
+        # walkers; the re-analysis of a one-walker edit barely grows.
+        assert counts == {"n4_k1": (254, 76, 31, 2, 6), "n16_k1": (986, 88, 151, 2, 18)}
+        assert all(cell["verified"] is True for cell in report["cells"].values())
+        assert report["scaling"] == {
+            "cold_size_ratio": 3.8819,
+            "warm_size_ratio": 1.1579,
+            "warm_edit_ratio": 1.0,
+            "scales_with_edit_not_program": True,
+        }
         rendering = format_edit_replay(report)
-        assert "n4_k1" in rendering
+        assert "n16_k1" in rendering and "cost scales with edit size" in rendering
