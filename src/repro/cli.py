@@ -248,14 +248,10 @@ def _print_workload_rows(
 
 
 def _print_report(
-    report: ShardedSuiteReport,
-    matrices: bool = False,
-    rows: bool = True,
-    cache: Optional[CacheConfig] = None,
-    cache_size: Optional[int] = None,
+    report: ShardedSuiteReport, runner: ShardedSuiteRunner, rows: bool = True
 ) -> None:
     if rows:
-        _print_workload_rows(report.results, report.failures, matrices)
+        _print_workload_rows(report.results, report.failures)
         print()
     print(f"shards ({len(report.shards)}):")
     header = f"  {'shard':>5s} {'n':>4s} {'pops':>6s} {'hits':>7s} {'misses':>7s} {'seconds':>8s}"
@@ -269,7 +265,8 @@ def _print_report(
         )
     print()
     stats = report.stats
-    size = cache_size if cache_size is not None else DEFAULT_LIMITS.transfer_cache_size
+    size = base_limits(runner.limits).transfer_cache_size
+    cache = runner.cache
     tier = f"disk @ {cache.directory}" if cache is not None else "none (in-process only)"
     print(f"transfer cache: size={size} persistent={tier}")
     if stats.persistent_cache_requests:
@@ -321,28 +318,28 @@ def _print_report(
               f"max_paths={limits_used.get('max_paths_per_entry')})")
 
 
-def _census(items: Sequence[Tuple[str, str]]) -> Dict[str, Dict[str, int]]:
-    """Parallelism census over (name, source) items, batch-prepared oracles.
+def _suite_runner(
+    args: argparse.Namespace, items: List[Tuple[str, str]], census: bool = False
+) -> ShardedSuiteRunner:
+    """The suite runner ``analyze`` and ``bench`` build from their options.
 
-    Items that fail to parse or analyze get an ``error`` row instead of
-    aborting the census (matching the suite's failure isolation).
+    Prints the chaos banner when ``--chaos`` installs a fault plan.  Raises
+    ``ValueError`` on a malformed spec (reported as exit 2).
     """
-    from .parallel.oracle import PathMatrixOracle, parallelism_census
-    from .analysis.limits import DEFAULT_LIMITS
-    from .analysis.transfer import TransferCache
-    from .sil.normalize import parse_and_normalize
-
-    shared_cache = TransferCache(DEFAULT_LIMITS.transfer_cache_size)
-    census: Dict[str, Dict[str, int]] = {}
-    for name, text in items:
-        try:
-            program, info = parse_and_normalize(text)
-            oracle = PathMatrixOracle(transfer_cache=shared_cache)
-            oracle.prepare(program, info)
-            census[name] = parallelism_census(program, info, oracle=oracle)
-        except Exception as error:  # noqa: BLE001 - surfaced per workload
-            census[name] = {"error": f"{type(error).__name__}: {error}"}
-    return census
+    faults = _fault_plan(args)
+    runner = ShardedSuiteRunner(
+        items,
+        shards=args.shards,
+        limits=_effective_limits(args),
+        cache=_cache_config(args),
+        faults=faults,
+        max_attempts=args.max_attempts,
+        census=census,
+    )
+    if faults is not None:
+        print(f"chaos: {'; '.join(faults.describe())} (seed {faults.seed}, "
+              f"max attempts {args.max_attempts})")
+    return runner
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +371,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         items += [(s.name, s.source) for s in _population(args, args.generated)]
 
     try:
-        cache = _cache_config(args)
-        faults = _fault_plan(args)
+        runner = _suite_runner(args, items, census=args.census)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    limits = _effective_limits(args)
-    runner = ShardedSuiteRunner(
-        items,
-        shards=args.shards,
-        limits=limits,
-        cache=cache,
-        faults=faults,
-        max_attempts=args.max_attempts,
-    )
-    if faults is not None:
-        print(f"chaos: {'; '.join(faults.describe())} (seed {faults.seed}, "
-              f"max attempts {args.max_attempts})")
 
     # Streaming collection: rows appear as each shard finishes, not behind
     # the final barrier.
@@ -405,16 +389,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"analyzed {len(report.results)}/{len(items)} workloads "
           f"across {len(report.shards)} shard(s) in {report.seconds:.3f}s"
           f"{' [adaptive limits]' if args.adaptive else ''}")
-    _print_report(
-        report,
-        rows=False,
-        cache=cache,
-        cache_size=base_limits(limits).transfer_cache_size,
-    )
+    _print_report(report, runner, rows=False)
 
     if args.census:
+        # Rows come from each shard's own solve; a workload whose analysis
+        # failed shows its failure instead.
         print("\nparallelism census (path-matrix oracle):")
-        for name, row in _census(items).items():
+        for name, _ in items:
+            row = report.census.get(name) or {"error": report.failures.get(name)}
             if "error" in row:
                 print(f"  {name:24s} FAIL {row['error']}")
             else:
@@ -437,23 +419,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     try:
-        cache = _cache_config(args)
-        faults = _fault_plan(args)
+        runner = _suite_runner(args, items)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    limits = _effective_limits(args)
-    runner = ShardedSuiteRunner(
-        items,
-        shards=args.shards,
-        limits=limits,
-        cache=cache,
-        faults=faults,
-        max_attempts=args.max_attempts,
-    )
-    if faults is not None:
-        print(f"chaos: {'; '.join(faults.describe())} (seed {faults.seed}, "
-              f"max attempts {args.max_attempts})")
+    cache, faults = runner.cache, runner.faults
+    limits = base_limits(runner.limits)
 
     def stream(output: Dict) -> None:
         print(
@@ -465,9 +436,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report = runner.run(progress=stream)
     print(f"\nsharded run ({args.shards} shards): {report.seconds:.3f}s"
           f"{' [adaptive limits]' if args.adaptive else ''}")
-    _print_report(
-        report, cache=cache, cache_size=base_limits(limits).transfer_cache_size
-    )
+    _print_report(report, runner)
 
     artifact: Dict[str, object] = {
         "population": {
@@ -491,7 +460,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # "results_digest" (under "sharded") must not move at all.
         "cache": {
             "directory": cache.directory if cache is not None else None,
-            "transfer_cache_size": base_limits(limits).transfer_cache_size,
+            "transfer_cache_size": limits.transfer_cache_size,
             "persistent": {
                 "hits": report.stats.persistent_cache_hits,
                 "misses": report.stats.persistent_cache_misses,
@@ -550,7 +519,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     edit_replay_failed = False
     if args.edit_replay:
         print("\nedit-replay bench (dirty-seeded re-analysis vs cold solves):")
-        replay = measure_edit_replay(limits=base_limits(limits))
+        replay = measure_edit_replay(limits=limits)
         print(format_edit_replay(replay))
         artifact["edit_replay"] = replay
         every_cell_verified = all(
@@ -643,35 +612,43 @@ def _resolve_edit_pair(
     return pair.old_source, pair.new_source, pair.script, scenario.name
 
 
-def _print_reanalysis(report, name: str, script: Optional[EditScript]) -> None:
-    delta = report.delta
+def _print_reanalysis(payload: Dict, script: Optional[EditScript]) -> None:
+    """Print a re-analysis payload as text.
+
+    ``payload`` is :meth:`~repro.analysis.reanalysis.ReanalysisReport.
+    as_dict` plus the program name: what ``repro reanalyze`` builds and
+    what the daemon's ``reanalyze`` op returns (with ``base_digest``).
+    """
+    delta = payload["delta"]
     print(
-        f"program {name}: {len(delta.changed)} changed, {len(delta.added)} added, "
-        f"{len(delta.removed)} removed, {len(delta.unchanged)} unchanged procedures"
+        f"program {payload['program']}: {len(delta['changed'])} changed, "
+        f"{len(delta['added'])} added, {len(delta['removed'])} removed, "
+        f"{len(delta['unchanged'])} unchanged procedures"
     )
     if script is not None:
         print(f"edit script (seed {script.seed}): "
               + "; ".join(step.describe() for step in script.steps))
-    print(f"dirty seed ({report.dirty_seed_size}): "
-          + (", ".join(report.dirty_seed) or "-"))
-    reanalyzed = ", ".join(report.procedures_reanalyzed) or "-"
+    print(f"dirty seed ({payload['dirty_seed_size']}): "
+          + (", ".join(payload["dirty_seed"]) or "-"))
+    reanalyzed = payload["procedures_reanalyzed"]
     print(
-        f"re-analyzed {len(report.procedures_reanalyzed)}/{report.procedures_total} "
-        f"procedures ({reanalyzed})"
+        f"re-analyzed {len(reanalyzed)}/{payload['procedures_total']} "
+        f"procedures ({', '.join(reanalyzed) or '-'})"
     )
     print(
-        f"summaries: reused={report.summaries_reused} "
-        f"invalidated={report.summaries_invalidated}; "
-        f"transfer entries invalidated={report.transfers_invalidated}"
+        f"summaries: reused={payload['summaries_reused']} "
+        f"invalidated={payload['summaries_invalidated']}; "
+        f"transfer entries invalidated={payload['transfers_invalidated']}"
     )
-    fired = {name: value for name, value in report.widening.items() if value}
+    fired = {name: value for name, value in payload["widening"].items() if value}
     if fired:
         print("widening: " + " ".join(f"{k}={v}" for k, v in sorted(fired.items())))
-    print(f"digest {report.digest[:12]} in {report.seconds:.3f}s")
-    if report.verified is not None:
+    base = f" (base {payload['base_digest'][:12]})" if "base_digest" in payload else ""
+    print(f"digest {payload['digest'][:12]} in {payload['seconds']:.3f}s{base}")
+    if "verified" in payload:
         print(
-            f"verified against cold solve: {report.verified} "
-            f"(cold digest {report.cold_digest[:12]})"
+            f"verified against cold solve: {payload['verified']} "
+            f"(cold digest {payload['cold_digest'][:12]})"
         )
 
 
@@ -706,7 +683,7 @@ def cmd_reanalyze(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        _print_reanalysis(report, name, script)
+        _print_reanalysis(payload, script)
     if args.output:
         output = Path(args.output)
         output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -986,30 +963,8 @@ def client_reanalyze(args: argparse.Namespace, client) -> int:
     )
     if args.json:
         return _print_response(response, True)
-    if script is not None:
-        print(f"edit script (seed {script.seed}): "
-              + "; ".join(step.describe() for step in script.steps))
-    print(f"dirty seed ({response['dirty_seed_size']}): "
-          + (", ".join(response["dirty_seed"]) or "-"))
-    print(
-        f"re-analyzed {len(response['procedures_reanalyzed'])}/"
-        f"{response['procedures_total']} procedures "
-        f"({', '.join(response['procedures_reanalyzed']) or '-'})"
-    )
-    print(
-        f"summaries: reused={response['summaries_reused']} "
-        f"invalidated={response['summaries_invalidated']}; "
-        f"transfer entries invalidated={response['transfers_invalidated']}"
-    )
-    print(f"digest {response['digest'][:12]} in {response['seconds']}s "
-          f"(base {response['base_digest'][:12]})")
-    if "verified" in response:
-        print(
-            f"verified against cold solve: {response['verified']} "
-            f"(cold digest {response['cold_digest'][:12]})"
-        )
-        return 0 if response["verified"] else 1
-    return 0
+    _print_reanalysis(response, script)
+    return 1 if response.get("verified") is False else 0
 
 
 def client_cache_stats(args: argparse.Namespace, client) -> int:

@@ -3,7 +3,6 @@
 from .oracle import (
     DependenceOracle,
     PathMatrixOracle,
-    batch_oracles,
     is_call,
     is_groupable,
     parallelism_census,
@@ -27,7 +26,6 @@ __all__ = [
     "PathMatrixOracle",
     "is_call",
     "is_groupable",
-    "batch_oracles",
     "parallelism_census",
     "parallelize_program",
     "Parallelizer",

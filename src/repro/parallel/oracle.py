@@ -16,13 +16,12 @@ parallelism the path-matrix analysis exposes over prior work (bench EXT-C).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..analysis import AnalysisResult, analyze_program
-from ..analysis.context import AnalysisContext, AnalysisStats
+from ..analysis.context import AnalysisStats
 from ..analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from ..analysis.matrix import PathMatrix
-from ..analysis.transfer import TransferCache
 from ..interference.basic import statements_interfere
 from ..interference.calls import calls_independent
 from ..interference.locations import LocationKind
@@ -76,28 +75,18 @@ class PathMatrixOracle(DependenceOracle):
         limits: AnalysisLimits = DEFAULT_LIMITS,
         use_update_refinement: bool = True,
         analysis: Optional[AnalysisResult] = None,
-        transfer_cache: Optional[TransferCache] = None,
     ) -> None:
         self.limits = limits
         self.use_update_refinement = use_update_refinement
+        #: A result already solved for the program :meth:`prepare` gets is
+        #: used as is; any other program is analyzed at ``limits``.
         self.analysis = analysis
-        #: Optional shared memoized-transfer cache.  Passing the same cache
-        #: to several oracles (or reusing one oracle across programs) lets
-        #: re-preparation hit previously computed transfers; ``None`` uses
-        #: the process-wide shared cache.
-        self.transfer_cache = transfer_cache
 
     # ------------------------------------------------------------------
 
     def prepare(self, program: ast.Program, info: TypeInfo) -> None:
         if self.analysis is None or self.analysis.program is not program:
-            context = AnalysisContext(
-                program=program,
-                info=info,
-                limits=self.limits,
-                transfer_cache=self.transfer_cache,
-            )
-            self.analysis = analyze_program(program, info, context=context)
+            self.analysis = analyze_program(program, info, limits=self.limits)
 
     @property
     def stats(self) -> Optional[AnalysisStats]:
@@ -199,35 +188,6 @@ class PathMatrixOracle(DependenceOracle):
                 ):
                     return False
         return True
-
-
-# ---------------------------------------------------------------------------
-# Batch preparation (generated-scenario populations)
-# ---------------------------------------------------------------------------
-
-
-def batch_oracles(
-    pairs: Iterable[Tuple[ast.Program, Optional[TypeInfo]]],
-    limits: AnalysisLimits = DEFAULT_LIMITS,
-) -> List[PathMatrixOracle]:
-    """Prepared :class:`PathMatrixOracle`\\ s for a batch of programs.
-
-    All oracles share one memoized-transfer cache (the oracle analogue of
-    :func:`repro.analysis.engine.analyze_many`).  Its transfer entries are
-    keyed on statement content, limits and input matrix, so a statement
-    that reappears — same rendering, same incoming matrix — in another
-    procedure or another program of the population is answered from the
-    entry the first occurrence put instead of being recomputed.
-    """
-    shared_cache = TransferCache(limits.transfer_cache_size)
-    oracles: List[PathMatrixOracle] = []
-    for program, info in pairs:
-        if info is None:
-            info = check_program(program)
-        oracle = PathMatrixOracle(limits=limits, transfer_cache=shared_cache)
-        oracle.prepare(program, info)
-        oracles.append(oracle)
-    return oracles
 
 
 def parallelism_census(

@@ -902,12 +902,13 @@ def measure_edit_replay(
     count the statements a **cold** solve visits and the statements a
     dirty-seeded **warm** re-analysis of an
     :class:`~repro.analysis.reanalysis.IncrementalSession` visits after a
-    seeded ``k``-step edit script.  Along the size axis (fixed ``k``) the
-    cold count grows with ``n`` while the warm count should not — the
-    re-analysis cost scales with the edit, not the program — and the
-    ``scaling`` summary states both ratios.  Every warm cell also reports
-    the reuse counters and verifies the warm digest against a cold solve
-    of the edited program.  The report holds counts only, so it is the
+    seeded ``k``-step edit script.  Every script edits ``walk0``, which
+    every size has, so the size axis holds the edited procedure fixed.
+    Along it (fixed ``k``) the cold count grows with ``n`` while the warm
+    count should not — the re-analysis cost scales with the edit, not the
+    program — and the ``scaling`` summary states both ratios.  Every warm
+    cell also reports the reuse counters and verifies the warm digest
+    against a cold solve of the edited program.  The report holds counts only, so it is the
     same on every run and every host.
     """
     from ..analysis.reanalysis import IncrementalSession
@@ -921,7 +922,11 @@ def measure_edit_replay(
             old_program, old_info = parse_and_normalize(scenario.source)
             for count in edit_counts:
                 pair = generate_edited_pair(
-                    scenario.source, seed + count, edits=count, kinds=kinds
+                    scenario.source,
+                    seed + count,
+                    edits=count,
+                    kinds=kinds,
+                    target_procedure="walk0",
                 )
                 new_program, new_info = parse_and_normalize(pair.new_source)
                 session = IncrementalSession(limits=limits)

@@ -27,8 +27,9 @@ import multiprocessing
 import queue as queue_module
 import re
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import (
     InjectedWorkerCrash,
@@ -53,10 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .generators import Scenario
 
 #: One shard's work order: (index, (name, source) pairs, limits, cache
-#: config, fault plan, attempt).  ``attempt`` starts at 0
+#: config, fault plan, attempt, census).  ``attempt`` starts at 0
 #: and counts up on every requeue of the same workloads after a worker
 #: crash, bounding retries and giving the crash-injection site a fresh
-#: deterministic draw per attempt.
+#: deterministic draw per attempt.  ``census`` asks for each analyzed
+#: program's parallelism-census row.
 ShardPayload = Tuple[
     int,
     List[Tuple[str, str]],
@@ -64,6 +66,7 @@ ShardPayload = Tuple[
     Optional["CacheConfig"],
     Optional["FaultPlan"],
     int,
+    bool,
 ]
 
 #: How many times the runner attempts a workload before abandoning it into
@@ -618,7 +621,11 @@ def analyze_suite(
 
 
 def analyze_pairs(
-    batch, pairs: List[Tuple[str, str]], shard: int = 0, attempt: int = 0
+    batch,
+    pairs: List[Tuple[str, str]],
+    shard: int = 0,
+    attempt: int = 0,
+    census: bool = False,
 ) -> Dict:
     """Analyze ``(name, source)`` pairs through a caller-provided batch.
 
@@ -652,6 +659,10 @@ def analyze_pairs(
       pre-populated, so absolute sizes would double-count the parent's
       interning).
 
+    With ``census`` the output also carries ``census``: each analyzed
+    program's :func:`~repro.parallel.oracle.parallelism_census` row,
+    computed from the result just solved (see :func:`_census_row`).
+
     The caller keeps ownership of ``batch``: this flushes computed
     transfer deltas (one write batch per call) but never closes the
     persistent backend.
@@ -679,6 +690,7 @@ def analyze_pairs(
         results: Dict[str, Dict] = {}
         failures: Dict[str, str] = {}
         widening: Dict[str, Dict] = {}
+        census_rows: Dict[str, Dict] = {}
         crashed: Optional[Dict[str, object]] = None
         pending: List[str] = []
         for position, (name, source_text) in enumerate(pairs):
@@ -704,6 +716,8 @@ def analyze_pairs(
                         program, info = parse_and_normalize(source_text)
                     result = batch.analyze(program, info)
                 results[name] = result.canonical()
+                if census:
+                    census_rows[name] = _census_row(program, info, result)
                 row: Dict[str, object] = {
                     counter: batch.stats.widening_counters()[counter] - before[counter]
                     for counter in before
@@ -765,6 +779,7 @@ def analyze_pairs(
         "results": results,
         "failures": failures,
         "widening": widening,
+        "census": census_rows,
         "stats": {
             name: counters_after[name] - counters_before.get(name, 0)
             for name in counters_after
@@ -780,6 +795,26 @@ def analyze_pairs(
         output["crashed"] = crashed
         output["pending"] = pending
     return output
+
+
+def _census_row(program: ast.Program, info: TypeInfo, result) -> Dict:
+    """One program's parallelism-census row, from the result already solved.
+
+    The oracle is handed ``result``, so the census queries the same
+    matrices, limits and store the suite's rows came from instead of
+    solving the program again.  The census is looked up through its module
+    at call time, so a wrapper installed there sees every call.  A census
+    error becomes the row's ``error``; the program's analysis still counts
+    as done.
+    """
+    from ..parallel import oracle
+
+    try:
+        return oracle.parallelism_census(
+            program, info, oracle=oracle.PathMatrixOracle(analysis=result)
+        )
+    except Exception as error:  # noqa: BLE001 - surfaced per workload
+        return {"error": f"{type(error).__name__}: {error}"}
 
 
 def _analyze_shard(payload: ShardPayload) -> Dict:
@@ -805,7 +840,7 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
     """
     from ..analysis.engine import BatchAnalyzer
 
-    shard_index, pairs, limits, cache, faults, attempt = payload
+    shard_index, pairs, limits, cache, faults, attempt, census = payload
     if faults is not None and current_fault_plan() is None:
         install_fault_plan(faults)
     rule = fault_fire("shard.worker", f"{shard_index}@{attempt}")
@@ -815,7 +850,9 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
         )
     batch = BatchAnalyzer(limits=limits, cache=cache)
     try:
-        return analyze_pairs(batch, pairs, shard=shard_index, attempt=attempt)
+        return analyze_pairs(
+            batch, pairs, shard=shard_index, attempt=attempt, census=census
+        )
     finally:
         batch.close()
 
@@ -875,7 +912,9 @@ class ShardedSuiteReport:
     ``stats`` is the merge of every shard's counters, with the per-shard
     breakdown retained in ``shards``; ``widening`` maps every analyzed
     workload to its widening-telemetry row (counter deltas, adaptive
-    escalations, final limits rung).
+    escalations, final limits rung); ``census`` maps every analyzed
+    workload to its parallelism-census row when the runner was built with
+    ``census=True``.
     """
 
     results: Dict[str, Dict]
@@ -897,6 +936,7 @@ class ShardedSuiteReport:
     #: one: ``{name: attempts}`` where attempts includes the first try.
     #: Empty in a fault-free run.
     attempts: Dict[str, int] = field(default_factory=dict)
+    census: Dict[str, Dict] = field(default_factory=dict)
     seconds: float = 0.0
 
     @property
@@ -968,7 +1008,9 @@ class ShardedSuiteRunner:
     canonical encodings back; the parent merges stats (exactly additive)
     and keeps the per-shard breakdown.  ``shards <= 1`` runs inline in this
     process — the reference the regression tests compare against, since
-    shard assignment never changes any per-program result.
+    shard assignment never changes any per-program result.  Every run goes
+    through one run loop (:meth:`_drive`) and one per-shard step
+    (:func:`analyze_pairs`).
 
     ``limits`` may be a fixed :class:`AnalysisLimits` or an
     :class:`~repro.analysis.limits.AdaptiveLimits` escalation policy; both
@@ -977,6 +1019,10 @@ class ShardedSuiteRunner:
     CacheConfig` naming a persistent transfer store every shard opens
     read-through and flushes its computed deltas into on completion (the
     cross-run warm-start path).
+
+    ``census=True`` has every shard compute each analyzed program's
+    parallelism-census row from the result it just solved; the rows land
+    in :attr:`ShardedSuiteReport.census`.
     """
 
     def __init__(
@@ -987,6 +1033,7 @@ class ShardedSuiteRunner:
         cache: Optional["CacheConfig"] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        census: bool = False,
     ):
         from collections import Counter
 
@@ -1004,6 +1051,7 @@ class ShardedSuiteRunner:
         #: duration of each run (and shipped to workers in the payloads).
         self.faults = faults.validated() if faults is not None else None
         self.max_attempts = max(1, int(max_attempts))
+        self.census = census
 
     @classmethod
     def from_names(
@@ -1053,7 +1101,9 @@ class ShardedSuiteRunner:
     def _payload(
         self, index: int, pairs: List[Tuple[str, str]], attempt: int = 0
     ) -> ShardPayload:
-        return (index, pairs, self.limits, self.cache, self.faults, attempt)
+        return (
+            index, pairs, self.limits, self.cache, self.faults, attempt, self.census
+        )
 
     def _payloads(self, shards: int) -> List[ShardPayload]:
         buckets: List[List[Tuple[str, str]]] = [[] for _ in range(shards)]
@@ -1066,103 +1116,6 @@ class ShardedSuiteRunner:
         ]
 
     # ------------------------------------------------------------------
-    # crash recovery
-    # ------------------------------------------------------------------
-
-    def _recover_poisoned(
-        self,
-        output: Dict,
-        control: "MetricsRegistry",
-        attempts: Dict[str, int],
-        allocate_index: Callable[[], int],
-    ) -> Optional[ShardPayload]:
-        """Requeue a poisoned shard output's pending workloads.
-
-        Returns the follow-up payload, or ``None`` when there is nothing
-        to requeue — either the output is healthy, or retries are
-        exhausted, in which case the pending workloads are recorded as
-        failures *in the output* (so ``_merge`` picks them up like any
-        other failure).
-        """
-        crash = output.get("crashed")
-        pending = output.get("pending") or []
-        if not crash or not pending:
-            return None
-        next_attempt = int(output.get("attempt", 0)) + 1
-        control.counter(
-            "suite.shard_crashes_total", kind=str(crash.get("kind", "crash"))
-        ).inc()
-        for name in pending:
-            attempts[name] = next_attempt + 1
-        if next_attempt >= self.max_attempts:
-            for name in pending:
-                attempts[name] = next_attempt
-                output["failures"][name] = (
-                    f"shard worker crashed ({crash.get('kind', 'crash')}); "
-                    f"retries exhausted after {self.max_attempts} attempts"
-                )
-            control.counter("suite.workloads_abandoned_total").inc(len(pending))
-            return None
-        control.counter("suite.workload_retries").inc(len(pending))
-        sources = dict(self.items)
-        return self._payload(
-            allocate_index(),
-            [(name, sources[name]) for name in pending],
-            attempt=next_attempt,
-        )
-
-    def _recover_failed(
-        self,
-        payload: ShardPayload,
-        error: BaseException,
-        control: "MetricsRegistry",
-        attempts: Dict[str, int],
-        allocate_index: Callable[[], int],
-    ) -> Tuple[Optional[ShardPayload], Optional[Dict]]:
-        """Recover from a worker that died without producing output.
-
-        Returns ``(follow_up_payload, synthetic_output)``: exactly one is
-        non-``None``.  Within the attempt budget the whole shard is
-        requeued; past it, a synthetic output records every workload as
-        failed so the run still completes and reports honestly.
-        """
-        index, pairs, _, _, _, attempt = payload
-        names = [name for name, _ in pairs]
-        control.counter("suite.shard_crashes_total", kind="worker").inc()
-        next_attempt = attempt + 1
-        for name in names:
-            attempts[name] = next_attempt + 1
-        if next_attempt >= self.max_attempts:
-            for name in names:
-                attempts[name] = next_attempt
-            control.counter("suite.workloads_abandoned_total").inc(len(names))
-            synthetic = {
-                "shard": index,
-                "attempt": attempt,
-                "workloads": names,
-                "results": {},
-                "failures": {
-                    name: (
-                        f"shard worker died ({type(error).__name__}: {error}); "
-                        f"retries exhausted after {self.max_attempts} attempts"
-                    )
-                    for name in names
-                },
-                "widening": {},
-                "stats": {},
-                "intern_tables": {},
-                "metrics": {},
-                "seconds": 0.0,
-            }
-            return None, synthetic
-        control.counter("suite.workload_retries").inc(len(names))
-        sources = dict(self.items)
-        follow = self._payload(
-            allocate_index(),
-            [(name, sources[name]) for name in names],
-            attempt=next_attempt,
-        )
-        return follow, None
 
     def run(self, progress=None) -> ShardedSuiteReport:
         """Run the suite across ``self.shards`` worker processes.
@@ -1184,150 +1137,16 @@ class ShardedSuiteRunner:
         and exhausted workloads are reported as failures, never dropped
         silently.
         """
-        clock = stopwatch(
-            "suite.run", {"shards": self.shards, "workloads": len(self.items)}
-        )
-        control = MetricsRegistry()
-        attempts: Dict[str, int] = {}
-        with fault_scope(self.faults):
-            with clock:
-                payloads = self._payloads(self.shards)
-                next_index = len(payloads)
-
-                def allocate_index() -> int:
-                    nonlocal next_index
-                    next_index += 1
-                    return next_index - 1
-
-                if self.shards <= 1 or len(payloads) <= 1:
-                    outputs = self._run_inline(
-                        payloads, progress, control, attempts, allocate_index
-                    )
-                else:
-                    outputs = self._run_pool(
-                        payloads, progress, control, attempts, allocate_index
-                    )
-        return self._merge(outputs, clock.seconds, control=control, attempts=attempts)
-
-    def _run_inline(
-        self,
-        payloads: List[ShardPayload],
-        progress,
-        control: "MetricsRegistry",
-        attempts: Dict[str, int],
-        allocate_index: Callable[[], int],
-    ) -> List[Dict]:
-        """Drive payloads in this process, requeueing crashed work."""
-        outputs: List[Dict] = []
-        pending = list(payloads)
-        while pending:
-            payload = pending.pop(0)
-            try:
-                output = _analyze_shard(payload)
-            except Exception as error:  # noqa: BLE001 - the recovery boundary
-                follow, synthetic = self._recover_failed(
-                    payload, error, control, attempts, allocate_index
-                )
-                if follow is not None:
-                    pending.append(follow)
-                    continue
-                output = synthetic
-            else:
-                follow = self._recover_poisoned(
-                    output, control, attempts, allocate_index
-                )
-                if follow is not None:
-                    pending.append(follow)
-            outputs.append(output)
-            if progress is not None:
-                progress(output)
-        return outputs
-
-    def _run_pool(
-        self,
-        payloads: List[ShardPayload],
-        progress,
-        control: "MetricsRegistry",
-        attempts: Dict[str, int],
-        allocate_index: Callable[[], int],
-    ) -> List[Dict]:
-        """Drive payloads across a worker pool, requeueing crashed work.
-
-        ``apply_async`` (rather than ``imap_unordered``) so a requeued
-        payload can be resubmitted to the *live* pool and land on any free
-        surviving worker; completions and worker deaths funnel through one
-        thread-safe queue the parent drains in completion order.
-        """
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        completions: "queue_module.Queue" = queue_module.Queue()
-        outputs: List[Dict] = []
-        with span("suite.dispatch", {"shards": len(payloads)}):
-            with context.Pool(processes=len(payloads)) as pool:
-                outstanding = 0
-
-                def submit(payload: ShardPayload) -> None:
-                    nonlocal outstanding
-                    outstanding += 1
-                    pool.apply_async(
-                        _analyze_shard_traced,
-                        (payload,),
-                        callback=completions.put,
-                        error_callback=lambda error, payload=payload: completions.put(
-                            (payload, error)
-                        ),
-                    )
-
-                for payload in payloads:
-                    submit(payload)
-                while outstanding:
-                    item = completions.get()
-                    outstanding -= 1
-                    if isinstance(item, tuple):  # (payload, error): worker died
-                        payload, error = item
-                        follow, synthetic = self._recover_failed(
-                            payload, error, control, attempts, allocate_index
-                        )
-                        if follow is not None:
-                            submit(follow)
-                            continue
-                        output = synthetic
-                    else:
-                        output = item
-                        follow = self._recover_poisoned(
-                            output, control, attempts, allocate_index
-                        )
-                        if follow is not None:
-                            submit(follow)
-                    outputs.append(output)
-                    if progress is not None:
-                        progress(output)
-        return outputs
+        return self._drive(self.shards, progress)
 
     def run_single_process(self, progress=None) -> ShardedSuiteReport:
         """The same suite, analyzed inline as one shard (the reference run).
 
-        Shares the inline recovery loop with :meth:`run`, so even the
-        reference run completes — and matches — under an installed fault
-        plan; the bit-identity claim is symmetric.
+        The same run loop as :meth:`run` at one shard, so even the reference
+        run completes — and matches — under an installed fault plan; the
+        bit-identity claim is symmetric.
         """
-        clock = stopwatch("suite.run", {"shards": 1, "workloads": len(self.items)})
-        control = MetricsRegistry()
-        attempts: Dict[str, int] = {}
-        with fault_scope(self.faults):
-            with clock:
-                payloads = [self._payload(0, list(self.items))]
-                next_index = 1
-
-                def allocate_index() -> int:
-                    nonlocal next_index
-                    next_index += 1
-                    return next_index - 1
-
-                outputs = self._run_inline(
-                    payloads, progress, control, attempts, allocate_index
-                )
-        return self._merge(outputs, clock.seconds, control=control, attempts=attempts)
+        return self._drive(1, progress)
 
     def run_warm(self, batch, progress=None) -> ShardedSuiteReport:
         """The same suite, analyzed inline through a caller-provided batch.
@@ -1341,36 +1160,126 @@ class ShardedSuiteRunner:
         this run (see :func:`analyze_pairs`), so per-request reports sum
         exactly into server-lifetime totals.  The runner's own ``limits``/
         ``cache`` are ignored — the batch already owns those choices; the
-        batch is flushed but left open.
+        batch is flushed but left open.  An exception the analysis raises
+        propagates; only a poisoned shard (a crash rule under an installed
+        fault plan) is requeued, through the same warm batch.
         """
-        clock = stopwatch("suite.run_warm", {"workloads": len(self.items)})
+        return self._drive(1, progress, batch=batch)
+
+    def _drive(self, shards: int, progress, batch=None) -> ShardedSuiteReport:
+        """The one run loop behind :meth:`run`, :meth:`run_single_process`
+        and :meth:`run_warm`.
+
+        Several payloads go to a worker pool through ``apply_async``, so a
+        requeued payload can be resubmitted to the *live* pool and land on
+        any free surviving worker.  A single payload is analyzed in this
+        process (through ``batch`` when one is given) the moment it is
+        submitted.  Either way every completion — a shard output, or
+        ``(payload, error)`` for a worker that died — lands on one queue
+        that this drains in completion order, requeueing crashed work.
+        """
+        workloads = len(self.items)
+        if batch is None:
+            clock = stopwatch("suite.run", {"shards": shards, "workloads": workloads})
+        else:
+            clock = stopwatch("suite.run_warm", {"workloads": workloads})
         control = MetricsRegistry()
         attempts: Dict[str, int] = {}
         outputs: List[Dict] = []
-        with clock:
-            payload: Optional[ShardPayload] = self._payload(0, list(self.items))
-            next_index = 1
+        completions: "queue_module.Queue" = queue_module.Queue()
+        with fault_scope(self.faults), clock, ExitStack() as stack:
+            payloads = self._payloads(shards)
+            next_index = outstanding = len(payloads)
+            pool = None
+            if len(payloads) > 1:
+                methods = multiprocessing.get_all_start_methods()
+                context = multiprocessing.get_context(
+                    "fork" if "fork" in methods else "spawn"
+                )
+                stack.enter_context(span("suite.dispatch", {"shards": len(payloads)}))
+                pool = stack.enter_context(context.Pool(processes=len(payloads)))
 
-            def allocate_index() -> int:
-                nonlocal next_index
+            def submit(payload: ShardPayload) -> None:
+                if pool is not None:
+                    pool.apply_async(
+                        _analyze_shard_traced,
+                        (payload,),
+                        callback=completions.put,
+                        error_callback=lambda error: completions.put((payload, error)),
+                    )
+                elif batch is not None:
+                    index, pairs, _, _, _, attempt, census = payload
+                    completions.put(
+                        analyze_pairs(
+                            batch, pairs, shard=index, attempt=attempt, census=census
+                        )
+                    )
+                else:
+                    try:
+                        completions.put(_analyze_shard(payload))
+                    except Exception as error:  # noqa: BLE001 - the recovery boundary
+                        completions.put((payload, error))
+
+            def requeue(output: Dict, names: List[str], kind: str, reason: str) -> bool:
+                """Count the crash that cost ``names`` their analysis.
+
+                Within the attempt budget the names are resubmitted as a
+                fresh payload with the attempt bumped (True); past it each
+                is recorded as failed in ``output`` (False).
+                """
+                nonlocal next_index, outstanding
+                control.counter("suite.shard_crashes_total", kind=kind).inc()
+                attempt = int(output["attempt"]) + 1
+                if attempt >= self.max_attempts:
+                    for name in names:
+                        attempts[name] = attempt
+                        output["failures"][name] = (
+                            f"{reason}; retries exhausted after "
+                            f"{self.max_attempts} attempts"
+                        )
+                    control.counter("suite.workloads_abandoned_total").inc(len(names))
+                    return False
+                for name in names:
+                    attempts[name] = attempt + 1
+                control.counter("suite.workload_retries").inc(len(names))
+                sources = dict(self.items)
                 next_index += 1
-                return next_index - 1
+                outstanding += 1
+                submit(
+                    self._payload(
+                        next_index - 1, [(name, sources[name]) for name in names], attempt
+                    )
+                )
+                return True
 
-            # The warm path shares the poisoned-shard recovery discipline:
-            # under an ambient (daemon-installed) fault plan, a crashed
-            # request loop re-runs its pending workloads through the same
-            # warm batch, bounded by ``max_attempts``.
-            while payload is not None:
-                output = analyze_pairs(
-                    batch, payload[1], shard=payload[0], attempt=payload[5]
-                )
-                payload = self._recover_poisoned(
-                    output, control, attempts, allocate_index
-                )
+            for payload in payloads:
+                submit(payload)
+            while outstanding:
+                output = completions.get()
+                outstanding -= 1
+                if isinstance(output, tuple):  # (payload, error): the worker died
+                    (index, pairs, _, _, _, attempt, _), error = output
+                    names = [name for name, _ in pairs]
+                    output = {
+                        "shard": index,
+                        "attempt": attempt,
+                        "workloads": names,
+                        "results": {},
+                        "failures": {},
+                        "stats": {},
+                        "seconds": 0.0,
+                    }
+                    reason = f"shard worker died ({type(error).__name__}: {error})"
+                    if requeue(output, names, "worker", reason):
+                        continue
+                elif output.get("pending"):  # a crash rule poisoned the shard
+                    kind = str(output["crashed"].get("kind", "crash"))
+                    reason = f"shard worker crashed ({kind})"
+                    requeue(output, output["pending"], kind, reason)
                 outputs.append(output)
                 if progress is not None:
                     progress(output)
-        return self._merge(outputs, clock.seconds, control=control, attempts=attempts)
+        return self._merge(outputs, clock.seconds, control, attempts)
 
     # ------------------------------------------------------------------
 
@@ -1378,8 +1287,8 @@ class ShardedSuiteRunner:
         self,
         outputs: List[Dict],
         seconds: float,
-        control: Optional["MetricsRegistry"] = None,
-        attempts: Optional[Dict[str, int]] = None,
+        control: "MetricsRegistry",
+        attempts: Dict[str, int],
     ) -> ShardedSuiteReport:
         from ..analysis.context import AnalysisStats
 
@@ -1388,50 +1297,43 @@ class ShardedSuiteRunner:
         # ship events (they recorded straight into this process's tracer).
         tracer = current_tracer()
         shard_reports = []
-        by_name: Dict[str, Dict] = {}
-        failures: Dict[str, str] = {}
-        widening_by_name: Dict[str, Dict] = {}
+        by_name: Dict[str, Dict[str, object]] = {
+            "results": {}, "failures": {}, "widening": {}, "census": {}
+        }
         merged_metrics = MetricsRegistry()
         for output in sorted(outputs, key=lambda o: o["shard"]):
             events = output.pop("trace_events", None)
             if tracer is not None and events:
                 tracer.absorb(events)
             merged_metrics.absorb(MetricsRegistry.from_dict(output.get("metrics") or {}))
-            shard_stats = AnalysisStats.from_dict(output["stats"])
             shard_reports.append(
                 ShardReport(
                     shard=output["shard"],
                     workloads=output["workloads"],
-                    stats=shard_stats,
+                    stats=AnalysisStats.from_dict(output["stats"]),
                     seconds=output["seconds"],
                     intern_tables=dict(output.get("intern_tables", {})),
                     attempt=int(output.get("attempt", 0)),
                 )
             )
-            by_name.update(output["results"])
-            failures.update(output["failures"])
-            widening_by_name.update(output.get("widening", {}))
-        if control is not None:
-            merged_metrics.absorb(control)
-        merged = AnalysisStats().merge(*(report.stats for report in shard_reports))
+            for key, merged in by_name.items():
+                merged.update(output.get(key, {}))
+        merged_metrics.absorb(control)
         summed_tables: Dict[str, int] = {}
         for report in shard_reports:
             for table, size in report.intern_tables.items():
                 summed_tables[table] = summed_tables.get(table, 0) + size
         # Restore the input ordering the round-robin assignment scattered.
-        results = {name: by_name[name] for name, _ in self.items if name in by_name}
+        ordered = {
+            key: {name: merged[name] for name, _ in self.items if name in merged}
+            for key, merged in by_name.items()
+        }
         return ShardedSuiteReport(
-            results=results,
-            failures={name: failures[name] for name, _ in self.items if name in failures},
-            stats=merged,
+            stats=AnalysisStats().merge(*(report.stats for report in shard_reports)),
             shards=shard_reports,
-            widening={
-                name: widening_by_name[name]
-                for name, _ in self.items
-                if name in widening_by_name
-            },
             intern_tables=summed_tables,
             metrics=merged_metrics,
-            attempts=dict(attempts or {}),
+            attempts=dict(attempts),
             seconds=seconds,
+            **ordered,
         )

@@ -1,6 +1,7 @@
 """End-to-end coverage for the ``python -m repro`` batch-analysis CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -75,6 +76,73 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "[adaptive limits]" in out
         assert "adaptive_escalations=" in out
+
+
+CENSUS_ROW = re.compile(
+    r"^\s+(\S+)\s+groups=(\d+)\s+call_groups=(\d+)\s+independent=(\d+)/(\d+)\s*$"
+)
+CENSUS_PROGRAMS = ["tree_add", "list_walk", "--generated", "3"]
+
+
+def census_table(out):
+    """``{program: (groups, call_groups, independent, queries)}`` as printed."""
+    table = out.split("parallelism census")[1]
+    return {
+        match.group(1): tuple(int(value) for value in match.groups()[1:])
+        for match in map(CENSUS_ROW.match, table.splitlines())
+        if match
+    }
+
+
+def reference_census():
+    """Census rows over the reference engine's results, program by program."""
+    from repro.analysis.engine import analyze_program_reference
+    from repro.parallel.oracle import PathMatrixOracle, parallelism_census
+    from repro.workloads import GeneratorConfig, generate_scenarios, source
+
+    config = GeneratorConfig(procedures=2, depth=4, aliasing=0.3).clamped()
+    items = [(name, source(name, depth=4)) for name in ("tree_add", "list_walk")]
+    scenarios = generate_scenarios(3, base_seed=0, config=config)
+    items += [(s.name, s.source) for s in scenarios]
+    rows = {}
+    for name, text in items:
+        program, info = parse_and_normalize(text)
+        oracle = PathMatrixOracle(analysis=analyze_program_reference(program, info))
+        row = parallelism_census(program, info, oracle=oracle)
+        rows[name] = tuple(
+            row[key] for key in ("groups", "call_groups", "independent_answers", "queries")
+        )
+    return rows
+
+
+class TestAnalyzeCensus:
+    """The census reuses the suite runner's own solve of each program."""
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_census_solves_each_program_once(self, tmp_path, capsys, shards):
+        trace = tmp_path / "census_trace.json"
+        argv = ["analyze", *CENSUS_PROGRAMS, "--census", "--shards", shards]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        assert len(census_table(capsys.readouterr().out)) == 5
+        events = json.loads(trace.read_text())["traceEvents"]
+        solves = [e for e in events if e["ph"] == "X" and e["name"] == "analysis.solve"]
+        assert len(solves) == 5
+
+    def test_census_rows_match_the_reference_engine(self, tmp_path, capsys):
+        expected = reference_census()
+        assert len(expected) == 5
+        for shards in ("1", "2"):
+            assert main(["analyze", *CENSUS_PROGRAMS, "--census", "--shards", shards]) == 0
+            assert census_table(capsys.readouterr().out) == expected, shards
+        # A run that reads its transfers from a warm store prints the same rows.
+        store = ["--cache-dir", str(tmp_path / "store")]
+        assert main(["analyze", *CENSUS_PROGRAMS, "--census", *store]) == 0
+        assert census_table(capsys.readouterr().out) == expected
+        argv = ["analyze", *CENSUS_PROGRAMS, "--census", "--shards", "2", *store]
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "hit_rate=1.0000" in warm and "writes=0" in warm
+        assert census_table(warm) == expected
 
 
 class TestCacheOptions:

@@ -5,7 +5,6 @@ import pytest
 from repro.baselines import ConservativeOracle, RegionOracle
 from repro.parallel import (
     PathMatrixOracle,
-    batch_oracles,
     build_report,
     greedy_time,
     is_call,
@@ -45,17 +44,6 @@ class TestOracleBasics:
         oracle = PathMatrixOracle(analysis=analysis)
         oracle.prepare(program, info)
         assert oracle.analysis is analysis
-
-    def test_batch_oracles_share_one_transfer_cache(self):
-        from repro.workloads import generate_scenarios
-
-        pairs = [s.load() for s in generate_scenarios(4, base_seed=9)]
-        oracles = batch_oracles(pairs)
-        assert len(oracles) == 4
-        assert len({id(oracle.transfer_cache) for oracle in oracles}) == 1
-        for (program, info), oracle in zip(pairs, oracles):
-            assert oracle.analysis is not None
-            assert oracle.analysis.program is program
 
     def test_parallelism_census_counts_groups(self):
         program, info = load_workload("add_and_reverse", 4)

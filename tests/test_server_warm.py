@@ -270,6 +270,28 @@ class TestReanalyzeOp:
                     r["request_stats"][counter] for r in (first, second)
                 ), counter
 
+    def test_client_text_prints_what_the_local_command_prints(
+        self, server, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        pair = self._pair()
+        old, new = tmp_path / "old.sil", tmp_path / "edited.sil"
+        old.write_text(pair.old_source)
+        new.write_text(pair.new_source)
+        assert main(["reanalyze", str(old), str(new)]) == 0
+        local = capsys.readouterr().out.splitlines()
+        socket = ["--socket", server.config.socket_path]
+        assert main(["client", "reanalyze", str(old), str(new), *socket]) == 0
+        remote = capsys.readouterr().out.splitlines()
+        # One printer renders both payloads; only the digest line differs,
+        # by its timing and the daemon's base digest.
+        assert local[0].startswith("program edited: ")
+        assert [line for line in remote if not line.startswith("digest ")] == [
+            line for line in local if not line.startswith("digest ")
+        ]
+        assert " (base " in remote[-2] and " (base " not in local[-2]
+
     def test_reanalyze_rejects_missing_sources(self, client):
         from repro.server.client import ServerError
 
