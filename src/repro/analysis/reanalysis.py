@@ -43,9 +43,11 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from ..cache.backend import CacheConfig
 from ..sil import ast
 from ..sil.delta import (
+    IdentityTable,
     ProgramDelta,
     diff_programs,
     dirty_seed,
+    program_identities,
     statement_rebase_map,
 )
 from ..sil.typecheck import TypeInfo
@@ -283,6 +285,17 @@ class IncrementalSession:
     latest version's program and, through the bounded memo, that
     version's visits, so its state does not grow with the number of edits.
     :attr:`stats` accumulates over the session's whole life.
+
+    Beside the program it keeps that version's
+    :func:`~repro.sil.delta.program_identities` table, rendered when the
+    session took the version, as the old side of the next diff and rebase.
+    A continued re-analysis therefore renders each statement of the new
+    version once and the old version not at all.  The table records the
+    content the session actually solved, so a caller that later edits a
+    statement of the old program object in place does not change what the
+    next re-analysis compares the new version against.  A statement added
+    to that object is not in the table, and the next re-analysis raises
+    ``KeyError`` on it.
     """
 
     def __init__(
@@ -298,6 +311,7 @@ class IncrementalSession:
         self.memo = VisitMemo()
         self.batch.visit_memo = self.memo
         self._program: Optional[ast.Program] = None
+        self._identities: IdentityTable = {}
 
     @property
     def stats(self) -> AnalysisStats:
@@ -312,8 +326,9 @@ class IncrementalSession:
         self, program: ast.Program, info: Optional[TypeInfo] = None
     ) -> AnalysisResult:
         """Solve the base version cold, populating the visit memo."""
+        identities = program_identities(program)
         result = self._solve(program, info)
-        self._program = program
+        self._program, self._identities = program, identities
         return result
 
     def _solve(self, program: ast.Program, info: Optional[TypeInfo]) -> AnalysisResult:
@@ -339,18 +354,23 @@ class IncrementalSession:
                 "IncrementalSession.reanalyze needs a base version; call "
                 "analyze() first"
             )
-        old_program = self._program
+        old_program, old_identities = self._program, self._identities
         stats = self.batch.stats
         counters_before = stats.counters()
 
         started = time.perf_counter()
-        delta = diff_programs(old_program, new_program)
+        new_identities = program_identities(new_program)
+        delta = diff_programs(old_program, new_program, old_identities, new_identities)
         dirty = dirty_seed(delta, new_program)
         stats.dirty_seed_size += len(dirty)
         stats.summaries_invalidated += self.memo.invalidate(
             set(dirty) | set(delta.removed)
         )
-        self.memo.rebase(statement_rebase_map(old_program, new_program, delta.unchanged))
+        self.memo.rebase(
+            statement_rebase_map(
+                old_program, new_program, delta.unchanged, old_identities, new_identities
+            )
+        )
         transfers_invalidated = 0
         stale = delta.stale_statement_labels
         if stale:
@@ -359,7 +379,7 @@ class IncrementalSession:
         result = self._solve(new_program, info)
         seconds = time.perf_counter() - started
 
-        self._program = new_program
+        self._program, self._identities = new_program, new_identities
 
         counters_after = stats.counters()
         stats_delta = {

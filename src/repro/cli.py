@@ -382,7 +382,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _print_workload_rows(output["results"], output["failures"], matrices=args.matrices)
         sys.stdout.flush()
 
-    print(f"analyzing {len(items)} workloads across {min(args.shards, len(items))} "
+    print(f"analyzing {len(items)} workloads across {min(runner.shards, len(items))} "
           f"shard(s), streaming:")
     report = runner.run(progress=stream)
     print()
@@ -434,7 +434,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
 
     report = runner.run(progress=stream)
-    print(f"\nsharded run ({args.shards} shards): {report.seconds:.3f}s"
+    print(f"\nsharded run ({min(runner.shards, len(items))} shards): {report.seconds:.3f}s"
           f"{' [adaptive limits]' if args.adaptive else ''}")
     _print_report(report, runner)
 
@@ -962,8 +962,9 @@ def client_reanalyze(args: argparse.Namespace, client) -> int:
         timeout=args.timeout_request,
     )
     if args.json:
-        return _print_response(response, True)
-    _print_reanalysis(response, script)
+        _print_response(response, True)
+    else:
+        _print_reanalysis(response, script)
     return 1 if response.get("verified") is False else 0
 
 

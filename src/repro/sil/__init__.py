@@ -12,6 +12,7 @@ from .delta import (
     call_graph,
     diff_programs,
     dirty_seed,
+    program_identities,
     reverse_call_graph,
     statement_identity,
     statement_label,
@@ -67,6 +68,7 @@ __all__ = [
     "dirty_seed",
     "call_graph",
     "reverse_call_graph",
+    "program_identities",
     "statement_identity",
     "statement_label",
     "statement_rebase_map",

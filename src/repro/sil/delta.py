@@ -21,7 +21,10 @@ analysis:
   reparses*: for procedures whose bodies are textually identical, it maps
   each old statement object's ``id`` to the corresponding statement object
   of the new parse (positional, verified by identity), so ``id(stmt)``-keyed
-  memos recorded against the old objects can be rebased onto the new ones.
+  memos recorded against the old objects can be rebased onto the new ones;
+* both read identities from :func:`program_identities` tables, so a caller
+  that diffs one version against the next renders each version once and
+  passes its table to both sides of both calls.
 
 The diff is deliberately *syntactic* and conservative: any difference in a
 procedure's rendered body or declarations marks it changed.  Semantic
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import ast
 from .printer import _format_inline
@@ -76,9 +79,24 @@ def _signature_of(proc: ast.Procedure) -> Tuple:
     return ("procedure", proc.name, decls)
 
 
-def _body_identities(proc: ast.Procedure) -> List[StatementIdentity]:
+#: ``id(stmt) -> statement_identity(stmt)`` over every statement of a program.
+IdentityTable = Dict[int, StatementIdentity]
+
+
+def program_identities(program: ast.Program) -> IdentityTable:
+    """Render the identity of every statement of ``program``, once each."""
+    return {
+        id(stmt): statement_identity(stmt)
+        for proc in program.all_callables
+        for stmt in ast.walk_stmt(proc.body)
+    }
+
+
+def _body_identities(
+    proc: ast.Procedure, identities: IdentityTable
+) -> List[StatementIdentity]:
     """Identities of every statement of ``proc``, in pre-order walk order."""
-    return [statement_identity(stmt) for stmt in ast.walk_stmt(proc.body)]
+    return [identities[id(stmt)] for stmt in ast.walk_stmt(proc.body)]
 
 
 @dataclass(frozen=True)
@@ -125,10 +143,10 @@ class ProgramDelta:
 
     @property
     def stale_statement_labels(self) -> FrozenSet[str]:
-        """Labels of statements the edit removed — the persistent-store rows
-        targeted invalidation should drop (removed procedures contribute
-        their whole bodies via their ``ProcedureDelta`` when diffed; here,
-        per-procedure spans plus removed procedures are both covered)."""
+        """Labels of the statements the edit removed from the procedures in
+        :attr:`changed` — the persistent-store rows targeted invalidation
+        drops.  A removed procedure has no :class:`ProcedureDelta`, so its
+        statements are not among them."""
         labels: Set[str] = set()
         for proc_delta in self.changed:
             for identity in proc_delta.removed_statements:
@@ -155,13 +173,24 @@ class ProgramDelta:
         }
 
 
-def diff_programs(old: ast.Program, new: ast.Program) -> ProgramDelta:
+def diff_programs(
+    old: ast.Program,
+    new: ast.Program,
+    old_identities: Optional[IdentityTable] = None,
+    new_identities: Optional[IdentityTable] = None,
+) -> ProgramDelta:
     """Compute the :class:`ProgramDelta` between two program versions.
 
     Both programs may be surface or normalized, but the comparison is only
     meaningful between like forms (the re-analysis driver diffs normalized
     programs, so the identities match what the analysis and the cache saw).
+    Statement identities come from each side's :func:`program_identities`
+    table, rendered here when not passed in.
     """
+    if old_identities is None:
+        old_identities = program_identities(old)
+    if new_identities is None:
+        new_identities = program_identities(new)
     old_procs = {proc.name: proc for proc in old.all_callables}
     new_procs = {proc.name: proc for proc in new.all_callables}
 
@@ -173,8 +202,8 @@ def diff_programs(old: ast.Program, new: ast.Program) -> ProgramDelta:
     for name in sorted(set(old_procs) & set(new_procs)):
         old_proc, new_proc = old_procs[name], new_procs[name]
         signature_changed = _signature_of(old_proc) != _signature_of(new_proc)
-        old_ids = _body_identities(old_proc)
-        new_ids = _body_identities(new_proc)
+        old_ids = _body_identities(old_proc, old_identities)
+        new_ids = _body_identities(new_proc, new_identities)
         if not signature_changed and old_ids == new_ids:
             unchanged.append(name)
             continue
@@ -207,16 +236,25 @@ def diff_programs(old: ast.Program, new: ast.Program) -> ProgramDelta:
 
 
 def statement_rebase_map(
-    old: ast.Program, new: ast.Program, names: Iterable[str]
+    old: ast.Program,
+    new: ast.Program,
+    names: Iterable[str],
+    old_identities: Optional[IdentityTable] = None,
+    new_identities: Optional[IdentityTable] = None,
 ) -> Dict[int, ast.Stmt]:
     """Map ``id(old statement) -> new statement`` for unchanged procedures.
 
     ``names`` must name procedures whose bodies are identical between the
     two programs (the delta's ``unchanged`` set); their pre-order statement
     walks are then the same shape, so positional pairing is exact.  Each
-    pairing is verified against the identity rendering — a mismatch raises
-    rather than silently rebasing a memo onto a different statement.
+    pairing is verified against the two sides' identity tables (rendered
+    here when not passed in) — a mismatch raises rather than silently
+    rebasing a memo onto a different statement.
     """
+    if old_identities is None:
+        old_identities = program_identities(old)
+    if new_identities is None:
+        new_identities = program_identities(new)
     mapping: Dict[int, ast.Stmt] = {}
     for name in names:
         old_proc = old.callable(name)
@@ -229,11 +267,12 @@ def statement_rebase_map(
                 f"count differs ({len(old_stmts)} vs {len(new_stmts)})"
             )
         for old_stmt, new_stmt in zip(old_stmts, new_stmts):
-            if statement_identity(old_stmt) != statement_identity(new_stmt):
+            old_identity = old_identities[id(old_stmt)]
+            new_identity = new_identities[id(new_stmt)]
+            if old_identity != new_identity:
                 raise ValueError(
                     f"procedure {name!r} was reported unchanged but statement "
-                    f"{statement_identity(old_stmt)!r} does not match "
-                    f"{statement_identity(new_stmt)!r}"
+                    f"{old_identity!r} does not match {new_identity!r}"
                 )
             mapping[id(old_stmt)] = new_stmt
     return mapping

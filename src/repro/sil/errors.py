@@ -9,18 +9,20 @@ that one was reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in a SIL source text (1-based line and column)."""
+class SourceLocation(NamedTuple):
+    """A position in a SIL source text (1-based line and column).
+
+    A named tuple: the lexer builds one per token, and a tuple is the
+    cheapest immutable, hashable record to build.
+    """
 
     line: int
     column: int
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
+    def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 

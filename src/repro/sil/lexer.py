@@ -3,13 +3,18 @@
 The concrete syntax follows the paper's examples (Pascal-flavoured):
 ``{ ... }`` braces delimit comments, keywords are lower-case, ``:=`` is the
 assignment symbol and ``||`` separates the branches of a parallel statement.
+
+:func:`tokenize` reads the text with one compiled pattern matched at each
+position in turn.  Only the skipped runs of whitespace and comments can hold
+a newline, so the lexer counts lines there and derives each token's column
+from its offset into the current line.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List
 
 from .errors import LexError, SourceLocation
 
@@ -70,14 +75,31 @@ SYMBOLS = (
     ">",
 )
 
+#: One token, or one run of whitespace and comments, at the match position.
+#: ``\w`` is ``str.isalnum()`` or ``_`` and ``\d`` is ``str.isdecimal()``:
+#: the digits ``int()`` accepts, so Arabic-Indic digits lex as numbers but
+#: ``'²'`` does not.  ``[^\W\d]`` also admits non-decimal digits and
+#: numerics such as ``'²'`` and ``'½'``; :func:`tokenize` refuses a word
+#: that does not start with ``str.isalpha()`` or ``_``.
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|\{[^}]*\}|//[^\n]*)+)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<symbol>" + "|".join(re.escape(symbol) for symbol in SYMBOLS) + ")"
+)
+#: ``Match.lastindex`` of each alternative but the last (a symbol).
+_SKIP, _WORD, _INT = 1, 2, 3
 
-@dataclass(frozen=True)
+
 class Token:
     """A single lexical token."""
 
-    kind: TokenKind
-    text: str
-    location: SourceLocation
+    __slots__ = ("kind", "text", "location")
+
+    def __init__(self, kind: TokenKind, text: str, location: SourceLocation):
+        self.kind = kind
+        self.text = text
+        self.location = location
 
     def is_keyword(self, word: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text == word
@@ -85,106 +107,46 @@ class Token:
     def is_symbol(self, symbol: str) -> bool:
         return self.kind is TokenKind.SYMBOL and self.text == symbol
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
+    def __str__(self) -> str:
         if self.kind is TokenKind.EOF:
             return "<eof>"
         return self.text
 
 
-class Lexer:
-    """Converts SIL source text into a list of :class:`Token`."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- low-level helpers -------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "{":
-                start = self._location()
-                self._advance()
-                while self.pos < len(self.source) and self._peek() != "}":
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise LexError("unterminated comment", start)
-                self._advance()  # consume '}'
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # -- tokenization ------------------------------------------------------
-
-    def tokens(self) -> List[Token]:
-        """Tokenize the entire source, ending with a single EOF token."""
-        result: List[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind is TokenKind.EOF:
-                return result
-
-    def next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        loc = self._location()
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", loc)
-
-        ch = self._peek()
-
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self.source[start : self.pos]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            return Token(kind, text, loc)
-
-        # isdecimal, not isdigit: int() accepts every decimal digit (so
-        # Arabic-Indic digits lex as numbers) but no other digit ('²').
-        if ch.isdecimal():
-            start = self.pos
-            while self._peek().isdecimal():
-                self._advance()
-            return Token(TokenKind.INT, self.source[start : self.pos], loc)
-
-        for symbol in SYMBOLS:
-            if self.source.startswith(symbol, self.pos):
-                self._advance(len(symbol))
-                text = "<>" if symbol == "!=" else symbol
-                return Token(TokenKind.SYMBOL, text, loc)
-
-        raise LexError(f"unexpected character {ch!r}", loc)
-
-
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` into a list of tokens (ending with EOF)."""
-    return Lexer(source).tokens()
+    match = _TOKEN.match
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start, pos, end = 1, 0, 0, len(source)
+    while pos < end:
+        found = match(source, pos)
+        if found is None:
+            location = SourceLocation(line, pos - line_start + 1)
+            if source[pos] == "{":
+                raise LexError("unterminated comment", location)
+            raise LexError(f"unexpected character {source[pos]!r}", location)
+        text = found.group()
+        kind = found.lastindex
+        if kind == _SKIP:
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rindex("\n") + 1
+        else:
+            location = SourceLocation(line, pos - line_start + 1)
+            if kind == _WORD:
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise LexError(f"unexpected character {text[0]!r}", location)
+                append(Token(
+                    TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
+                    text,
+                    location,
+                ))
+            elif kind == _INT:
+                append(Token(TokenKind.INT, text, location))
+            else:
+                append(Token(TokenKind.SYMBOL, "<>" if text == "!=" else text, location))
+        pos = found.end()
+    append(Token(TokenKind.EOF, "", SourceLocation(line, pos - line_start + 1)))
+    return tokens

@@ -56,6 +56,12 @@ class TestAnalyzeCommand:
         # The census still reports the healthy workload.
         assert "tree_add" in out.split("parallelism census")[1]
 
+    def test_analyze_zero_shards_prints_the_count_the_runner_uses(self, capsys):
+        assert main(["analyze", "tree_add", "list_walk", "--shards", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "analyzing 2 workloads across 1 shard(s), streaming:" in out
+        assert "analyzed 2/2 workloads across 1 shard(s)" in out
+
     def test_analyze_list(self, capsys):
         assert main(["analyze", "--list"]) == 0
         out = capsys.readouterr().out
@@ -234,6 +240,13 @@ class TestBenchCommand:
         for counter in ("worklist_pops", "programs_analyzed", "statements_visited"):
             assert merged[counter] == sum(shard["stats"][counter] for shard in shards)
 
+    def test_bench_zero_shards_prints_the_count_the_runner_uses(self, tmp_path, capsys):
+        assert main(
+            ["bench", "--shards", "0", "--seeds", "0", "--no-verify",
+             "--output", str(tmp_path / "bench.json")]
+        ) == 0
+        assert "sharded run (1 shards)" in capsys.readouterr().out
+
     def test_bench_no_verify_skips_reference_run(self, tmp_path, capsys):
         artifact_path = tmp_path / "bench.json"
         assert main(
@@ -363,6 +376,47 @@ class TestReanalyzeCommand:
         ) == 0
         payload = json.loads(artifact.read_text())
         assert payload["verified"] is True
+
+
+class StubClient:
+    """Answers every ``reanalyze`` with a canned daemon response."""
+
+    def __init__(self, response):
+        self.response = response
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def reanalyze(self, *args, **kwargs):
+        return self.response
+
+
+class TestClientReanalyzeExitCode:
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("verified, code", [(True, 0), (False, 1), (None, 0)])
+    def test_exit_code_follows_verification(
+        self, monkeypatch, capsys, json_flag, verified, code
+    ):
+        from repro import cli
+        from repro.analysis.reanalysis import IncrementalSession
+        from repro.workloads import generate_edited_pair, generate_scenario
+
+        scenario = generate_scenario(0)
+        pair = generate_edited_pair(scenario.source, 0, edits=1)
+        session = IncrementalSession()
+        session.analyze(*parse_and_normalize(pair.old_source))
+        response = session.reanalyze(*parse_and_normalize(pair.new_source)).as_dict()
+        response["program"] = scenario.name
+        if verified is not None:
+            response.update(verified=verified, cold_digest="0" * 64, cold_widening={})
+        monkeypatch.setattr(cli, "_client", lambda args: StubClient(response))
+        assert main(["client", "reanalyze", "--socket", "unused.sock"] + json_flag) == code
+        out = capsys.readouterr().out
+        if json_flag:
+            assert json.loads(out)["digest"] == response["digest"]
 
 
 class TestCacheCompactCommand:

@@ -15,6 +15,7 @@ from repro.sil.delta import (
     diff_programs,
     dirty_seed,
     identity_label,
+    program_identities,
     reverse_call_graph,
     statement_identity,
     statement_label,
@@ -126,6 +127,35 @@ class TestRebaseMap:
         edited = BASE.replace("b.left := nil", "b.right := nil")
         with pytest.raises(ValueError, match="trim"):
             statement_rebase_map(normalized(BASE), normalized(edited), ["trim"])
+
+
+class TestIdentityTables:
+    def test_table_holds_every_statement_once(self):
+        program = normalized(BASE)
+        table = program_identities(program)
+        stmts = [
+            stmt for proc in program.all_callables for stmt in ast.walk_stmt(proc.body)
+        ]
+        assert len(table) == len(stmts)
+        for stmt in stmts:
+            assert table[id(stmt)] == statement_identity(stmt)
+
+    def test_diff_reads_identities_from_the_tables(self):
+        old, new = normalized(BASE), normalized(BASE)
+        old_table = program_identities(old)
+        # An in-place edit after the table was rendered: the diff still sees
+        # the rendered content, while a fresh render sees the edit.
+        old.callable("trim").body.stmts[0].target = "a"
+        assert diff_programs(old, new, old_table).is_empty
+        assert [d.name for d in diff_programs(old, new).changed] == ["trim"]
+
+    def test_rebase_compares_table_entries(self):
+        old, new = normalized(BASE), normalized(BASE)
+        new_table = program_identities(new)
+        stmt = new.callable("grow").body.stmts[0]
+        new_table[id(stmt)] = ("Assign", "a.left := nil")
+        with pytest.raises(ValueError, match="grow"):
+            statement_rebase_map(old, new, ["grow"], None, new_table)
 
 
 class TestDirtySeed:

@@ -1,9 +1,11 @@
 """Unit tests for the SIL lexer."""
 
+import random
+
 import pytest
 
-from repro.sil.errors import LexError
-from repro.sil.lexer import Token, TokenKind, tokenize
+from repro.sil.errors import LexError, SourceLocation
+from repro.sil.lexer import KEYWORDS, SYMBOLS, Token, TokenKind, tokenize
 from repro.sil.parser import parse_program
 
 
@@ -160,3 +162,181 @@ class TestTokenHelpers:
         symbol = tokenize(":=")[0]
         assert symbol.is_symbol(":=")
         assert not symbol.is_keyword(":=")
+
+
+# ---------------------------------------------------------------------------
+# The compiled-pattern lexer against a character-loop reference
+# ---------------------------------------------------------------------------
+
+
+def reference_tokens(source):
+    """The character-loop lexer ``tokenize`` replaced, kept as the reference.
+
+    Returns ``(kind, text, line, column)`` per token, like :func:`compiled_tokens`.
+    """
+    pos, line, column, end = 0, 1, 1, len(source)
+
+    def peek(offset=0):
+        return source[pos + offset] if pos + offset < end else ""
+
+    def advance(count=1):
+        nonlocal pos, line, column
+        for _ in range(count):
+            if pos >= end:
+                return
+            if source[pos] == "\n":
+                line, column = line + 1, 1
+            else:
+                column += 1
+            pos += 1
+
+    tokens = []
+    while True:
+        while pos < end:
+            ch = peek()
+            if ch in " \t\r\n":
+                advance()
+            elif ch == "{":
+                start = SourceLocation(line, column)
+                advance()
+                while pos < end and peek() != "}":
+                    advance()
+                if pos >= end:
+                    raise LexError("unterminated comment", start)
+                advance()
+            elif ch == "/" and peek(1) == "/":
+                while pos < end and peek() != "\n":
+                    advance()
+            else:
+                break
+        here = (line, column)
+        if pos >= end:
+            tokens.append((TokenKind.EOF, "") + here)
+            return tokens
+        ch = peek()
+        if ch.isalpha() or ch == "_":
+            start = pos
+            while peek().isalnum() or peek() == "_":
+                advance()
+            text = source[start:pos]
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            tokens.append((kind, text) + here)
+        elif ch.isdecimal():
+            start = pos
+            while peek().isdecimal():
+                advance()
+            tokens.append((TokenKind.INT, source[start:pos]) + here)
+        else:
+            for symbol in SYMBOLS:
+                if source.startswith(symbol, pos):
+                    advance(len(symbol))
+                    tokens.append(
+                        (TokenKind.SYMBOL, "<>" if symbol == "!=" else symbol) + here
+                    )
+                    break
+            else:
+                raise LexError(f"unexpected character {ch!r}", SourceLocation(*here))
+
+
+def compiled_tokens(source):
+    """:func:`tokenize`'s tokens as ``(kind, text, line, column)``."""
+    return [(t.kind, t.text, t.location.line, t.location.column) for t in tokenize(source)]
+
+
+def lexed(lexer, source):
+    """``lexer``'s tokens, or its error as ``("error", message, line, column)``."""
+    try:
+        return lexer(source)
+    except LexError as error:
+        return [("error", error.message, error.location.line, error.location.column)]
+
+
+def corpus_sources():
+    """Every named workload at depths 4 and 8, every generator family at
+    its largest clamped shape, edit-bench programs of 4-64 walkers and a
+    40-step edit chain."""
+    from repro.workloads import (
+        EDIT_KINDS,
+        FAMILIES,
+        WORKLOADS,
+        GeneratorConfig,
+        apply_edit_script,
+        generate_edit_script,
+        generate_scenarios,
+        make_edit_bench_scenario,
+        source,
+    )
+
+    sources = [source(name, depth=depth) for name in WORKLOADS for depth in (4, 8)]
+    largest = GeneratorConfig(procedures=99, depth=99).clamped()
+    sources += [s.source for s in generate_scenarios(2 * len(FAMILIES), config=largest)]
+    sources += [make_edit_bench_scenario(walkers).source for walkers in (4, 8, 16, 32, 64)]
+    version = make_edit_bench_scenario(8, seed=3).source
+    for step in range(40):
+        kind = EDIT_KINDS[step % len(EDIT_KINDS)]
+        script = generate_edit_script(version, seed=step, edits=1, kinds=(kind,))
+        version = apply_edit_script(version, script)
+        sources.append(version)
+    return sources
+
+
+#: Fragments random inputs are drawn from: every symbol and its stray
+#: prefixes, comment delimiters, the whitespace set, keywords and words,
+#: decimal digits of two scripts, and characters that are word characters
+#: or digits to ``str`` but may not start a token (``²``, ``½``, a combining
+#: accent).
+RANDOM_FRAGMENTS = (
+    list(SYMBOLS)
+    + ["!", "|", "/", "//", "{", "}", "{ c }", " ", "\t", "\r", "\n", "\r\n"]
+    + ["begin", "end", "if", "x", "h_1", "_", "0", "42", "\u0661\u0662"]
+    + ["\u00b2", "\u00bd", "\u00e9", "e\u0301", "\u0301", "$", "@"]
+)
+
+
+def random_sources(count, seed=20):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield "".join(rng.choices(RANDOM_FRAGMENTS, k=rng.randrange(0, 16)))
+
+
+class TestLexerMatchesReference:
+    """``tokenize`` emits exactly what the character-loop lexer emitted:
+    kinds, texts, lines and columns, and the same errors at the same
+    locations."""
+
+    def test_corpus_programs(self):
+        for source in corpus_sources():
+            assert lexed(compiled_tokens, source) == lexed(reference_tokens, source)
+
+    def test_random_strings(self):
+        raised = 0
+        for source in random_sources(50_000):
+            expected = lexed(reference_tokens, source)
+            assert lexed(compiled_tokens, source) == expected, source
+            raised += expected[0][0] == "error"
+        # Both outcomes are well represented.
+        assert 10_000 < raised < 45_000, raised
+
+    @pytest.mark.parametrize(
+        "source, message, location",
+        [
+            ("x := 2\u00b2", "unexpected character '\u00b2'", (1, 7)),
+            ("x :=\n  \u00bd", "unexpected character '\u00bd'", (2, 3)),
+            ("a \u00e9\u0301", "unexpected character '\u0301'", (1, 4)),
+            ("a\r{ open\n", "unterminated comment", (1, 3)),
+            ("a / b", "unexpected character '/'", (1, 3)),
+            ("a ! b", "unexpected character '!'", (1, 3)),
+            ("a | b", "unexpected character '|'", (1, 3)),
+            ("{ a\n b }\n  }", "unexpected character '}'", (3, 3)),
+        ],
+    )
+    def test_errors_at_their_own_location(self, source, message, location):
+        expected = [("error", message) + location]
+        assert lexed(reference_tokens, source) == expected
+        assert lexed(compiled_tokens, source) == expected
+
+    def test_only_newline_starts_a_line(self):
+        tokens = tokenize("a\rb\n{ x\n y } c // d\ne")
+        assert [(t.text, t.location.line, t.location.column) for t in tokens] == [
+            ("a", 1, 1), ("b", 1, 3), ("c", 3, 6), ("e", 4, 1), ("", 4, 2),
+        ]

@@ -10,7 +10,8 @@ scoping that lets two batches share one transfer cache safely.
 
 import pytest
 
-from repro.analysis.engine import BatchAnalyzer
+from repro.analysis import reanalysis
+from repro.analysis.engine import BatchAnalyzer, analyze_program_reference
 from repro.analysis.limits import DEFAULT_LIMITS, AdaptiveLimits
 from repro.analysis.reanalysis import (
     IncrementalSession,
@@ -18,8 +19,18 @@ from repro.analysis.reanalysis import (
     result_digest,
 )
 from repro.cache import CacheConfig
+from repro.sil import ast
+from repro.sil import delta as delta_module
+from repro.sil.delta import diff_programs, statement_identity, statement_rebase_map
 from repro.sil.normalize import parse_and_normalize
-from repro.workloads import generate_scenario, generate_edited_pair
+from repro.workloads import (
+    EDIT_KINDS,
+    apply_edit_script,
+    generate_edit_script,
+    generate_edited_pair,
+    generate_scenario,
+    make_edit_bench_scenario,
+)
 from repro.workloads.generators import GeneratorConfig
 
 
@@ -169,3 +180,95 @@ class TestBatchesSharingACache:
         second = BatchAnalyzer(limits=DEFAULT_LIMITS, transfer_cache=shared)
         result_b = second.analyze(program, info)
         assert result_digest(result_a) == result_digest(result_b)
+
+
+def edit_chain(walkers, steps, seed=3):
+    """Sources of an edit-bench program and ``steps`` successive one-step
+    edits, cycling through every edit kind."""
+    versions = [make_edit_bench_scenario(walkers, seed=seed).source]
+    for step in range(steps):
+        kind = EDIT_KINDS[step % len(EDIT_KINDS)]
+        script = generate_edit_script(versions[-1], seed=step, edits=1, kinds=(kind,))
+        versions.append(apply_edit_script(versions[-1], script))
+    return versions
+
+
+def statement_ids(program):
+    return {
+        id(stmt) for proc in program.all_callables for stmt in ast.walk_stmt(proc.body)
+    }
+
+
+class TestIdentityTables:
+    """A session renders each version's statement identities once, when it
+    takes the version, and diffs and rebases from those tables."""
+
+    def test_continued_reanalysis_renders_only_the_new_version(self, monkeypatch):
+        versions = edit_chain(8, 2)
+        session = session_for(versions[0])
+        try:
+            first, _ = parse_and_normalize(versions[1])
+            session.reanalyze(first)
+            second, second_info = parse_and_normalize(versions[2])
+            rendered = []
+
+            def counting(stmt):
+                rendered.append(id(stmt))
+                return statement_identity(stmt)
+
+            monkeypatch.setattr(delta_module, "statement_identity", counting)
+            report = session.reanalyze(second, second_info)
+        finally:
+            session.close()
+        new_ids = statement_ids(second)
+        assert sorted(rendered) == sorted(new_ids)  # each once, new version only
+        assert not set(rendered) & statement_ids(first)
+        assert report.delta.changed and report.delta.unchanged
+
+    def test_edit_chain_deltas_and_rebase_maps_match_a_fresh_render(self, monkeypatch):
+        rebases = []
+
+        def recording(old, new, names, *tables):
+            mapping = statement_rebase_map(old, new, names, *tables)
+            rebases.append((old, new, tuple(names), mapping))
+            return mapping
+
+        monkeypatch.setattr(reanalysis, "statement_rebase_map", recording)
+        versions = edit_chain(8, 40)
+        session = session_for(versions[0])
+        old = session.program
+        try:
+            for source in versions[1:]:
+                new, info = parse_and_normalize(source)
+                report = session.reanalyze(new, info)
+                assert report.delta == diff_programs(old, new)
+                held_old, held_new, names, mapping = rebases[-1]
+                assert held_old is old and held_new is new
+                fresh = statement_rebase_map(old, new, names)
+                assert {k: id(v) for k, v in mapping.items()} == {
+                    k: id(v) for k, v in fresh.items()
+                }
+                old = new
+            assert report.digest == cold_solve(new, info)[0]
+        finally:
+            session.close()
+        assert len(rebases) == 40
+
+    def test_editing_the_held_program_in_place_changes_nothing(self):
+        # The walker's load follows h.left in the solved version.  Flipping
+        # it to h.right in the held object makes that object render like the
+        # next version, but the session still diffs against what it solved.
+        base = make_edit_bench_scenario(4).source
+        walk1 = base.index("procedure walk1")
+        edited = base[:walk1] + base[walk1:].replace("l := h.left", "l := h.right", 1)
+        session = session_for(base)
+        try:
+            held = session.program.callable("walk1")
+            (load,) = [s for s in ast.walk_stmt(held.body) if isinstance(s, ast.LoadField)]
+            load.field_name = ast.Field.RIGHT
+            new, info = parse_and_normalize(edited)
+            report = session.reanalyze(new, info)
+        finally:
+            session.close()
+        assert "walk1" in report.procedures_reanalyzed
+        assert report.digest == result_digest(analyze_program_reference(new, info))
