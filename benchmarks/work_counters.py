@@ -11,13 +11,16 @@ one JSON document:
   single ``None`` check.
 * ``programs`` — one row per program: the named workloads at depth 4 and
   twelve dag/deep/mixed scenarios.  Each row holds the
-  ``AnalysisStats.counters()`` of a fresh ``BatchAnalyzer`` and the span
-  counts by name of a second, traced analysis.  A hot-path tax such as
-  eager interning moves the counters; a span added inside a
-  per-statement loop moves the span counts.
+  ``AnalysisStats.counters()`` of a fresh ``BatchAnalyzer``, the span
+  counts by name of a second, traced analysis, and the program's
+  ``parallelism_census`` read from the first analysis.  A hot-path tax
+  such as eager interning moves the counters; a span added inside a
+  per-statement loop moves the span counts; a flipped parallelization
+  verdict moves the census, even when the reference engine flips with it.
 * ``edit_chain`` — one row per step of an edit chain through one held
   ``IncrementalSession``, the re-analysis path the daemon serves: one
-  edit of each kind, then their undos.
+  edit of each kind, then their undos.  Each row holds the step's counter
+  deltas and the census of the session's result for that version.
 
 ``benchmarks/test_work_counters.py`` runs this script and compares its
 output with the committed ``work_counters.json`` byte for byte.  It must
@@ -41,6 +44,7 @@ from repro.analysis.engine import BatchAnalyzer
 from repro.analysis.reanalysis import IncrementalSession
 from repro.faults import current_fault_plan
 from repro.obs.trace import Tracer, install_tracer, tracing_enabled, uninstall_tracer
+from repro.parallel import PathMatrixOracle, parallelism_census
 from repro.sil.normalize import parse_and_normalize
 from repro.workloads import (
     EDIT_KINDS,
@@ -65,17 +69,25 @@ def population():
     return items
 
 
+def census(result):
+    """The parallelization verdicts counted over an already-solved result."""
+    return parallelism_census(
+        result.program, result.info, oracle=PathMatrixOracle(analysis=result)
+    )
+
+
 def program_row(text):
     program, info = parse_and_normalize(text)
     batch = BatchAnalyzer()
-    batch.analyze(program, info)
+    result = batch.analyze(program, info)
+    counters = batch.stats.counters()
     tracer = install_tracer(Tracer())
     try:
         BatchAnalyzer().analyze(program, info)
     finally:
         uninstall_tracer()
     spans = Counter(event["name"] for event in tracer.events())
-    return {"counters": batch.stats.counters(), "spans": dict(spans)}
+    return {"counters": counters, "spans": dict(spans), "census": census(result)}
 
 
 def edit_chain():
@@ -96,11 +108,15 @@ def edit_chain():
         for edit, text in zip(reversed(edits), reversed(versions[:-1]))
     ]
     session = IncrementalSession()
-    session.analyze(*parse_and_normalize(versions[0]))
-    rows = [{"edit": "base", "counters": session.stats.counters()}]
+    base = session.analyze(*parse_and_normalize(versions[0]))
+    rows = [
+        {"edit": "base", "counters": session.stats.counters(), "census": census(base)}
+    ]
     for edit, text in steps:
         report = session.reanalyze(*parse_and_normalize(text))
-        rows.append({"edit": edit, "counters": report.stats_delta})
+        rows.append(
+            {"edit": edit, "counters": report.stats_delta, "census": census(report.result)}
+        )
     return rows
 
 
