@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import SourceLocation
 
@@ -371,6 +371,13 @@ class Program(Node):
     name: str = "program"
     procedures: List[Procedure] = field(default_factory=list)
     functions: List[Function] = field(default_factory=list)
+    #: ``(shape, name -> callable)`` behind :meth:`callable`, built on the
+    #: first lookup.  ``shape`` is the identity and length of both lists,
+    #: and the index is rebuilt when either changes; renaming a callable in
+    #: place is not tracked.
+    _callables: Optional[Tuple[Tuple[int, int, int, int], Dict[str, Procedure]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def procedure(self, name: str) -> Procedure:
         """Look up a procedure (not function) by name.  Raises KeyError."""
@@ -387,21 +394,32 @@ class Program(Node):
         raise KeyError(f"no function named {name!r}")
 
     def callable(self, name: str) -> Procedure:
-        """Look up a procedure *or* function by name.  Raises KeyError."""
-        for proc in self.procedures:
-            if proc.name == name:
-                return proc
-        for func in self.functions:
-            if func.name == name:
-                return func
-        raise KeyError(f"no procedure or function named {name!r}")
+        """Look up a procedure *or* function by name.  Raises KeyError.
+
+        Procedures come before functions, and the first of two callables
+        with one name wins.
+        """
+        proc = self._callable_index().get(name)
+        if proc is None:
+            raise KeyError(f"no procedure or function named {name!r}")
+        return proc
 
     def has_callable(self, name: str) -> bool:
-        try:
-            self.callable(name)
-            return True
-        except KeyError:
-            return False
+        return name in self._callable_index()
+
+    def _callable_index(self) -> Dict[str, Procedure]:
+        shape = (
+            id(self.procedures),
+            len(self.procedures),
+            id(self.functions),
+            len(self.functions),
+        )
+        if self._callables is None or self._callables[0] != shape:
+            index: Dict[str, Procedure] = {}
+            for proc in self.procedures + self.functions:
+                index.setdefault(proc.name, proc)
+            self._callables = (shape, index)
+        return self._callables[1]
 
     @property
     def main(self) -> Procedure:

@@ -80,6 +80,40 @@ class TestProgramStructure:
             program.procedure("nope")
         assert not program.has_callable("nope")
 
+    def test_lookup_keeps_first_match_among_duplicates(self):
+        # The type checker rejects duplicate names, but lookups on the
+        # parsed program still answer procedures first, then the first of
+        # two same-named callables.
+        program = parse_program(
+            "program p procedure main() begin end "
+            "procedure dup() begin end "
+            "procedure dup(n: int) begin end "
+            "function dup(): int r: int begin r := 0 end return (r) "
+            "function only(): int r: int begin r := 1 end return (r) "
+            "function only(n: int): int r: int begin r := n end return (r)"
+        )
+        assert program.callable("dup") is program.procedures[1]
+        assert program.callable("dup").params == []
+        assert program.callable("only") is program.functions[1]
+        assert program.function("dup") is program.functions[0]
+        assert program.has_callable("dup") and program.has_callable("only")
+        with pytest.raises(KeyError, match="no procedure or function named 'nope'"):
+            program.callable("nope")
+
+    def test_lookup_follows_a_replaced_or_extended_list(self):
+        program = parse_program(
+            "program p procedure main() begin end procedure a() begin end"
+        )
+        assert program.callable("a") is program.procedures[1]
+        program.procedures = program.procedures[:1]
+        assert not program.has_callable("a")
+        added = parse_program(
+            "program q procedure main() begin end function a(): int r: int "
+            "begin r := 0 end return (r)"
+        ).functions[0]
+        program.functions.append(added)
+        assert program.callable("a") is added
+
 
 class TestStatements:
     def test_simple_assignment(self):
