@@ -14,8 +14,7 @@ families (plus the paper's recursive workloads):
   applications than full re-propagation (``delta < full``) on every
   dag/deep workload;
 * hash-consing actually fires: matrix-intern hits and identity-skipped
-  entry joins (``full_joins_avoided``) are nonzero over the suite, and
-  each re-visit of a procedure sees a shrinking entry delta.
+  entry joins (``full_joins_avoided``) are nonzero over the suite.
 """
 
 from repro.analysis import analyze_program, analyze_program_reference
@@ -83,32 +82,3 @@ def test_ext_incremental_strictly_beats_full_repropagation():
     # matrices are recognised and identical projections are skipped.
     assert totals["intern_hits"] > 0
     assert totals["joins_avoided"] > 0
-
-
-def test_ext_incremental_entry_deltas_shrink_on_revisit():
-    """Re-visits of a recursive procedure carry shrinking entry deltas.
-
-    The worklist hands each visit the set of entry rows changed since the
-    procedure's previous visit (``AnalysisRecorder.entry_delta``).  The
-    first visit propagates the whole entry; once the recursive projections
-    start stabilizing, later deltas must not grow beyond the full entry
-    dimension and the final fixed point arrives with no pending delta left.
-    """
-    program, info = parse_and_normalize(source("add_and_reverse", depth=3))
-    context = AnalysisContext(program=program, info=info, transfer_cache=TransferCache())
-    result = analyze_program(program, info, context=context)
-
-    for name, recorder in context.procedure_recorders.items():
-        entry = result.entry_matrix(name)
-        if recorder.entry_delta is None:
-            continue
-        assert len(recorder.entry_delta) <= len(entry.handles), name
-        assert set(recorder.entry_delta) <= set(entry.handles), name
-    # The solver converged: some late visit ran on a strict subset delta.
-    deltas = [
-        len(recorder.entry_delta)
-        for recorder in context.procedure_recorders.values()
-        if recorder.entry_delta is not None
-    ]
-    assert deltas and min(deltas) < max(len(result.entry_matrix(n).handles)
-                                        for n in context.procedure_recorders)

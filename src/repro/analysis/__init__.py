@@ -37,7 +37,7 @@ from .pathset import PathSet
 from .reanalysis import (
     IncrementalSession,
     ReanalysisReport,
-    VisitMemo,
+    ComponentMemo,
     cold_solve,
     result_digest,
 )
@@ -108,7 +108,7 @@ __all__ = [
     "apply_store_field",
     "IncrementalSession",
     "ReanalysisReport",
-    "VisitMemo",
+    "ComponentMemo",
     "cold_solve",
     "result_digest",
 ]

@@ -27,7 +27,7 @@ workload suite shares one memoization space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..sil import ast
 from ..sil.delta import StatementIdentity, statement_identity
@@ -40,7 +40,7 @@ from .summaries import ProcedureSummary
 from .transfer import GLOBAL_TRANSFER_CACHE, TransferCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
-    from .reanalysis import VisitMemo
+    from .reanalysis import ComponentMemo
 
 
 @dataclass
@@ -131,14 +131,14 @@ class AnalysisStats:
     #: reads lower.  That is why ``benchmarks/work_counters.py`` writes the
     #: exact counter file from a fresh interpreter.
     packed_segment_ops: int = 0
-    #: Worklist visits answered from the cross-run visit memo: the procedure
-    #: was popped with an entry matrix (and limits) it had already been
-    #: analyzed under in a previous run, so its recorded summary was reused
-    #: by pointer instead of re-analyzed (see
-    #: :mod:`repro.analysis.reanalysis`).
+    #: Worklist pops a re-analysis skipped: the pops of every call-graph
+    #: component adopted from the cross-run component memo because its
+    #: members' entry matrices (and the limits) matched a previous solve
+    #: (see :mod:`repro.analysis.reanalysis`).  ``worklist_pops +
+    #: summaries_reused`` of a re-analysis equals a cold solve's pops.
     summaries_reused: int = 0
-    #: Memoized procedure visits dropped by delta-driven invalidation before
-    #: a re-analysis (the dirty procedures' recordings).
+    #: Memoized components dropped by delta-driven invalidation before a
+    #: re-analysis (those holding a dirty or removed procedure).
     summaries_invalidated: int = 0
     #: Size of the dirty seed a re-analysis started from: directly-edited
     #: procedures plus their reverse-call-graph dependents.
@@ -287,10 +287,6 @@ class AnalysisRecorder:
     call_sites: List[Tuple[str, PathMatrix]] = field(default_factory=list)
     #: Iteration history of each while loop, keyed by ``id(stmt)``.
     loop_histories: Dict[int, List[PathMatrix]] = field(default_factory=dict)
-    #: For per-visit recorders of the incremental solver: the entry rows
-    #: that changed since this procedure's previous worklist visit (``None``
-    #: outside the solver; everything on the first visit).
-    entry_delta: Optional[frozenset] = None
 
     def record_point(
         self, proc_name: str, stmt: ast.Stmt, before: PathMatrix, after: PathMatrix
@@ -362,12 +358,16 @@ class AnalysisContext:
     #: layers can reach it without importing :mod:`repro.analysis.symbols`.
     symbols: SymbolTable = field(default_factory=lambda: GLOBAL_SYMBOLS)
 
-    #: Cross-run memo of completed procedure visits, keyed by
-    #: ``(name, limits, interned entry matrix)``.  ``None`` (the default)
-    #: disables cross-run reuse entirely; :class:`repro.analysis.reanalysis.
-    #: IncrementalSession` threads one memo through successive solves of
-    #: edited program versions.
-    visit_memo: Optional["VisitMemo"] = None
+    #: Cross-run memo of solved call-graph components, keyed by
+    #: ``(members, limits, entry matrices when the component's level
+    #: starts)``.  ``None`` (the default) disables cross-run reuse entirely;
+    #: :class:`repro.analysis.reanalysis.IncrementalSession` threads one memo
+    #: through successive solves of edited program versions.
+    component_memo: Optional["ComponentMemo"] = None
+    #: ``caller -> {callees}`` of :attr:`program`
+    #: (:func:`repro.sil.delta.call_graph`), built by the solve when
+    #: ``None``; a caller that already built it for this program passes it.
+    call_graph: Optional[Dict[str, Set[str]]] = None
     #: ``id(stmt) -> statement_identity(stmt)`` for the statements this run
     #: has analyzed, so each is rendered once per run (the transfer-cache
     #: key and the persistent key both use it).

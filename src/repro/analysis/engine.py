@@ -27,7 +27,7 @@ identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..cache.backend import CacheConfig, open_backend
 from ..sil import ast
@@ -64,6 +64,9 @@ class AnalysisResult:
     iterations: int = 0
     #: Work counters for this run (shared across a batch for analyze_many).
     stats: AnalysisStats = field(default_factory=AnalysisStats)
+    #: Each reachable procedure's last-visit recording, which ``recorder``
+    #: assembles (empty for the reference engine).
+    procedure_recorders: Dict[str, AnalysisRecorder] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Lookups
@@ -128,15 +131,13 @@ class AnalysisResult:
         """
         points = {}
         for proc_name in sorted(self.entry_matrices):
-            proc = self.program.callable(proc_name)
-            for index, stmt in enumerate(ast.walk_stmt(proc.body)):
-                recorded_before = self.recorder.before.get(id(stmt))
-                if recorded_before is None:
-                    continue
-                points[f"{proc_name}#{index}"] = {
-                    "before": canonical_matrix(recorded_before),
-                    "after": canonical_matrix(self.recorder.after[id(stmt)]),
-                }
+            points.update(
+                canonical_points(
+                    self.program.callable(proc_name),
+                    self.recorder.before,
+                    self.recorder.after,
+                )
+            )
         return {
             "program": self.program.name,
             "entry_matrices": {
@@ -144,10 +145,7 @@ class AnalysisResult:
                 for name, matrix in sorted(self.entry_matrices.items())
             },
             "points": points,
-            "diagnostics": sorted(
-                [proc, diag.kind.name, diag.certainty.name, diag.statement, diag.detail]
-                for proc, diag in self.recorder.diagnostics
-            ),
+            "diagnostics": canonical_diagnostics(self.recorder.diagnostics),
         }
 
     # ------------------------------------------------------------------
@@ -194,6 +192,34 @@ def canonical_matrix(matrix: PathMatrix) -> Dict[str, object]:
     return canonical_document(matrix)
 
 
+def canonical_points(
+    proc: ast.Procedure,
+    before: Dict[int, PathMatrix],
+    after: Dict[int, PathMatrix],
+) -> Dict[str, Dict[str, object]]:
+    """``proc``'s recorded points in :meth:`AnalysisResult.canonical`
+    form, keyed ``"<procedure>#<walk position>"``."""
+    points = {}
+    for index, stmt in enumerate(ast.walk_stmt(proc.body)):
+        recorded_before = before.get(id(stmt))
+        if recorded_before is not None:
+            points[f"{proc.name}#{index}"] = {
+                "before": canonical_matrix(recorded_before),
+                "after": canonical_matrix(after[id(stmt)]),
+            }
+    return points
+
+
+def canonical_diagnostics(
+    diagnostics: Iterable[Tuple[str, StructureDiagnostic]]
+) -> List[List[str]]:
+    """Recorded diagnostics in :meth:`AnalysisResult.canonical` form, sorted."""
+    return sorted(
+        [proc, diag.kind.name, diag.certainty.name, diag.statement, diag.detail]
+        for proc, diag in diagnostics
+    )
+
+
 def analyze_program(
     program: ast.Program,
     info: Optional[TypeInfo] = None,
@@ -229,6 +255,7 @@ def analyze_program(
         recorder=context.recorder,
         iterations=context.stats.worklist_pops,
         stats=context.stats,
+        procedure_recorders=context.procedure_recorders,
     )
 
 
@@ -286,10 +313,10 @@ class BatchAnalyzer:
         self.limits = limits
         self.entry = entry
         self.stats = AnalysisStats()
-        #: Cross-run procedure-visit memo; attached by
+        #: Cross-run memo of solved call-graph components; attached by
         #: :class:`repro.analysis.reanalysis.IncrementalSession`, ``None``
         #: (no cross-run reuse) for ordinary batches.
-        self.visit_memo = None
+        self.component_memo = None
         if transfer_cache is not None:
             if cache is not None:
                 raise ValueError(
@@ -325,8 +352,17 @@ class BatchAnalyzer:
         return [self.limits]
 
     def analyze(
-        self, program: ast.Program, info: Optional[TypeInfo] = None
+        self,
+        program: ast.Program,
+        info: Optional[TypeInfo] = None,
+        summaries: Optional[Dict[str, ProcedureSummary]] = None,
+        call_graph: Optional[Dict[str, Set[str]]] = None,
     ) -> AnalysisResult:
+        """Analyze one program against the batch's cache and stats.
+
+        ``summaries`` and ``call_graph``, when given, must be this
+        program's; the pipeline then skips computing them.
+        """
         ladder = self._ladder()
         previous_fired: Optional[int] = None
         for step, limits in enumerate(ladder):
@@ -339,7 +375,9 @@ class BatchAnalyzer:
                 entry_name=self.entry,
                 stats=self.stats,
                 transfer_cache=self.cache,
-                visit_memo=self.visit_memo,
+                component_memo=self.component_memo,
+                summaries=summaries,
+                call_graph=call_graph,
             )
             run_pipeline(context)
             info = context.info  # reuse type info across escalation re-runs
@@ -364,6 +402,7 @@ class BatchAnalyzer:
             recorder=context.recorder,
             iterations=self.stats.worklist_pops - pops_before,
             stats=self.stats,
+            procedure_recorders=context.procedure_recorders,
         )
 
 

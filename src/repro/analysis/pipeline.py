@@ -11,43 +11,62 @@ one :class:`~repro.analysis.context.AnalysisContext`:
 5. **assemble** — stitch the final per-procedure recordings into one
    :class:`~repro.analysis.context.AnalysisRecorder`.
 
-**The worklist solver.**  The seed engine re-analyzed *every* reachable
-procedure on *every* interprocedural round and then ran one more full
-recording pass once the entry matrices had stabilized.  The solver here
-tracks entry-matrix dirtiness instead: a procedure is (re-)analyzed only
-when it is discovered or its entry matrix absorbs a changed call-site
-projection.  Because procedure summaries are fixed before the fixed point
-starts, a procedure's recorded program points depend only on its own entry
-matrix — so the recording made during a procedure's *last* visit is already
-the final one, and no extra recording pass is needed.  Entry matrices grow
-by the same commutative/associative merge the seed used, so the solved
-fixed point is identical (the golden tests compare against the retained
+**The solver.**  The seed engine re-analyzed *every* reachable procedure
+on *every* interprocedural round and then ran one more full recording pass
+once the entry matrices had stabilized.  The solver here orders the
+strongly connected components of the static call graph by call depth from
+the entry procedure (the longest path in the component DAG, so every call
+between two components goes strictly deeper) and solves one depth level at
+a time:
+
+* a level runs one FIFO worklist over its components' members; a procedure
+  is (re-)analyzed only when it is discovered or its entry matrix absorbs a
+  changed projection from a call site in its own component;
+* projections into deeper components are held until the level ends and
+  then merged in the order they were emitted, so a component's entry
+  matrices are final when its level starts;
+* because procedure summaries are fixed before the solve starts, a
+  procedure's recorded program points depend only on its own entry matrix,
+  so the recording made during its *last* visit is the final one.
+
+Entry matrices grow by the same merge the seed used, so the solved fixed
+point is the seed's (the golden tests compare against the retained
 reference engine).
 
-**Incremental, delta-driven propagation.**  Entry matrices and call-site
-projections are hash-consed (:meth:`~repro.analysis.matrix.PathMatrix.
-interned`), which makes three things pointer checks instead of
-canonical-encoding walks:
+**Component reuse.**  A solved component is a pure function of its
+members' bodies, the limits, its members' entry matrices when its level
+starts and its callees' summaries.  An
+:class:`~repro.analysis.reanalysis.IncrementalSession` passes a
+:class:`~repro.analysis.reanalysis.ComponentMemo` keyed on the middle two;
+the session drops every component whose members an edit touched, directly
+or through a callee's summary.  A hit adopts the stored entry matrices,
+recorders and emitted projections without popping, replays the widening
+counters, and counts the skipped pops in ``summaries_reused``.
+
+**Interned propagation.**  Entry matrices and call-site projections are
+hash-consed (:meth:`~repro.analysis.matrix.PathMatrix.interned`), which
+makes three things pointer checks instead of canonical-encoding walks:
 
 * a projection *identical* to one this callee already absorbed is skipped
   outright (``full_joins_avoided``) — merging it again is a no-op because
   the entry merge is idempotent;
 * a genuinely new projection is absorbed row-wise via
   :meth:`~repro.analysis.matrix.PathMatrix.merge_delta`: unchanged rows
-  are reused by reference, and the worklist carries only the *delta* —
-  the set of entry rows changed since the callee's last visit
-  (``delta_rows_propagated``, vs the ``full_rows_propagated`` a
-  non-incremental engine would rewrite);
+  are reused by reference (``delta_rows_propagated`` counts the changed
+  rows, ``full_rows_propagated`` the rows a non-incremental engine would
+  rewrite);
 * "did the entry matrix change?" is ``merged is not current``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs.trace import span
 from ..sil import ast
+from ..sil.delta import call_graph
 from ..sil.typecheck import check_program
 from .context import AnalysisContext, AnalysisRecorder
 from .interproc import initial_entry_matrix
@@ -82,8 +101,105 @@ def summaries_pass(context: AnalysisContext) -> None:
         context.summaries = compute_summaries(context.program, context.info)
 
 
+#: A component of the call graph: its member names, sorted.
+Component = Tuple[str, ...]
+
+#: Where a projection was emitted in a level's FIFO order: ``(generation,
+#: path, call site)``.  A level's first pops have the path ``(rank,)``, their
+#: order of arrival; a procedure queued by call site ``i`` of the pop with
+#: path ``p`` gets the path ``p + (i,)``.  A FIFO pops in ``(len(path),
+#: path)`` order, so sorting on these keys restores the order of a level
+#: that never ran some of its components.
+EmitKey = Tuple[int, Tuple[int, ...], int]
+
+
+def component_levels(
+    graph: Dict[str, Set[str]], entry: str
+) -> Tuple[Dict[str, Component], Dict[str, int]]:
+    """The components reachable from ``entry`` and their call depths.
+
+    Returns ``(component_of, level_of)`` over every procedure reachable
+    from ``entry``.  A procedure's level is the length of the longest path
+    from ``entry``'s component to its own in the component DAG, so every
+    call between two components goes from a lower level to a higher one.
+    Tarjan's algorithm, iterative so deep call chains need no recursion.
+    """
+    index: Dict[str, int] = {entry: 0}
+    low: Dict[str, int] = {entry: 0}
+    stack: List[str] = [entry]
+    on_stack: Set[str] = {entry}
+    found: List[Component] = []  # callees before their callers
+    work = [(entry, iter(graph.get(entry, ())))]
+    while work:
+        name, callees = work[-1]
+        for callee in callees:
+            if callee not in index:
+                index[callee] = low[callee] = len(index)
+                stack.append(callee)
+                on_stack.add(callee)
+                work.append((callee, iter(graph.get(callee, ()))))
+                break
+            if callee in on_stack:
+                low[name] = min(low[name], index[callee])
+        else:
+            work.pop()
+            if work:
+                caller = work[-1][0]
+                low[caller] = min(low[caller], low[name])
+            if low[name] == index[name]:
+                members = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    members.append(member)
+                    if member == name:
+                        break
+                found.append(tuple(sorted(members)))
+
+    component_of = {member: component for component in found for member in component}
+    depth = {component: 0 for component in found}
+    for component in reversed(found):  # callers before callees
+        below = depth[component] + 1
+        for member in component:
+            for callee in graph.get(member, ()):
+                target = component_of[callee]
+                if target is not component and depth[target] < below:
+                    depth[target] = below
+    level_of = {member: depth[component_of[member]] for member in component_of}
+    return component_of, level_of
+
+
+class SolvedComponent:
+    """What solving one component produced, as a :class:`~repro.analysis.
+    reanalysis.ComponentMemo` stores it.
+
+    ``ranks`` are the arrival ranks the component's first pops had in their
+    level; the keys in ``emitted`` and ``discovered`` use them, and a level
+    that adopts the component maps them onto its own ranks.
+    """
+
+    __slots__ = ("ranks", "entries", "recorders", "emitted", "discovered", "widening", "pops")
+
+    def __init__(self, ranks: Tuple[int, ...]) -> None:
+        self.ranks = ranks
+        #: The members' final entry matrices and last-visit recorders.
+        self.entries: Dict[str, PathMatrix] = {}
+        self.recorders: Dict[str, AnalysisRecorder] = {}
+        #: Projections into deeper components, in emission order.
+        self.emitted: List[Tuple[EmitKey, str, PathMatrix]] = []
+        #: Members first reached from inside the component.
+        self.discovered: List[Tuple[EmitKey, str]] = []
+        self.widening: Dict[str, int] = {}
+        self.pops = 0
+
+
+def _rekey(key: EmitKey, ranks: Dict[int, int]) -> EmitKey:
+    generation, path, site = key
+    return (generation, (ranks[path[0]],) + path[1:], site)
+
+
 def solve_pass(context: AnalysisContext) -> None:
-    """Worklist-driven interprocedural fixed point with last-visit recording.
+    """Level-ordered interprocedural fixed point with last-visit recording.
 
     Invariants:
 
@@ -94,30 +210,34 @@ def solve_pass(context: AnalysisContext) -> None:
     * a procedure is queued whenever its entry matrix changes, so the last
       ``ProcedureAnalyzer`` visit of every procedure used its final entry
       matrix — its recording *is* the fixed-point recording;
+    * no projection reaches a component after its level starts, so the
+      entry matrices at that moment, the limits and the bodies decide
+      everything the component's solve does;
     * the merge is idempotent, so a projection identical (by interned
       object) to one already absorbed by the callee can be skipped without
-      touching the entry matrix — the frequent case once the recursive
-      projections stabilize;
-    * ``pending_rows[p]`` is the delta this visit of ``p`` propagates: the
-      union of the entry rows changed since ``p``'s previous visit.
+      touching the entry matrix.
     """
     program = context.program
     limits = context.limits
     stats = context.stats
+    memo = context.component_memo
 
     entry_proc = program.callable(context.entry_name)
+    graph = context.call_graph
+    if graph is None:
+        graph = call_graph(program)
+    component_of, level_of = component_levels(graph, entry_proc.name)
+
     entries = {entry_proc.name: initial_entry_matrix(entry_proc, limits).interned()}
+    #: Reachable procedures in the order their entry matrices appeared.
+    discovered = [entry_proc.name]
+    #: Per level, its procedures in the order their entry matrices appeared.
+    arrivals: List[List[str]] = [[] for _ in range(max(level_of.values()) + 1)]
+    arrivals[0].append(entry_proc.name)
     last_visit = context.procedure_recorders
     last_visit.clear()
-
-    pending = deque([entry_proc.name])
-    queued = {entry_proc.name}
     #: Interned projections each callee's entry matrix has already absorbed.
     absorbed: Dict[str, Set[PathMatrix]] = {}
-    #: Entry rows changed since each queued procedure's last visit.
-    pending_rows: Dict[str, Set[str]] = {
-        entry_proc.name: set(entries[entry_proc.name].iter_handles())
-    }
     # Safety net mirroring the seed's bound: rounds x procedures.  The bound
     # is per *program*, but the stats object may be shared across a whole
     # batch — compare against this run's pop delta, not the cumulative count.
@@ -126,81 +246,135 @@ def solve_pass(context: AnalysisContext) -> None:
         1, len(program.all_callables)
     )
 
-    memo = context.visit_memo
+    def absorb(callee: str, projected: PathMatrix) -> Tuple[bool, bool]:
+        """Merge ``projected`` into ``callee``'s entry: (changed, discovered)."""
+        seen = absorbed.setdefault(callee, set())
+        if projected in seen:
+            # Pointer-identical to an already-absorbed projection: the
+            # idempotent entry merge would change nothing.
+            stats.full_joins_avoided += 1
+            return False, False
+        current = entries.get(callee)
+        if current is None:
+            base = initial_entry_matrix(program.callable(callee), limits)
+            merged, changed = base.merge_delta(projected)
+            # A freshly-discovered procedure propagates its whole entry.
+            changed = tuple(merged.iter_handles())
+        else:
+            merged, changed = current.merge_delta(projected)
+        merged = merged.interned()
+        seen.add(projected)
+        if current is not None and merged is current:
+            return False, False
+        entries[callee] = merged
+        stats.entry_updates += 1
+        stats.delta_rows_propagated += len(changed)
+        stats.full_rows_propagated += len(merged.iter_handles())
+        return True, current is None
 
-    while pending:
-        name = pending.popleft()
-        queued.discard(name)
-        delta = pending_rows.pop(name, None)
-        stats.worklist_pops += 1
+    tripped = False
+    for level in arrivals:
+        if not level or tripped:
+            continue
+        rank = {name: position for position, name in enumerate(level)}
+        starters: Dict[Component, List[str]] = {}
+        for name in level:
+            starters.setdefault(component_of[name], []).append(name)
+        #: Components solved here; the record is None without a memo.
+        live: Dict[Component, Optional[SolvedComponent]] = {}
+        keys: Dict[Component, object] = {}
+        found: List[Tuple[EmitKey, str]] = []
+        deferred: List[Tuple[EmitKey, str, PathMatrix]] = []
+        adopted = False
+        for component, names in starters.items():
+            if memo is None:
+                live[component] = None
+                continue
+            key = (component, limits, tuple((name, entries[name]) for name in names))
+            solved = memo.get(key)
+            if solved is None:
+                keys[component] = key
+                live[component] = SolvedComponent(tuple(rank[name] for name in names))
+                continue
+            adopted = True
+            entries.update(solved.entries)
+            last_visit.update(solved.recorders)
+            ranks = {old: rank[name] for old, name in zip(solved.ranks, names)}
+            found.extend((_rekey(key, ranks), name) for key, name in solved.discovered)
+            deferred.extend(
+                (_rekey(key, ranks), callee, projected)
+                for key, callee, projected in solved.emitted
+            )
+            stats.summaries_reused += solved.pops
+            for counter, amount in solved.widening.items():
+                setattr(stats, counter, getattr(stats, counter) + amount)
 
-        # Cross-run reuse: a visit recording is a pure function of the
-        # procedure body, the (interned) entry matrix, the limits and the
-        # direct callees' summaries — and the memo is invalidated along
-        # reverse call edges whenever any of those could have changed (see
-        # repro.analysis.reanalysis).  A hit replays the visit by pointer:
-        # same recorder, same call-site projections, and the widening
-        # counters the original visit advanced are re-applied so warm
-        # telemetry is bit-identical to a cold solve.
-        visit = None
-        if memo is not None:
-            cached = memo.get(name, limits, entries[name])
-            if cached is not None:
-                visit, widening_delta = cached
-                visit.entry_delta = frozenset(delta) if delta is not None else None
-                stats.summaries_reused += 1
-                for counter, amount in widening_delta.items():
-                    setattr(stats, counter, getattr(stats, counter) + amount)
-        if visit is None:
-            visit = AnalysisRecorder()
-            visit.entry_delta = frozenset(delta) if delta is not None else None
-            if memo is not None:
+        queue = deque(
+            (name, (rank[name],)) for name in level if component_of[name] in live
+        )
+        queued = {name for name, _ in queue}
+        while queue:
+            name, path = queue.popleft()
+            queued.discard(name)
+            stats.worklist_pops += 1
+            component = component_of[name]
+            record = live[component]
+            if record is not None:
                 widening_before = stats.widening_counters()
+                memo.fresh_names.add(name)
+            visit = AnalysisRecorder()
             analyzer = ProcedureAnalyzer(
                 program, context.info, context.summaries, limits, visit, context=context
             )
             with span("solve.visit", {"procedure": name}):
                 analyzer.analyze_procedure(program.callable(name), entries[name])
-            if memo is not None:
-                widening_delta = {
-                    counter: getattr(stats, counter) - widening_before[counter]
-                    for counter in stats.WIDENING_FIELDS
-                }
-                memo.put(name, limits, entries[name], visit, widening_delta)
-        last_visit[name] = visit
+            last_visit[name] = visit
 
-        for callee, projected in visit.call_sites:
-            projected = projected.interned()
-            seen = absorbed.setdefault(callee, set())
-            if projected in seen:
-                # Pointer-identical to an already-absorbed projection: the
-                # idempotent entry merge would change nothing.
-                stats.full_joins_avoided += 1
-                continue
-            current = entries.get(callee)
-            if current is None:
-                base = initial_entry_matrix(program.callable(callee), limits)
-                merged, changed = base.merge_delta(projected)
-                # A freshly-discovered procedure propagates its whole entry.
-                changed = tuple(merged.iter_handles())
-            else:
-                merged, changed = current.merge_delta(projected)
-            merged = merged.interned()
-            seen.add(projected)
-            if current is None or merged is not current:
-                entries[callee] = merged
-                stats.entry_updates += 1
-                stats.delta_rows_propagated += len(changed)
-                stats.full_rows_propagated += len(merged.iter_handles())
-                pending_rows.setdefault(callee, set()).update(changed)
-                if callee not in queued:
+            generation = len(path)
+            for site, (callee, projected) in enumerate(visit.call_sites):
+                projected = projected.interned()
+                emit_key = (generation, path, site)
+                if component_of[callee] is not component:
+                    deferred.append((emit_key, callee, projected))
+                    if record is not None:
+                        record.emitted.append(deferred[-1])
+                    continue
+                changed, new = absorb(callee, projected)
+                if new:
+                    found.append((emit_key, callee))
+                    if record is not None:
+                        record.discovered.append(found[-1])
+                if changed and callee not in queued:
                     queued.add(callee)
-                    pending.append(callee)
-        if pending and stats.worklist_pops - pops_at_start >= max_pops:  # pragma: no cover - safety net
-            stats.iteration_guard_trips += 1
-            break
+                    queue.append((callee, path + (site,)))
+            if record is not None:
+                record.pops += 1
+                for counter, before in widening_before.items():
+                    amount = getattr(stats, counter) - before
+                    if amount:
+                        record.widening[counter] = record.widening.get(counter, 0) + amount
+            if queue and stats.worklist_pops - pops_at_start >= max_pops:  # pragma: no cover - safety net
+                stats.iteration_guard_trips += 1
+                tripped = True
+                break
 
-    context.entry_matrices = entries
+        if memo is not None and not tripped:
+            for component, record in live.items():
+                for member in component:
+                    if member in entries:
+                        record.entries[member] = entries[member]
+                        record.recorders[member] = last_visit[member]
+                memo.put(keys[component], record)
+        if adopted:
+            found.sort(key=itemgetter(0))
+            deferred.sort(key=itemgetter(0))
+        discovered.extend(name for _, name in found)
+        for _, callee, projected in deferred:
+            if absorb(callee, projected)[1]:
+                discovered.append(callee)
+                arrivals[level_of[callee]].append(callee)
+
+    context.entry_matrices = {name: entries[name] for name in discovered}
 
 
 def assemble_pass(context: AnalysisContext) -> None:

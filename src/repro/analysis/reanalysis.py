@@ -1,32 +1,42 @@
 """Cross-run incremental re-analysis of edited programs.
 
-The solver is incremental *within* a run (delta rows, PR 5) and warm
-*across* runs for byte-identical programs (persistent transfer cache,
-PR 4); this module makes it incremental across runs of **edited** programs:
+The solver is incremental *within* a run (interned entry matrices and
+row-wise merges) and warm *across* runs for byte-identical programs
+(transfer cache); this module makes it incremental across runs of
+**edited** programs:
 
 1. diff the old and new program versions structurally
-   (:func:`repro.sil.delta.diff_programs`);
+   (:func:`repro.sil.delta.diff_programs`), reading the old side from the
+   identity table the session rendered when it took that version;
 2. compute the *dirty seed* — directly-edited procedures plus their
-   reverse-call-graph dependents (:func:`repro.sil.delta.dirty_seed`);
-3. drop exactly the memoized procedure visits and persistent transfer
-   entries the edit invalidates (``summaries_invalidated``, targeted
+   reverse-call-graph dependents (:func:`repro.sil.delta.dirty_seed`),
+   over the one :func:`~repro.sil.delta.call_graph` the solve also orders
+   its components by;
+3. drop exactly the memoized components and persistent transfer entries
+   the edit invalidates (``summaries_invalidated``, targeted
    :meth:`~repro.analysis.transfer.TransferCache.invalidate_statements`);
 4. rebase the surviving ``id(stmt)``-keyed recordings onto the new parse's
    statement objects (:func:`repro.sil.delta.statement_rebase_map`);
-5. re-solve.  The solver runs the standard cold worklist algorithm — same
-   discovery order, same entry-matrix evolution, hence the *least* fixed
-   point — but answers every clean ``(procedure, limits, entry matrix)``
-   visit from the :class:`VisitMemo` by pointer (``summaries_reused``),
-   replaying the visit's captured widening counters so warm telemetry is
-   bit-identical to a cold solve.
+5. compute summaries for the dirty seed only, reusing the previous
+   version's summary objects for every other procedure;
+6. re-solve.  The solver (:func:`repro.analysis.pipeline.solve_pass`)
+   takes the call graph's components level by level, and adopts every
+   component whose key — members, limits and entry matrices when its
+   level starts — the :class:`ComponentMemo` holds, without popping
+   (``summaries_reused`` counts the skipped pops) and with its widening
+   counters replayed, so warm telemetry is bit-identical to a cold solve;
+7. digest the result from per-procedure canonical text, rendering only
+   the procedures whose last-visit recorder the solve did not reuse.
 
-Soundness rests on one observation (golden-tested): a procedure's visit
-recording is a pure function of its body, its (interned) entry matrix, the
-analysis limits and its direct callees' summaries.  The first two are in
-the memo key; the last two are covered by invalidating the reverse-call
-closure of every edited procedure — and if a dirty caller's projection to
-a clean callee actually changes, the callee's entry matrix changes with it
-and the memo misses on its own.
+Soundness rests on one observation (golden-tested): a component's solve is
+a pure function of its members' bodies, their entry matrices when its
+level starts, the analysis limits and its callees' summaries.  The middle
+two are in the memo key.  The bodies and summaries are covered by
+invalidating the reverse-call closure of every edited procedure — a
+procedure outside that closure reaches no edited procedure, so neither its
+body nor any summary it reads changed — and if a dirty caller's projection
+to a clean callee actually changes, the callee's entry matrix changes with
+it and the memo misses on its own.
 
 :class:`IncrementalSession` packages the whole loop for the CLI
 (``repro reanalyze``) and the analysis daemon (the ``reanalyze`` op).
@@ -34,28 +44,41 @@ and the memo misses on its own.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
 from ..cache.backend import CacheConfig
 from ..sil import ast
 from ..sil.delta import (
     IdentityTable,
     ProgramDelta,
+    call_graph,
     diff_programs,
     dirty_seed,
     program_identities,
     statement_rebase_map,
 )
-from ..sil.typecheck import TypeInfo
+from ..sil.typecheck import TypeInfo, check_program
 from .context import AnalysisRecorder, AnalysisStats
-from .engine import AnalysisResult, BatchAnalyzer
-from .limits import DEFAULT_LIMITS, AnalysisLimits, LimitsLike
+from .engine import (
+    AnalysisResult,
+    BatchAnalyzer,
+    canonical_diagnostics,
+    canonical_matrix,
+    canonical_points,
+)
+from .limits import DEFAULT_LIMITS, LimitsLike
 from .matrix import PathMatrix
+from .pipeline import SolvedComponent
+from .summaries import ProcedureSummary, compute_summaries
 from .transfer import TransferCache
+
+
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 def result_digest(result: AnalysisResult) -> str:
@@ -65,89 +88,124 @@ def result_digest(result: AnalysisResult) -> str:
     equal digests ⇔ bit-identical recorded matrices, entry matrices and
     diagnostics, across processes and hash seeds.
     """
-    document = json.dumps(result.canonical(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(_dumps(result.canonical()).encode("utf-8")).hexdigest()
+
+
+class _ProcedureText(NamedTuple):
+    """One procedure's share of the canonical JSON text of a result."""
+
+    recorder: AnalysisRecorder
+    entry_matrix: PathMatrix
+    #: ``"name":{...}`` in ``entry_matrices``.
+    entry: str
+    #: Its ``"name#i":{...}`` members of ``points``, comma-joined.
+    points: str
+    #: Its rows of ``diagnostics``, comma-joined.
+    diagnostics: str
+
+
+def _procedure_text(result: AnalysisResult, name: str) -> _ProcedureText:
+    recorder = result.procedure_recorders[name]
+    entry_matrix = result.entry_matrices[name]
+    points = canonical_points(result.program.callable(name), recorder.before, recorder.after)
+    return _ProcedureText(
+        recorder,
+        entry_matrix,
+        _dumps(name) + ":" + _dumps(canonical_matrix(entry_matrix)),
+        _dumps(points)[1:-1],
+        ",".join(_dumps(row) for row in canonical_diagnostics(recorder.diagnostics)),
+    )
+
+
+def _composed_digest(result: AnalysisResult, texts: Dict[str, _ProcedureText]) -> str:
+    """:func:`result_digest`, from per-procedure texts.
+
+    ``json.dumps`` with sorted keys writes each procedure's entry matrix,
+    points and diagnostics rows as one contiguous run in procedure-name
+    order (``#`` sorts before every identifier character), so joining the
+    runs gives the canonical text byte for byte.
+    """
+    parts = [texts[name] for name in sorted(result.entry_matrices)]
+    document = "".join(
+        (
+            '{"diagnostics":[',
+            ",".join(part.diagnostics for part in parts if part.diagnostics),
+            '],"entry_matrices":{',
+            ",".join(part.entry for part in parts),
+            '},"points":{',
+            ",".join(part.points for part in parts if part.points),
+            '},"program":',
+            _dumps(result.program.name),
+            "}",
+        )
+    )
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
-_MemoKey = Tuple[str, AnalysisLimits, PathMatrix]
-_MemoVisit = Tuple[AnalysisRecorder, Dict[str, int]]
+class ComponentMemo:
+    """Cross-run memo of solved call-graph components.
 
+    Keyed by ``(members, limits, ((name, entry matrix), ...))``: the
+    component's sorted member names, the limits, and the interned entry
+    matrix of each member that had one when the component's level started,
+    in arrival order.  The value is the
+    :class:`~repro.analysis.pipeline.SolvedComponent` the solve recorded:
+    the members' final entry matrices and last-visit recorders, the
+    projections the component emitted, its widening counts and its pops.
+    Holding the interned matrices strongly also pins them in the weak
+    intern table, so a later run's content-identical matrix resolves to
+    the *same* object and the lookup is a plain tuple hash.
 
-class VisitMemo:
-    """Cross-run memo of completed procedure visits.
+    Callee summaries are not in the key: a component whose callee's
+    summary could change holds a transitive caller of an edited procedure,
+    and the session invalidates every such component before it solves.
 
-    Keyed by ``(procedure name, limits, interned entry matrix)``; the value
-    is the visit's :class:`~repro.analysis.context.AnalysisRecorder` plus
-    the widening-counter deltas the visit produced (replayed on every hit
-    so warm telemetry matches a cold solve exactly).  Holding the interned
-    entry matrices strongly also pins them in the weak intern table, so a
-    later run's content-identical entry matrix resolves to the *same*
-    object and the lookup is a plain tuple hash.
-
-    The memo keeps only the visits the latest solve used.  A solve runs
-    between :meth:`begin_run` and :meth:`end_run`; every visit it looks up
-    (a hit) or records (a put) survives, and :meth:`end_run` drops the
-    rest.  A re-solve follows a cold solve's discovery order and
-    entry-matrix evolution, so the kept keys are exactly those a cold solve
-    of the same version records.  A session that lives as long as the
-    daemon therefore holds one version's visits, not one per entry matrix
-    an edited caller ever produced, and its next re-analysis does the same
+    The memo keeps only the components the latest solve used.  A solve
+    runs between :meth:`begin_run` and :meth:`end_run`; every component it
+    looks up (a hit) or records (a put) survives, and :meth:`end_run` drops
+    the rest.  A session that lives as long as the daemon therefore holds
+    one version's components, and its next re-analysis does the same
     solver work as a fresh session's.
     """
 
     __slots__ = ("_entries", "_previous", "fresh_names")
 
     def __init__(self) -> None:
-        self._entries: Dict[_MemoKey, _MemoVisit] = {}
-        #: The visits kept by the previous solve and not yet used by this
-        #: one (empty between solves).
-        self._previous: Dict[_MemoKey, _MemoVisit] = {}
-        #: Procedure names analyzed fresh (memo misses) since
-        #: :meth:`begin_run` — the re-analysis report's
-        #: ``procedures_reanalyzed``.
+        self._entries: Dict[tuple, SolvedComponent] = {}
+        #: The components kept by the previous solve and not yet used by
+        #: this one (empty between solves).
+        self._previous: Dict[tuple, SolvedComponent] = {}
+        #: Procedures visited by the solver since :meth:`begin_run` — the
+        #: re-analysis report's ``procedures_reanalyzed``.
         self.fresh_names: Set[str] = set()
 
     def __len__(self) -> int:
         return len(self._entries) + len(self._previous)
 
     def begin_run(self) -> None:
-        """Start a solve: every kept visit waits to be used again."""
+        """Start a solve: every kept component waits to be used again."""
         self._previous, self._entries = self._entries, {}
         self.fresh_names = set()
 
     def end_run(self) -> None:
-        """End a solve: drop the visits it did not use."""
+        """End a solve: drop the components it did not use."""
         self._previous = {}
 
-    def get(
-        self, name: str, limits: AnalysisLimits, entry_matrix: PathMatrix
-    ) -> Optional[_MemoVisit]:
-        key = (name, limits, entry_matrix.interned())
-        visit = self._entries.get(key)
-        if visit is None:
-            visit = self._previous.pop(key, None)
-            if visit is not None:
-                self._entries[key] = visit
-        return visit
+    def get(self, key: tuple) -> Optional[SolvedComponent]:
+        solved = self._entries.get(key)
+        if solved is None:
+            solved = self._previous.pop(key, None)
+            if solved is not None:
+                self._entries[key] = solved
+        return solved
 
-    def put(
-        self,
-        name: str,
-        limits: AnalysisLimits,
-        entry_matrix: PathMatrix,
-        recorder: AnalysisRecorder,
-        widening_delta: Dict[str, int],
-    ) -> None:
-        self._entries[(name, limits, entry_matrix.interned())] = (
-            recorder,
-            dict(widening_delta),
-        )
-        self.fresh_names.add(name)
+    def put(self, key: tuple, solved: SolvedComponent) -> None:
+        self._entries[key] = solved
 
     def invalidate(self, names: Iterable[str]) -> int:
-        """Drop every memoized visit of the named procedures; return the count."""
+        """Drop every component with a member in ``names``; return the count."""
         doomed = set(names)
-        stale = [key for key in self._entries if key[0] in doomed]
+        stale = [key for key in self._entries if not doomed.isdisjoint(key[0])]
         for key in stale:
             del self._entries[key]
         return len(stale)
@@ -158,12 +216,13 @@ class VisitMemo:
         ``mapping`` maps ``id(old stmt) -> new stmt`` for the procedures the
         delta reported unchanged (see :func:`repro.sil.delta.
         statement_rebase_map`).  Must be called *after* :meth:`invalidate`
-        has dropped the dirty procedures — every id a surviving recorder
-        holds is then covered by the mapping (a visit recorder only ever
-        records statements of its own procedure).
+        has dropped the dirty procedures' components — every id a surviving
+        recorder holds is then covered by the mapping (a visit recorder
+        only ever records statements of its own procedure).
         """
-        for recorder, _widening in self._entries.values():
-            _rebase_recorder(recorder, mapping)
+        for solved in self._entries.values():
+            for recorder in solved.recorders.values():
+                _rebase_recorder(recorder, mapping)
 
 
 def _rebase_recorder(recorder: AnalysisRecorder, mapping: Dict[int, ast.Stmt]) -> None:
@@ -201,7 +260,8 @@ class ReanalysisReport:
     #: The dirty worklist seed (sorted): edited procedures + reverse-call
     #: dependents, in the *new* program.
     dirty_seed: Tuple[str, ...]
-    #: Procedures actually re-analyzed (visit-memo misses) this solve.
+    #: Procedures the solver visited this solve (members of components the
+    #: memo did not answer).
     procedures_reanalyzed: Tuple[str, ...]
     #: Reachable procedures in the new program's solution.
     procedures_total: int
@@ -274,28 +334,28 @@ class IncrementalSession:
 
     Owns a :class:`~repro.analysis.engine.BatchAnalyzer` (optionally over a
     shared :class:`~repro.analysis.transfer.TransferCache` — the daemon's
-    server-lifetime cache) plus the cross-run :class:`VisitMemo`.  Call
+    server-lifetime cache) plus the cross-run :class:`ComponentMemo`.  Call
     :meth:`analyze` with the base version, then :meth:`reanalyze` with each
-    edited version; each re-analysis re-solves only the dirty frontier and
-    reuses every other procedure visit by pointer.
+    edited version; each re-analysis re-solves only the components an edit
+    reaches and adopts every other one by pointer.
 
     A session can live as long as its host: the daemon holds the session
     that solved its last ``reanalyze`` request and continues it when the
     next request's old version is that request's new one.  It keeps the
-    latest version's program and, through the bounded memo, that
-    version's visits, so its state does not grow with the number of edits.
-    :attr:`stats` accumulates over the session's whole life.
+    latest version's program, summaries and per-procedure digest text and,
+    through the bounded memo, that version's components, so its state does
+    not grow with the number of edits.  :attr:`stats` accumulates over the
+    session's whole life.
 
     Beside the program it keeps that version's
     :func:`~repro.sil.delta.program_identities` table, rendered when the
-    session took the version, as the old side of the next diff and rebase.
-    A continued re-analysis therefore renders each statement of the new
-    version once and the old version not at all.  The table records the
-    content the session actually solved, so a caller that later edits a
-    statement of the old program object in place does not change what the
-    next re-analysis compares the new version against.  A statement added
-    to that object is not in the table, and the next re-analysis raises
-    ``KeyError`` on it.
+    session took the version: per procedure, the signature and the
+    (statement, identity) pairs it solved.  The next diff and rebase read
+    the old side from that table, so a continued re-analysis renders each
+    statement of the new version once and the old version not at all, and
+    a caller that later edits the old program object in place — changing,
+    adding or removing a statement — does not change what the next
+    re-analysis compares the new version against.
     """
 
     def __init__(
@@ -308,10 +368,12 @@ class IncrementalSession:
         self.batch = BatchAnalyzer(
             limits=limits, entry=entry, cache=cache, transfer_cache=transfer_cache
         )
-        self.memo = VisitMemo()
-        self.batch.visit_memo = self.memo
+        self.memo = ComponentMemo()
+        self.batch.component_memo = self.memo
         self._program: Optional[ast.Program] = None
-        self._identities: IdentityTable = {}
+        self._identities: IdentityTable = IdentityTable()
+        self._summaries: Dict[str, ProcedureSummary] = {}
+        self._texts: Dict[str, _ProcedureText] = {}
 
     @property
     def stats(self) -> AnalysisStats:
@@ -325,17 +387,35 @@ class IncrementalSession:
     def analyze(
         self, program: ast.Program, info: Optional[TypeInfo] = None
     ) -> AnalysisResult:
-        """Solve the base version cold, populating the visit memo."""
+        """Solve the base version cold, populating the component memo."""
         identities = program_identities(program)
         result = self._solve(program, info)
         self._program, self._identities = program, identities
         return result
 
-    def _solve(self, program: ast.Program, info: Optional[TypeInfo]) -> AnalysisResult:
+    def _solve(self, program: ast.Program, info: Optional[TypeInfo], **known) -> AnalysisResult:
         self.memo.begin_run()
-        result = self.batch.analyze(program, info)
+        result = self.batch.analyze(program, info, **known)
         self.memo.end_run()
+        self._summaries = result.summaries
         return result
+
+    def _digest(self, result: AnalysisResult) -> str:
+        """:func:`result_digest` of ``result``, rendering only the procedures
+        whose last-visit recorder or entry matrix the previous digest did
+        not hold."""
+        previous, texts = self._texts, {}
+        for name, entry_matrix in result.entry_matrices.items():
+            text = previous.get(name)
+            if (
+                text is None
+                or text.recorder is not result.procedure_recorders[name]
+                or text.entry_matrix is not entry_matrix
+            ):
+                text = _procedure_text(result, name)
+            texts[name] = text
+        self._texts = texts
+        return _composed_digest(result, texts)
 
     def reanalyze(
         self,
@@ -361,7 +441,8 @@ class IncrementalSession:
         started = time.perf_counter()
         new_identities = program_identities(new_program)
         delta = diff_programs(old_program, new_program, old_identities, new_identities)
-        dirty = dirty_seed(delta, new_program)
+        graph = call_graph(new_program)
+        dirty = dirty_seed(delta, new_program, graph)
         stats.dirty_seed_size += len(dirty)
         stats.summaries_invalidated += self.memo.invalidate(
             set(dirty) | set(delta.removed)
@@ -376,7 +457,16 @@ class IncrementalSession:
         if stale:
             transfers_invalidated = self.batch.cache.invalidate_statements(stale)
 
-        result = self._solve(new_program, info)
+        if info is None:
+            info = check_program(new_program)
+        # Every caller of an edited procedure is in the seed, so no other
+        # procedure reaches an edit and its summary cannot have changed.
+        clean = {
+            name: summary for name, summary in self._summaries.items() if name not in dirty
+        }
+        summaries = compute_summaries(new_program, info, reuse=clean)
+        result = self._solve(new_program, info, summaries=summaries, call_graph=graph)
+        digest = self._digest(result)
         seconds = time.perf_counter() - started
 
         self._program, self._identities = new_program, new_identities
@@ -397,7 +487,7 @@ class IncrementalSession:
             widening={
                 name: stats_delta[name] for name in AnalysisStats.WIDENING_FIELDS
             },
-            digest=result_digest(result),
+            digest=digest,
             seconds=seconds,
         )
         if verify:

@@ -73,16 +73,24 @@ class _SummaryBuilder:
         ast.FuncAssign,
     )
 
-    def __init__(self, program: ast.Program, info: TypeInfo):
+    def __init__(
+        self,
+        program: ast.Program,
+        info: TypeInfo,
+        reuse: Optional[Dict[str, ProcedureSummary]] = None,
+    ):
         self.program = program
         self.info = info
         self.summaries: Dict[str, ProcedureSummary] = {}
+        reuse = reuse or {}
+        #: The procedures whose summaries the fixed point computes.
+        self._open = [proc for proc in program.all_callables if proc.name not in reuse]
         #: Per-procedure flat list of the relevant statements — the body is
         #: immutable and re-walked many times per fixed point, so the AST
         #: traversal and kind filtering are paid once.
         self._relevant: Dict[str, List[ast.Stmt]] = {}
         for proc in program.all_callables:
-            self.summaries[proc.name] = ProcedureSummary(
+            self.summaries[proc.name] = reuse.get(proc.name) or ProcedureSummary(
                 name=proc.name, handle_params=list(proc.handle_params)
             )
 
@@ -94,7 +102,7 @@ class _SummaryBuilder:
             iterations += 1
             if iterations > len(self.summaries) * 4 + 16:  # pragma: no cover - safety net
                 break
-            for proc in self.program.all_callables:
+            for proc in self._open:
                 if self._analyze_procedure(proc):
                     changed = True
         return self.summaries
@@ -238,6 +246,18 @@ class _SummaryBuilder:
         return result
 
 
-def compute_summaries(program: ast.Program, info: TypeInfo) -> Dict[str, ProcedureSummary]:
-    """Compute :class:`ProcedureSummary` for every procedure/function."""
-    return _SummaryBuilder(program, info).compute()
+def compute_summaries(
+    program: ast.Program,
+    info: TypeInfo,
+    reuse: Optional[Dict[str, ProcedureSummary]] = None,
+) -> Dict[str, ProcedureSummary]:
+    """Compute :class:`ProcedureSummary` for every procedure/function.
+
+    ``reuse`` maps names to summaries that are already final for this
+    program; they are taken as they are and only the other procedures are
+    iterated.  That is sound when no procedure in ``reuse`` calls, even
+    transitively, one outside it — the re-analysis driver reuses exactly
+    the procedures outside its dirty seed.  The fixed point starts every
+    other summary empty, so the result is the least fixed point either way.
+    """
+    return _SummaryBuilder(program, info, reuse).compute()

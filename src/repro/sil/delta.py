@@ -22,9 +22,11 @@ analysis:
   each old statement object's ``id`` to the corresponding statement object
   of the new parse (positional, verified by identity), so ``id(stmt)``-keyed
   memos recorded against the old objects can be rebased onto the new ones;
-* both read identities from :func:`program_identities` tables, so a caller
-  that diffs one version against the next renders each version once and
-  passes its table to both sides of both calls.
+* both read each side from a :func:`program_identities` table — every
+  procedure's signature and statements, and every statement's identity,
+  as they were when the table was rendered — so a caller that diffs one
+  version against the next renders each version once and passes its
+  table to both sides of both calls.
 
 The diff is deliberately *syntactic* and conservative: any difference in a
 procedure's rendered body or declarations marks it changed.  Semantic
@@ -79,24 +81,33 @@ def _signature_of(proc: ast.Procedure) -> Tuple:
     return ("procedure", proc.name, decls)
 
 
-#: ``id(stmt) -> statement_identity(stmt)`` over every statement of a program.
-IdentityTable = Dict[int, StatementIdentity]
+class IdentityTable(Dict[int, StatementIdentity]):
+    """``id(stmt) -> statement_identity(stmt)`` over every statement of a
+    program, plus :attr:`procedures`: each procedure's signature and its
+    statements in pre-order walk order.
+
+    A table is a snapshot: the diff and the rebase read one side entirely
+    from it, so editing the program object after rendering its table —
+    a statement changed, added or removed in place — changes nothing they
+    see.
+    """
+
+    __slots__ = ("procedures",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.procedures: Dict[str, Tuple[Tuple, Tuple[ast.Stmt, ...]]] = {}
 
 
 def program_identities(program: ast.Program) -> IdentityTable:
     """Render the identity of every statement of ``program``, once each."""
-    return {
-        id(stmt): statement_identity(stmt)
-        for proc in program.all_callables
-        for stmt in ast.walk_stmt(proc.body)
-    }
-
-
-def _body_identities(
-    proc: ast.Procedure, identities: IdentityTable
-) -> List[StatementIdentity]:
-    """Identities of every statement of ``proc``, in pre-order walk order."""
-    return [identities[id(stmt)] for stmt in ast.walk_stmt(proc.body)]
+    table = IdentityTable()
+    for proc in program.all_callables:
+        statements = tuple(ast.walk_stmt(proc.body))
+        table.procedures[proc.name] = (_signature_of(proc), statements)
+        for stmt in statements:
+            table[id(stmt)] = statement_identity(stmt)
+    return table
 
 
 @dataclass(frozen=True)
@@ -184,15 +195,16 @@ def diff_programs(
     Both programs may be surface or normalized, but the comparison is only
     meaningful between like forms (the re-analysis driver diffs normalized
     programs, so the identities match what the analysis and the cache saw).
-    Statement identities come from each side's :func:`program_identities`
-    table, rendered here when not passed in.
+    Procedures, signatures and statement identities come from each side's
+    :func:`program_identities` table, rendered here when not passed in;
+    of the program objects only the names are read.
     """
     if old_identities is None:
         old_identities = program_identities(old)
     if new_identities is None:
         new_identities = program_identities(new)
-    old_procs = {proc.name: proc for proc in old.all_callables}
-    new_procs = {proc.name: proc for proc in new.all_callables}
+    old_procs = old_identities.procedures
+    new_procs = new_identities.procedures
 
     added = tuple(sorted(name for name in new_procs if name not in old_procs))
     removed = tuple(sorted(name for name in old_procs if name not in new_procs))
@@ -200,10 +212,11 @@ def diff_programs(
     changed: List[ProcedureDelta] = []
     unchanged: List[str] = []
     for name in sorted(set(old_procs) & set(new_procs)):
-        old_proc, new_proc = old_procs[name], new_procs[name]
-        signature_changed = _signature_of(old_proc) != _signature_of(new_proc)
-        old_ids = _body_identities(old_proc, old_identities)
-        new_ids = _body_identities(new_proc, new_identities)
+        old_signature, old_stmts = old_procs[name]
+        new_signature, new_stmts = new_procs[name]
+        signature_changed = old_signature != new_signature
+        old_ids = [old_identities[id(stmt)] for stmt in old_stmts]
+        new_ids = [new_identities[id(stmt)] for stmt in new_stmts]
         if not signature_changed and old_ids == new_ids:
             unchanged.append(name)
             continue
@@ -247,9 +260,10 @@ def statement_rebase_map(
     ``names`` must name procedures whose bodies are identical between the
     two programs (the delta's ``unchanged`` set); their pre-order statement
     walks are then the same shape, so positional pairing is exact.  Each
-    pairing is verified against the two sides' identity tables (rendered
-    here when not passed in) — a mismatch raises rather than silently
-    rebasing a memo onto a different statement.
+    side's statements and identities come from its table (rendered here
+    when not passed in), and every pairing is verified against them — a
+    mismatch raises rather than silently rebasing a memo onto a different
+    statement.
     """
     if old_identities is None:
         old_identities = program_identities(old)
@@ -257,10 +271,8 @@ def statement_rebase_map(
         new_identities = program_identities(new)
     mapping: Dict[int, ast.Stmt] = {}
     for name in names:
-        old_proc = old.callable(name)
-        new_proc = new.callable(name)
-        old_stmts = list(ast.walk_stmt(old_proc.body))
-        new_stmts = list(ast.walk_stmt(new_proc.body))
+        old_stmts = old_identities.procedures[name][1]
+        new_stmts = new_identities.procedures[name][1]
         if len(old_stmts) != len(new_stmts):
             raise ValueError(
                 f"procedure {name!r} was reported unchanged but its statement "
@@ -284,30 +296,38 @@ def statement_rebase_map(
 
 
 def call_graph(program: ast.Program) -> Dict[str, Set[str]]:
-    """``caller -> {callees}`` over every procedure and function call."""
-    graph: Dict[str, Set[str]] = {proc.name: set() for proc in program.all_callables}
+    """``caller -> {callees}`` over every procedure and function call of a
+    normalized program, where every call is a ``ProcCall`` or
+    ``FuncAssign`` statement."""
+    graph: Dict[str, Set[str]] = {}
     for proc in program.all_callables:
-        for stmt in ast.walk_stmt(proc.body):
-            if isinstance(stmt, (ast.ProcCall, ast.FuncAssign)):
-                graph[proc.name].add(stmt.name)
-            # Surface programs may still carry calls as expressions.
-            for expr in ast.stmt_expressions(stmt):
-                for sub in ast.walk_expr(expr):
-                    if isinstance(sub, ast.CallExpr):
-                        graph[proc.name].add(sub.name)
+        graph[proc.name] = {
+            stmt.name
+            for stmt in ast.walk_stmt(proc.body)
+            if isinstance(stmt, (ast.ProcCall, ast.FuncAssign))
+        }
     return graph
 
 
-def reverse_call_graph(program: ast.Program) -> Dict[str, Set[str]]:
-    """``callee -> {callers}`` — the edges dirty seeding walks."""
+def reverse_call_graph(
+    program: ast.Program, graph: Optional[Dict[str, Set[str]]] = None
+) -> Dict[str, Set[str]]:
+    """``callee -> {callers}`` — the edges dirty seeding walks.  ``graph``
+    is ``program``'s :func:`call_graph`, built here when not passed in."""
+    if graph is None:
+        graph = call_graph(program)
     reverse: Dict[str, Set[str]] = {proc.name: set() for proc in program.all_callables}
-    for caller, callees in call_graph(program).items():
+    for caller, callees in graph.items():
         for callee in callees:
             reverse.setdefault(callee, set()).add(caller)
     return reverse
 
 
-def dirty_seed(delta: ProgramDelta, new: ast.Program) -> FrozenSet[str]:
+def dirty_seed(
+    delta: ProgramDelta,
+    new: ast.Program,
+    graph: Optional[Dict[str, Set[str]]] = None,
+) -> FrozenSet[str]:
     """The dirty worklist seed: directly-changed procedures plus every
     transitive caller in the new program's reverse call graph.
 
@@ -317,9 +337,11 @@ def dirty_seed(delta: ProgramDelta, new: ast.Program) -> FrozenSet[str]:
     over reverse call edges covers every procedure whose recorded visits
     could differ from the previous run.  Procedures *called by* dirty ones
     are deliberately not seeded: if a dirty caller's projection to them
-    actually changes, the entry-matrix-keyed visit memo misses on its own.
+    actually changes, their entry matrices change and the entry-keyed
+    component memo misses on its own.  ``graph`` is ``new``'s
+    :func:`call_graph`, built here when not passed in.
     """
-    reverse = reverse_call_graph(new)
+    reverse = reverse_call_graph(new, graph)
     dirty: Set[str] = set(delta.dirty_procedures)
     frontier = list(dirty)
     while frontier:
