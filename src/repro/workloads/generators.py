@@ -899,17 +899,17 @@ def measure_edit_replay(
 
     For every program size ``n`` (the walker count of
     :func:`make_edit_bench_scenario`) and every edit-script length ``k``,
-    count the statements a **cold** solve visits and the statements a
-    dirty-seeded **warm** re-analysis of an
-    :class:`~repro.analysis.reanalysis.IncrementalSession` visits after a
-    seeded ``k``-step edit script.  Every script edits ``walk0``, which
-    every size has, so the size axis holds the edited procedure fixed.
-    Along it (fixed ``k``) the cold count grows with ``n`` while the warm
-    count should not — the re-analysis cost scales with the edit, not the
-    program — and the ``scaling`` summary states both ratios.  Every warm
-    cell also reports the reuse counters and verifies the warm digest
-    against a cold solve of the edited program.  The report holds counts only, so it is the
-    same on every run and every host.
+    count the statements visited and the worklist pops of a **cold** solve
+    and of a dirty-seeded **warm** re-analysis of an
+    :class:`~repro.analysis.reanalysis.IncrementalSession` after a seeded
+    ``k``-step edit script.  Every script edits ``walk0``, which every size
+    has, so the size axis holds the edited procedure fixed.  Along it
+    (fixed ``k``) the cold counts grow with ``n`` while the warm counts
+    should not — the re-analysis cost scales with the edit, not the
+    program — and the ``scaling`` summary states the ratios of both.
+    Every warm cell also reports the reuse counters and verifies the warm
+    digest against a cold solve of the edited program.  The report holds
+    counts only, so it is the same on every run and every host.
     """
     from ..analysis.reanalysis import IncrementalSession
 
@@ -932,6 +932,7 @@ def measure_edit_replay(
                 session = IncrementalSession(limits=limits)
                 session.analyze(old_program, old_info)
                 cold_visited = session.stats.statements_visited
+                cold_pops = session.stats.worklist_pops
                 report = session.reanalyze(new_program, new_info, verify=True)
                 session.close()
                 cells[f"n{size}_k{count}"] = {
@@ -939,6 +940,8 @@ def measure_edit_replay(
                     "edits": count,
                     "cold_statements_visited": cold_visited,
                     "warm_statements_visited": report.stats_delta["statements_visited"],
+                    "cold_worklist_pops": cold_pops,
+                    "warm_worklist_pops": report.stats_delta["worklist_pops"],
                     "summaries_reused": report.summaries_reused,
                     "procedures_reanalyzed": len(report.procedures_reanalyzed),
                     "procedures_total": len(new_program.all_callables),
@@ -950,8 +953,11 @@ def measure_edit_replay(
     small = cells[f"n{sizes[0]}_k{base_k}"]
     large = cells[f"n{sizes[-1]}_k{base_k}"]
     longest = cells[f"n{sizes[-1]}_k{last_k}"]
-    cold_ratio = _ratio(large["cold_statements_visited"], small["cold_statements_visited"])
-    warm_ratio = _ratio(large["warm_statements_visited"], small["warm_statements_visited"])
+    ratios = {
+        f"{side}_{axis}size_ratio": _ratio(large[f"{side}_{counter}"], small[f"{side}_{counter}"])
+        for side in ("cold", "warm")
+        for axis, counter in (("", "statements_visited"), ("pops_", "worklist_pops"))
+    }
     return {
         "sizes": list(sizes),
         "edit_counts": list(edit_counts),
@@ -959,17 +965,18 @@ def measure_edit_replay(
         "kinds": list(kinds),
         "cells": cells,
         "scaling": {
-            # Size axis at the smallest edit count: cold grows, warm should not.
-            "cold_size_ratio": cold_ratio,
-            "warm_size_ratio": warm_ratio,
+            # Size axis at the smallest edit count: cold grows, warm should
+            # not, in statements visited and in worklist pops alike.
+            **ratios,
             # Edit axis at the largest size: warm grows with the script length.
             "warm_edit_ratio": _ratio(
                 longest["warm_statements_visited"], large["warm_statements_visited"]
             ),
-            "scales_with_edit_not_program": bool(
-                cold_ratio is not None
-                and warm_ratio is not None
-                and warm_ratio < cold_ratio
+            "scales_with_edit_not_program": all(
+                ratios[f"cold_{axis}size_ratio"] is not None
+                and ratios[f"warm_{axis}size_ratio"] is not None
+                and ratios[f"warm_{axis}size_ratio"] < ratios[f"cold_{axis}size_ratio"]
+                for axis in ("", "pops_")
             ),
         },
     }
@@ -982,20 +989,22 @@ def _ratio(numerator: int, denominator: int) -> Optional[float]:
 def format_edit_replay(report: Dict[str, object]) -> str:
     """Human-readable rendering of a :func:`measure_edit_replay` result."""
     lines = [
-        f"{'cell':12s} {'cold-stmts':>10s} {'warm-stmts':>10s} "
-        f"{'reused':>7s} {'re-an':>6s} {'total':>6s} {'ok':>3s}"
+        f"{'cell':12s} {'cold-stmts':>10s} {'warm-stmts':>10s} {'cold-pops':>9s} "
+        f"{'warm-pops':>9s} {'reused':>7s} {'re-an':>6s} {'total':>6s} {'ok':>3s}"
     ]
     for key, cell in report["cells"].items():
         lines.append(
             f"{key:12s} {cell['cold_statements_visited']:>10} "
-            f"{cell['warm_statements_visited']:>10} {cell['summaries_reused']:>7} "
+            f"{cell['warm_statements_visited']:>10} {cell['cold_worklist_pops']:>9} "
+            f"{cell['warm_worklist_pops']:>9} {cell['summaries_reused']:>7} "
             f"{cell['procedures_reanalyzed']:>6} {cell['procedures_total']:>6} "
             f"{'yes' if cell['verified'] else 'NO':>3s}"
         )
     scaling = report["scaling"]
     lines.append(
-        f"size-axis ratios (cold {scaling['cold_size_ratio']} vs warm "
-        f"{scaling['warm_size_ratio']}), edit-axis warm ratio "
+        f"size-axis ratios: statements (cold {scaling['cold_size_ratio']} vs warm "
+        f"{scaling['warm_size_ratio']}), pops (cold {scaling['cold_pops_size_ratio']} "
+        f"vs warm {scaling['warm_pops_size_ratio']}); edit-axis warm ratio "
         f"{scaling['warm_edit_ratio']} -> "
         + (
             "cost scales with edit size"

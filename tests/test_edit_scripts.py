@@ -126,19 +126,27 @@ class TestEditReplayBench:
             key: (
                 cell["cold_statements_visited"],
                 cell["warm_statements_visited"],
+                cell["cold_worklist_pops"],
+                cell["warm_worklist_pops"],
                 cell["summaries_reused"],
                 cell["procedures_reanalyzed"],
                 cell["procedures_total"],
             )
             for key, cell in report["cells"].items()
         }
-        # Cold solves visit about twice the statements at twice the
-        # walkers; the re-analysis of the one-walker edit barely grows.
-        assert counts == {"n2_k1": (132, 74, 11, 2, 4), "n4_k1": (254, 76, 31, 2, 6)}
+        # Cold solves visit about twice the statements and pop about twice
+        # the procedures at twice the walkers; the re-analysis of the
+        # one-walker edit barely grows, and pops exactly the same.
+        assert counts == {
+            "n2_k1": (132, 74, 22, 11, 11, 2, 4),
+            "n4_k1": (254, 76, 42, 11, 31, 2, 6),
+        }
         assert all(cell["verified"] is True for cell in report["cells"].values())
         assert report["scaling"] == {
             "cold_size_ratio": 1.9242,
             "warm_size_ratio": 1.027,
+            "cold_pops_size_ratio": 1.9091,
+            "warm_pops_size_ratio": 1.0,
             "warm_edit_ratio": 1.0,
             "scales_with_edit_not_program": True,
         }

@@ -272,3 +272,19 @@ class TestIdentityTables:
             session.close()
         assert "walk1" in report.procedures_reanalyzed
         assert report.digest == result_digest(analyze_program_reference(new, info))
+
+    def test_inserting_into_the_held_program_in_place_changes_nothing(self):
+        # The added statement is not in the table the session rendered when
+        # it solved the version, and the diff reads only that table: the
+        # unedited source is an empty delta, not a KeyError.
+        base = make_edit_bench_scenario(4).source
+        session = session_for(base)
+        try:
+            session.program.callable("walk1").body.stmts.insert(0, ast.SkipStmt())
+            new, info = parse_and_normalize(base)
+            report = session.reanalyze(new, info, verify=True)
+        finally:
+            session.close()
+        assert report.delta.is_empty
+        assert report.procedures_reanalyzed == ()
+        assert report.verified is True
