@@ -274,7 +274,9 @@ def solve_pass(context: AnalysisContext) -> None:
 
     tripped = False
     for level in arrivals:
-        if not level or tripped:
+        if tripped:
+            break
+        if not level:
             continue
         rank = {name: position for position, name in enumerate(level)}
         starters: Dict[Component, List[str]] = {}

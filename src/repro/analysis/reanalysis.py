@@ -393,9 +393,15 @@ class IncrementalSession:
         self._program, self._identities = program, identities
         return result
 
-    def _solve(self, program: ast.Program, info: Optional[TypeInfo], **known) -> AnalysisResult:
+    def _solve(
+        self,
+        program: ast.Program,
+        info: Optional[TypeInfo],
+        summaries: Optional[Dict[str, ProcedureSummary]] = None,
+        graph: Optional[Dict[str, Set[str]]] = None,
+    ) -> AnalysisResult:
         self.memo.begin_run()
-        result = self.batch.analyze(program, info, **known)
+        result = self.batch.analyze(program, info, summaries=summaries, call_graph=graph)
         self.memo.end_run()
         self._summaries = result.summaries
         return result
@@ -465,7 +471,7 @@ class IncrementalSession:
             name: summary for name, summary in self._summaries.items() if name not in dirty
         }
         summaries = compute_summaries(new_program, info, reuse=clean)
-        result = self._solve(new_program, info, summaries=summaries, call_graph=graph)
+        result = self._solve(new_program, info, summaries, graph)
         digest = self._digest(result)
         seconds = time.perf_counter() - started
 

@@ -1110,8 +1110,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the edit-replay bench (dirty-seeded re-analysis of edited "
         "programs vs cold solves over a program-size x edit-count grid) "
         "into the artifact's edit_replay section; exits nonzero unless "
-        "every cell verifies bit-identical and the statements re-analysis "
-        "visits scale with edit size rather than program size",
+        "every cell verifies bit-identical and the statements a re-analysis "
+        "visits and the procedures it pops scale with edit size rather than "
+        "program size",
     )
     _add_generator_options(bench)
     _add_limits_options(bench)

@@ -21,7 +21,8 @@ Pinned here:
 * threads interleaving their chains over one service get exact answers,
   and no request's stats go missing from the lifetime totals;
 * a continued request does exactly the solver work of a fresh session,
-  because the visit memo keeps only the visits the latest solve used.
+  because the component memo keeps only the components the latest solve
+  used.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def test_continued_requests_do_the_solver_work_of_a_fresh_session(versions):
 
 
 def test_a_long_lived_session_keeps_one_version_of_visits(versions):
-    """The visit memo holds what a cold solve of the latest version records."""
+    """The component memo holds what a cold solve of the latest version records."""
     session = IncrementalSession()
     session.analyze(*parse_and_normalize(versions[0]))
     for old, new in chain(2 * (VERSIONS - 1)):
