@@ -302,10 +302,10 @@ def solve_pass(context: AnalysisContext) -> None:
             entries.update(solved.entries)
             last_visit.update(solved.recorders)
             ranks = {old: rank[name] for old, name in zip(solved.ranks, names)}
-            found.extend((_rekey(key, ranks), name) for key, name in solved.discovered)
+            found.extend((_rekey(at, ranks), name) for at, name in solved.discovered)
             deferred.extend(
-                (_rekey(key, ranks), callee, projected)
-                for key, callee, projected in solved.emitted
+                (_rekey(at, ranks), callee, projected)
+                for at, callee, projected in solved.emitted
             )
             stats.summaries_reused += solved.pops
             for counter, amount in solved.widening.items():
