@@ -284,7 +284,7 @@ def solve_pass(context: AnalysisContext) -> None:
             starters.setdefault(component_of[name], []).append(name)
         #: Components solved here; the record is None without a memo.
         live: Dict[Component, Optional[SolvedComponent]] = {}
-        keys: Dict[Component, object] = {}
+        keys: Dict[Component, tuple] = {}
         found: List[Tuple[EmitKey, str]] = []
         deferred: List[Tuple[EmitKey, str, PathMatrix]] = []
         adopted = False

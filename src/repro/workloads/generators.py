@@ -954,9 +954,13 @@ def measure_edit_replay(
     large = cells[f"n{sizes[-1]}_k{base_k}"]
     longest = cells[f"n{sizes[-1]}_k{last_k}"]
     ratios = {
-        f"{side}_{axis}size_ratio": _ratio(large[f"{side}_{counter}"], small[f"{side}_{counter}"])
-        for side in ("cold", "warm")
-        for axis, counter in (("", "statements_visited"), ("pops_", "worklist_pops"))
+        f"{name}_ratio": _ratio(large[field], small[field])
+        for name, field in (
+            ("cold_size", "cold_statements_visited"),
+            ("warm_size", "warm_statements_visited"),
+            ("cold_pops_size", "cold_worklist_pops"),
+            ("warm_pops_size", "warm_worklist_pops"),
+        )
     }
     return {
         "sizes": list(sizes),
@@ -973,10 +977,13 @@ def measure_edit_replay(
                 longest["warm_statements_visited"], large["warm_statements_visited"]
             ),
             "scales_with_edit_not_program": all(
-                ratios[f"cold_{axis}size_ratio"] is not None
-                and ratios[f"warm_{axis}size_ratio"] is not None
-                and ratios[f"warm_{axis}size_ratio"] < ratios[f"cold_{axis}size_ratio"]
-                for axis in ("", "pops_")
+                ratios[cold] is not None
+                and ratios[warm] is not None
+                and ratios[warm] < ratios[cold]
+                for cold, warm in (
+                    ("cold_size_ratio", "warm_size_ratio"),
+                    ("cold_pops_size_ratio", "warm_pops_size_ratio"),
+                )
             ),
         },
     }
