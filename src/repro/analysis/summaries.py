@@ -256,8 +256,9 @@ def compute_summaries(
     ``reuse`` maps names to summaries that are already final for this
     program; they are taken as they are and only the other procedures are
     iterated.  That is sound when no procedure in ``reuse`` calls, even
-    transitively, one outside it — the re-analysis driver reuses exactly
-    the procedures outside its dirty seed.  The fixed point starts every
-    other summary empty, so the result is the least fixed point either way.
+    transitively, one outside it; :class:`~repro.analysis.reanalysis.
+    IncrementalSession` reuses exactly the procedures outside its dirty
+    seed.  The fixed point starts every other summary empty, so the result
+    is the least fixed point either way.
     """
     return _SummaryBuilder(program, info, reuse).compute()
