@@ -7,7 +7,10 @@ structures keeps the analysis efficient.  This bench measures
   statements) and with the number of live handles (the path-matrix
   dimension), using generated programs with known shape,
 * an ablation over the :class:`AnalysisLimits` bounds showing that tighter
-  widening keeps the key disjointness facts while reducing work, and
+  widening keeps the key disjointness facts while reducing work, and that
+  no higher bound changes a parallelization verdict: every oracle answer
+  at 2x and 4x the default bounds equals the one at the defaults, on every
+  generator family at its largest shape and on the named workloads, and
 * the engine-architecture counters: worklist pops stay strictly below the
   seed's rounds x procedures product and the memoized transfer cache
   answers re-analyses.  The exact per-program counters are gated by
@@ -15,22 +18,88 @@ structures keeps the analysis efficient.  This bench measures
 """
 
 import time
+from dataclasses import replace
 
 from work_counters import population
 
 from repro.analysis import analyze_many, analyze_program, analyze_program_reference
-from repro.analysis.limits import AnalysisLimits
+from repro.analysis.limits import DEFAULT_LIMITS, AnalysisLimits
+from repro.parallel import PathMatrixOracle, parallelize_program
 from repro.sil import ast
+from repro.sil.normalize import parse_and_normalize
 from repro.workloads import (
+    FAMILIES,
     WORKLOADS,
+    GeneratorConfig,
+    generate_scenario,
     load,
     make_handle_web_program,
     make_independent_loads_program,
+    source,
 )
+
+#: Multiples of the default bounds the verdict check re-runs the oracle at.
+BOUND_SCALES = (2, 4)
+#: Seeds per generator family in the verdict check, at the largest shape.
+VERDICT_SEEDS = 3
 
 
 def banner(title: str) -> None:
     print("\n" + "=" * 78 + f"\n{title}\n" + "=" * 78)
+
+
+class RecordingOracle(PathMatrixOracle):
+    """The path-matrix oracle, recording every answer it gives.
+
+    An answer is keyed by procedure and by the walk positions of the pair
+    and of the group start, so runs over separately parsed copies of one
+    program compare answer by answer.
+    """
+
+    def prepare(self, program, info):
+        super().prepare(program, info)
+        self.answers = {}
+        self._positions = {
+            id(stmt): index
+            for proc in program.all_callables
+            for index, stmt in enumerate(ast.walk_stmt(proc.body))
+        }
+
+    def independent(self, first, second, group_start, procedure):
+        answer = super().independent(first, second, group_start, procedure)
+        positions = tuple(self._positions[id(stmt)] for stmt in (first, second, group_start))
+        self.answers[(procedure,) + positions] = answer
+        return answer
+
+
+def scaled_limits(scale):
+    """Every analysis bound of the defaults times ``scale``."""
+    return replace(
+        DEFAULT_LIMITS,
+        max_exact_count=DEFAULT_LIMITS.max_exact_count * scale,
+        max_open_count=DEFAULT_LIMITS.max_open_count * scale,
+        max_segments=DEFAULT_LIMITS.max_segments * scale,
+        max_paths_per_entry=DEFAULT_LIMITS.max_paths_per_entry * scale,
+        max_iterations=DEFAULT_LIMITS.max_iterations * scale,
+    )
+
+
+def oracle_answers(program_source, limits):
+    """The oracle's answers over one program, and whether its bounds widened."""
+    oracle = RecordingOracle(limits=limits)
+    parallelize_program(*parse_and_normalize(program_source), oracle=oracle)
+    return oracle.answers, oracle.stats.widening_fired()
+
+
+def verdict_programs():
+    """``(label, source)``: every family at its largest shape, then the named workloads."""
+    config = GeneratorConfig(procedures=4, depth=8)
+    programs = [
+        (f"{family}_s{seed}", generate_scenario(seed, replace(config, family=family)).source)
+        for family in FAMILIES
+        for seed in range(VERDICT_SEEDS)
+    ]
+    return programs + [(name, source(name)) for name in WORKLOADS]
 
 
 def timed_analysis(program, info, limits=None):
@@ -109,6 +178,30 @@ def test_ext_analysis_limit_ablation(benchmark):
 
     # The key disjointness fact (and hence Figure 8) survives every setting.
     assert all(row["disjoint"] for row in results.values())
+
+    # No higher bound changes a verdict: a false alarm can only go away if
+    # an answer flips, so equal answers mean no higher limit removes one.
+    print(f"\n{'program':20s} {'queries':>8s} {'indep':>6s} {'widened':>8s}  "
+          + "  ".join(f"flips@{scale}x" for scale in BOUND_SCALES))
+    totals = {"queries": 0, "independent": 0, "widened": 0}
+    for label, program_source in verdict_programs():
+        answers, widened = oracle_answers(program_source, DEFAULT_LIMITS)
+        flips = []
+        for scale in BOUND_SCALES:
+            scaled, _ = oracle_answers(program_source, scaled_limits(scale))
+            assert scaled.keys() == answers.keys(), (label, scale)
+            flips.append(sum(scaled[key] != answers[key] for key in answers))
+        print(f"{label:20s} {len(answers):8d} {sum(answers.values()):6d} "
+              f"{str(widened):>8s}  " + "  ".join(f"{count:9d}" for count in flips))
+        assert flips == [0] * len(BOUND_SCALES), (label, flips)
+        totals["queries"] += len(answers)
+        totals["independent"] += sum(answers.values())
+        totals["widened"] += widened
+    print(f"totals: {totals}")
+    # The check means something only if the defaults widen somewhere and
+    # the oracle answers both ways.
+    assert totals["widened"] > 0
+    assert 0 < totals["independent"] < totals["queries"]
 
 
 def test_ext_analysis_worklist_and_cache_stats():

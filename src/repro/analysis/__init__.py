@@ -13,10 +13,9 @@ from .engine import (
     BatchAnalyzer,
     analyze_many,
     analyze_program,
-    analyze_program_adaptive,
     analyze_program_reference,
 )
-from .limits import DEFAULT_LIMITS, AdaptiveLimits, AnalysisLimits
+from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .telemetry import WideningTally, widening_scope
 from .pipeline import pass_names, run_pipeline
 from .matrix import MatrixRow, PathMatrix, caller_symbol, is_symbolic, row_delta, stacked_symbol
@@ -58,11 +57,9 @@ from .transfer import (
 
 __all__ = [
     "analyze_program",
-    "analyze_program_adaptive",
     "analyze_program_reference",
     "analyze_many",
     "BatchAnalyzer",
-    "AdaptiveLimits",
     "WideningTally",
     "widening_scope",
     "AnalysisContext",

@@ -112,8 +112,6 @@ class AnalysisStats:
     #: Times a fixed-point safety net (``max_iterations`` loop bound or the
     #: solver's pop bound) forced a cutoff instead of natural convergence.
     iteration_guard_trips: int = 0
-    #: Times the adaptive-limits policy re-ran a program with stepped-up bounds.
-    adaptive_escalations: int = 0
     #: Computed results — transfer misses, joins and call effects — kept in
     #: scratch (sealed-not-interned) form instead of being eagerly
     #: hash-consed — the lazy-interning win.
@@ -168,7 +166,6 @@ class AnalysisStats:
         "exact_widenings",
         "path_set_collapses",
         "iteration_guard_trips",
-        "adaptive_escalations",
         "scratch_matrices_elided",
         "lazy_intern_deferrals",
         "packed_segment_ops",
@@ -178,7 +175,7 @@ class AnalysisStats:
     )
 
     #: The widening-telemetry subset of :data:`COUNTER_FIELDS` — the
-    #: counters the adaptive-limits escalation policy reacts to.
+    #: counters that say whether a run's bounds bit.
     WIDENING_FIELDS = (
         "segment_collapses",
         "exact_widenings",

@@ -35,7 +35,7 @@ from ..sil.typecheck import TypeInfo, check_program
 from .context import AnalysisContext, AnalysisRecorder, AnalysisStats
 from .interproc import initial_entry_matrix
 from .intraproc import ProcedureAnalyzer
-from .limits import DEFAULT_LIMITS, AdaptiveLimits, AnalysisLimits, LimitsLike, base_limits
+from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix, canonical_document
 from .pipeline import run_pipeline
 from .structure import StructureDiagnostic
@@ -270,19 +270,6 @@ class BatchAnalyzer:
     result counts only that program's worklist pops; ``result.stats`` is
     the shared batch-wide object.
 
-    ``limits`` may be an :class:`~repro.analysis.limits.AdaptiveLimits`
-    escalation policy: each program is first analyzed at the base rung and
-    re-analyzed with stepped-up bounds whenever its widening counters
-    advanced, up to the policy's ``max_steps`` — but only while each
-    escalation strictly reduces the program's widening-event total.  A
-    rung that widens as much as the one before it shows the events are
-    the domain's intended convergence widening (which higher bounds only
-    postpone), so the ladder stops there instead of burning the remaining
-    rungs on futile 2-3x re-analyses.  ``result.limits`` records the rung
-    that produced the returned result, and every escalation increments
-    ``stats.adaptive_escalations``.  The transfer-cache key embeds the
-    limits, so rungs never share cached transfers.
-
     ``cache`` may name a persistent store (a :class:`~repro.cache.backend.
     CacheConfig` for the disk store under ``--cache-dir``): the batch's
     transfer cache then reads through to it — transfers computed by
@@ -305,7 +292,7 @@ class BatchAnalyzer:
 
     def __init__(
         self,
-        limits: LimitsLike = DEFAULT_LIMITS,
+        limits: AnalysisLimits = DEFAULT_LIMITS,
         entry: str = "main",
         cache: Optional[CacheConfig] = None,
         transfer_cache: Optional[TransferCache] = None,
@@ -328,7 +315,7 @@ class BatchAnalyzer:
             self._owns_backend = False
             return
         backend = open_backend(cache) if cache is not None else None
-        self.cache = TransferCache(base_limits(limits).transfer_cache_size, backend=backend)
+        self.cache = TransferCache(limits.transfer_cache_size, backend=backend)
         self._owns_backend = True
 
     def flush(self) -> None:
@@ -346,11 +333,6 @@ class BatchAnalyzer:
             self.cache.backend.close()
             self.cache.backend = None
 
-    def _ladder(self) -> List[AnalysisLimits]:
-        if isinstance(self.limits, AdaptiveLimits):
-            return self.limits.ladder()
-        return [self.limits]
-
     def analyze(
         self,
         program: ast.Program,
@@ -363,36 +345,19 @@ class BatchAnalyzer:
         ``summaries`` and ``call_graph``, when given, must be this
         program's; the pipeline then skips computing them.
         """
-        ladder = self._ladder()
-        previous_fired: Optional[int] = None
-        for step, limits in enumerate(ladder):
-            pops_before = self.stats.worklist_pops
-            widening_before = self.stats.widening_counters()
-            context = AnalysisContext(
-                program=program,
-                info=info,
-                limits=limits,
-                entry_name=self.entry,
-                stats=self.stats,
-                transfer_cache=self.cache,
-                component_memo=self.component_memo,
-                summaries=summaries,
-                call_graph=call_graph,
-            )
-            run_pipeline(context)
-            info = context.info  # reuse type info across escalation re-runs
-            fired = sum(
-                self.stats.widening_counters()[name] - widening_before[name]
-                for name in widening_before
-            )
-            improving = previous_fired is None or fired < previous_fired
-            if step + 1 < len(ladder) and fired and improving:
-                previous_fired = fired
-                self.stats.adaptive_escalations += 1
-                # Escalation re-runs are attempts, not extra programs.
-                self.stats.programs_analyzed -= 1
-                continue
-            break
+        pops_before = self.stats.worklist_pops
+        context = AnalysisContext(
+            program=program,
+            info=info,
+            limits=self.limits,
+            entry_name=self.entry,
+            stats=self.stats,
+            transfer_cache=self.cache,
+            component_memo=self.component_memo,
+            summaries=summaries,
+            call_graph=call_graph,
+        )
+        run_pipeline(context)
         return AnalysisResult(
             program=context.program,
             info=context.info,
@@ -406,27 +371,9 @@ class BatchAnalyzer:
         )
 
 
-def analyze_program_adaptive(
-    program: ast.Program,
-    info: Optional[TypeInfo] = None,
-    policy: Optional[AdaptiveLimits] = None,
-    entry: str = "main",
-) -> AnalysisResult:
-    """Analyze under an :class:`~repro.analysis.limits.AdaptiveLimits` policy.
-
-    Runs the pipeline at the policy's base limits and re-runs with
-    stepped-up bounds while widening fires (see :class:`BatchAnalyzer`).
-    ``result.limits`` is the final rung used; ``result.stats`` carries the
-    widening counters and ``adaptive_escalations``.
-    """
-    policy = policy if policy is not None else AnalysisLimits.adaptive()
-    batch = BatchAnalyzer(limits=policy, entry=entry)
-    return batch.analyze(program, info)
-
-
 def analyze_many(
     programs: Iterable[Union[ast.Program, Tuple[ast.Program, Optional[TypeInfo]]]],
-    limits: LimitsLike = DEFAULT_LIMITS,
+    limits: AnalysisLimits = DEFAULT_LIMITS,
     entry: str = "main",
 ) -> List[AnalysisResult]:
     """Analyze a batch of programs against one shared interned-domain context.

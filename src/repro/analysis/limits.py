@@ -11,19 +11,16 @@ a ``D``-segment, an oversized path set collapses towards ``{S?, D+?}`` — so
 the approximation stays conservative.  Every widening event is counted via
 :mod:`repro.analysis.telemetry`, so a run can tell whether its bounds bit.
 
-:class:`AdaptiveLimits` (built with :meth:`AnalysisLimits.adaptive`) turns
-the frozen bounds into an escalation *ladder*: a procedure whose analysis
-triggered widening is re-run with stepped-up bounds, up to ``max_steps``
-times, and the final rung actually used is recorded on the result.
-
-The defaults comfortably cover every example in the paper; the ablation
-bench (EXT-D in DESIGN.md) sweeps them.
+The defaults comfortably cover every example in the paper.  The ablation
+bench (EXT-D, ``benchmarks/test_ext_analysis_cost.py``) sweeps them and
+pins that the parallelizer's answers are the same at 2x and 4x the
+defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Union
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class AnalysisLimits:
         return cached
 
     def as_dict(self) -> Dict[str, int]:
-        """The domain bounds as a plain JSON-able dict (telemetry artifacts)."""
+        """The domain bounds as a plain JSON-able dict (persistent cache keys)."""
         return {
             "max_exact_count": self.max_exact_count,
             "max_open_count": self.max_open_count,
@@ -85,84 +82,6 @@ class AnalysisLimits:
             "max_paths_per_entry": self.max_paths_per_entry,
             "max_iterations": self.max_iterations,
         }
-
-    def stepped_up(self, growth: int) -> "AnalysisLimits":
-        """One escalation rung: every analysis bound multiplied by ``growth``.
-
-        ``max_iterations`` steps up with the domain bounds — a safety-net
-        trip is one of the escalation triggers, and re-running with the
-        same iteration budget could never clear it.  Only the cache size
-        stays fixed: it is a memory knob, not a precision knob.
-        """
-        growth = max(2, int(growth))
-        return replace(
-            self,
-            max_exact_count=self.max_exact_count * growth,
-            max_open_count=self.max_open_count * growth,
-            max_segments=self.max_segments * growth,
-            max_paths_per_entry=self.max_paths_per_entry * growth,
-            max_iterations=self.max_iterations * growth,
-        )
-
-    @classmethod
-    def adaptive(
-        cls,
-        base: "AnalysisLimits" = None,
-        growth: int = 2,
-        max_steps: int = 2,
-    ) -> "AdaptiveLimits":
-        """An escalation policy starting from ``base`` (default: the defaults).
-
-        ``AnalysisLimits.adaptive()`` gives the standard policy;
-        ``AnalysisLimits.adaptive(tight, growth=3)`` starts the ladder at
-        a custom base rung.
-        """
-        return AdaptiveLimits(
-            base=base if base is not None else cls(), growth=growth, max_steps=max_steps
-        )
-
-
-@dataclass(frozen=True)
-class AdaptiveLimits:
-    """An escalation ladder over :class:`AnalysisLimits`.
-
-    The analysis first runs at ``base``.  If any widening fired (segment
-    collapse, exact→open widening, path-set collapse, or a
-    ``max_iterations`` safety-net trip), it re-runs with every bound
-    multiplied by ``growth`` — up to ``max_steps`` escalations, and only
-    while each rung strictly *reduces* the widening events (a rung that
-    widens as much as the previous one proves the widening is the domain's
-    intended convergence mechanism, not a capacity problem, and ends the
-    climb).  The limits of the rung that produced the final result are
-    recorded on the :class:`~repro.analysis.engine.AnalysisResult`
-    (``result.limits``), and every escalation increments
-    ``AnalysisStats.adaptive_escalations``.
-
-    Instances are frozen dataclasses and therefore picklable — the sharded
-    suite runner ships them to worker processes like plain limits.
-    """
-
-    base: AnalysisLimits = AnalysisLimits()
-    #: Multiplier applied to every domain bound per escalation step.
-    growth: int = 2
-    #: Maximum number of escalations (the ladder has ``max_steps + 1`` rungs).
-    max_steps: int = 2
-
-    def ladder(self) -> List[AnalysisLimits]:
-        """Every rung in order, starting at ``base``."""
-        rungs = [self.base]
-        for _ in range(max(0, self.max_steps)):
-            rungs.append(rungs[-1].stepped_up(self.growth))
-        return rungs
-
-
-#: Either a fixed set of bounds or an escalation policy over them.
-LimitsLike = Union[AnalysisLimits, AdaptiveLimits]
-
-
-def base_limits(limits: LimitsLike) -> AnalysisLimits:
-    """The fixed bounds a (possibly adaptive) limits value starts from."""
-    return limits.base if isinstance(limits, AdaptiveLimits) else limits
 
 
 #: Default limits used when none are supplied.

@@ -71,7 +71,7 @@ from .engine import (
     canonical_matrix,
     canonical_points,
 )
-from .limits import DEFAULT_LIMITS, LimitsLike
+from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix
 from .pipeline import SolvedComponent
 from .summaries import ProcedureSummary, compute_summaries
@@ -316,7 +316,7 @@ class ReanalysisReport:
 def cold_solve(
     program: ast.Program,
     info: Optional[TypeInfo] = None,
-    limits: LimitsLike = DEFAULT_LIMITS,
+    limits: AnalysisLimits = DEFAULT_LIMITS,
     entry: str = "main",
 ) -> Tuple[str, Dict[str, int]]:
     """Digest + widening counters of a from-scratch solve (fresh caches).
@@ -360,7 +360,7 @@ class IncrementalSession:
 
     def __init__(
         self,
-        limits: LimitsLike = DEFAULT_LIMITS,
+        limits: AnalysisLimits = DEFAULT_LIMITS,
         entry: str = "main",
         cache: Optional[CacheConfig] = None,
         transfer_cache: Optional[TransferCache] = None,

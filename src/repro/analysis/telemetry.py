@@ -5,8 +5,8 @@ The path-expression domain stays finite by *widening* (see
 over-long paths collapse their tail into a ``D`` segment, and oversized
 path sets collapse towards ``{S?, D+?}``.  Those events are the evidence
 that the configured :class:`~repro.analysis.limits.AnalysisLimits` actually
-bit — the signal the adaptive-limits escalation policy and the workload
-benches consume.
+bit — the signal the per-workload widening rows and the workload benches
+report.
 
 The domain operations that widen (:func:`repro.analysis.paths.make_path`
 normalization, :meth:`repro.analysis.pathset.PathSet.collapse`) are pure

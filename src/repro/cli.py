@@ -1,6 +1,6 @@
 """The batch-analysis command line: ``python -m repro <command>``.
 
-Four subcommands turn the reproduction into a workload-serving frontend:
+The subcommands turn the reproduction into a workload-serving frontend:
 
 * ``analyze`` — analyze named workloads and/or generated scenarios,
   optionally sharded across worker processes, streaming per-workload
@@ -26,10 +26,11 @@ Four subcommands turn the reproduction into a workload-serving frontend:
   transfer-cache store created with ``--cache-dir``.
 * ``serve`` — run the long-lived analysis daemon
   (:mod:`repro.server`): one warm transfer cache + interned domain
-  serving ``analyze``/``bench``/``reanalyze``/``cache_stats`` requests to
-  many clients over a unix or TCP socket, until a ``shutdown`` request.
-* ``client`` — talk to a running daemon: ``ping``, ``version``,
-  ``analyze``, ``bench``, ``reanalyze``, ``cache-stats``, ``shutdown``.
+  serving ``analyze``/``reanalyze``/``cache_stats``/``metrics`` requests
+  to many clients over a unix or TCP socket, until a ``shutdown`` request.
+* ``client`` — talk to a running daemon: ``health``, ``ping``,
+  ``version``, ``analyze``, ``reanalyze``, ``cache-stats``, ``metrics``,
+  ``shutdown``.
 
 ``analyze``, ``bench``, ``reanalyze`` and ``serve`` accept the two cache
 knobs: ``--cache-dir`` (the disk store shards and *runs* share — rerunning
@@ -53,8 +54,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .analysis.context import AnalysisStats
-from .analysis.limits import DEFAULT_LIMITS, AnalysisLimits, LimitsLike, base_limits
+from .analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from .cache import STORE_FILENAME, CacheConfig, DiskBackend
 from .faults import FAULT_KINDS, KNOWN_SITES, FaultPlan
 from .workloads.generators import (
@@ -117,15 +117,6 @@ def _add_generator_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--aliasing", type=float, default=0.3, help="handle-overlap probability in [0,1]"
-    )
-
-
-def _add_limits_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="adaptive analysis limits: re-run workloads whose widening "
-        "counters fired with stepped-up domain bounds",
     )
 
 
@@ -201,14 +192,11 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _effective_limits(args: argparse.Namespace) -> LimitsLike:
-    base = DEFAULT_LIMITS
+def _effective_limits(args: argparse.Namespace) -> AnalysisLimits:
     size = getattr(args, "cache_size", None)
-    if size is not None:
-        base = replace(base, transfer_cache_size=max(1, size))
-    if getattr(args, "adaptive", False):
-        return AnalysisLimits.adaptive(base)
-    return base
+    if size is None:
+        return DEFAULT_LIMITS
+    return replace(DEFAULT_LIMITS, transfer_cache_size=max(1, size))
 
 
 def _cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
@@ -265,7 +253,7 @@ def _print_report(
         )
     print()
     stats = report.stats
-    size = base_limits(runner.limits).transfer_cache_size
+    size = runner.limits.transfer_cache_size
     cache = runner.cache
     tier = f"disk @ {cache.directory}" if cache is not None else "none (in-process only)"
     print(f"transfer cache: size={size} persistent={tier}")
@@ -298,24 +286,12 @@ def _print_report(
                 f"{row['p90_seconds']:10.6f} {row['p99_seconds']:10.6f}"
             )
 
-    widening_counters = AnalysisStats.WIDENING_FIELDS + ("adaptive_escalations",)
-    widened = {
-        name: row
-        for name, row in report.widening.items()
-        if any(row.get(counter, 0) for counter in widening_counters)
-    }
+    widened = {name: row for name, row in report.widening.items() if any(row.values())}
     print()
     print(f"widening telemetry ({len(widened)}/{len(report.widening)} workloads widened):")
     for name, row in widened.items():
-        parts = [
-            f"{counter}={row[counter]}"
-            for counter in widening_counters
-            if row.get(counter, 0)
-        ]
-        limits_used = row.get("final_limits", {})
-        print(f"  {name:24s} {' '.join(parts)}"
-              f"  (final max_segments={limits_used.get('max_segments')}, "
-              f"max_paths={limits_used.get('max_paths_per_entry')})")
+        parts = [f"{counter}={value}" for counter, value in row.items() if value]
+        print(f"  {name:24s} {' '.join(parts)}")
 
 
 def _suite_runner(
@@ -387,8 +363,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = runner.run(progress=stream)
     print()
     print(f"analyzed {len(report.results)}/{len(items)} workloads "
-          f"across {len(report.shards)} shard(s) in {report.seconds:.3f}s"
-          f"{' [adaptive limits]' if args.adaptive else ''}")
+          f"across {len(report.shards)} shard(s) in {report.seconds:.3f}s")
     _print_report(report, runner, rows=False)
 
     if args.census:
@@ -423,8 +398,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    cache, faults = runner.cache, runner.faults
-    limits = base_limits(runner.limits)
+    cache, faults, limits = runner.cache, runner.faults, runner.limits
 
     def stream(output: Dict) -> None:
         print(
@@ -434,8 +408,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
 
     report = runner.run(progress=stream)
-    print(f"\nsharded run ({min(runner.shards, len(items))} shards): {report.seconds:.3f}s"
-          f"{' [adaptive limits]' if args.adaptive else ''}")
+    print(f"\nsharded run ({min(runner.shards, len(items))} shards): {report.seconds:.3f}s")
     _print_report(report, runner)
 
     artifact: Dict[str, object] = {
@@ -443,7 +416,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "named_workloads": len(WORKLOADS),
             "generated_scenarios": len(scenarios),
             "base_seed": args.seed,
-            "adaptive_limits": bool(args.adaptive),
             "families": _family_list(args),
             # The *effective* (clamped) knobs the population was generated
             # with, not the raw CLI values.
@@ -892,7 +864,6 @@ def client_analyze(args: argparse.Namespace, client) -> int:
     response = client.analyze(
         workloads=args.names or None,
         depth=args.depth,
-        adaptive=args.adaptive,
         timeout=args.timeout_request,
     )
     if args.json:
@@ -918,35 +889,6 @@ def client_analyze(args: argparse.Namespace, client) -> int:
     return 1 if response["failures"] else 0
 
 
-def client_bench(args: argparse.Namespace, client) -> int:
-    response = client.bench(
-        seeds=args.seeds,
-        family=args.family,
-        depth=args.depth,
-        seed=args.seed,
-        adaptive=args.adaptive,
-        timeout=args.timeout_request,
-    )
-    if args.json:
-        return _print_response(response, True)
-    population = response["population"]
-    print(
-        f"population: {population['named_workloads']} named workloads + "
-        f"{population['generated_scenarios']} generated scenarios "
-        f"(seed {population['base_seed']})"
-    )
-    print(
-        f"analyzed {len(response['results'])} workloads "
-        f"({len(response['failures'])} failed) in {response['seconds']:.3f}s"
-    )
-    stats = response["stats"]
-    print(
-        f"  persistent tier: hits={stats['persistent_cache_hits']} "
-        f"misses={stats['persistent_cache_misses']}"
-    )
-    return 1 if response["failures"] else 0
-
-
 def client_reanalyze(args: argparse.Namespace, client) -> int:
     try:
         old_source, new_source, script, name = _resolve_edit_pair(args)
@@ -957,7 +899,6 @@ def client_reanalyze(args: argparse.Namespace, client) -> int:
         old_source,
         new_source,
         name=name,
-        adaptive=args.adaptive,
         verify=not args.no_verify,
         timeout=args.timeout_request,
     )
@@ -997,10 +938,6 @@ def client_cache_stats(args: argparse.Namespace, client) -> int:
 
 
 def client_metrics(args: argparse.Namespace, client) -> int:
-    if args.prometheus:
-        response = client.metrics(format="prometheus")
-        print(response["text"], end="")
-        return 0
     response = client.metrics()
     if args.json:
         return _print_response(response, True)
@@ -1081,7 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--list", action="store_true", help="list workloads and families")
     _add_generator_options(analyze)
-    _add_limits_options(analyze)
     _add_cache_options(analyze)
     _add_chaos_options(analyze)
     _add_trace_option(analyze)
@@ -1115,7 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
         "program size",
     )
     _add_generator_options(bench)
-    _add_limits_options(bench)
     _add_cache_options(bench)
     _add_chaos_options(bench)
     _add_trace_option(bench)
@@ -1175,7 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
     reanalyze.add_argument(
         "--output", default=None, metavar="PATH", help="also write the JSON report here"
     )
-    _add_limits_options(reanalyze)
     _add_cache_options(reanalyze)
     reanalyze.set_defaults(func=cmd_reanalyze)
 
@@ -1248,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=300.0,
         metavar="SECONDS",
-        help="per-request budget for analyze/bench; 0 disables (default: 300)",
+        help="per-request budget for analyze/reanalyze; 0 disables (default: 300)",
     )
     serve.add_argument(
         "--max-frame",
@@ -1288,7 +1222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "flight are shed with a retryable 'overloaded' error; 0 disables "
         "(default: 64)",
     )
-    _add_limits_options(serve)
     _add_cache_options(serve)
     _add_chaos_options(serve, max_attempts=False)
     _add_trace_option(serve)
@@ -1348,26 +1281,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-request budget (may lower the server's, never raise it)",
     )
-    _add_limits_options(c_analyze)
-    c_bench = client_parser(
-        "bench", client_bench, "run a generated population on the warm server"
-    )
-    c_bench.add_argument(
-        "--seeds", type=int, default=10, metavar="N", help="generated scenarios"
-    )
-    c_bench.add_argument(
-        "--family", type=_family_arg, default="all", help="scenario families"
-    )
-    c_bench.add_argument("--depth", type=int, default=4, help="structure depth")
-    c_bench.add_argument("--seed", type=int, default=0, help="base seed")
-    c_bench.add_argument(
-        "--timeout-request",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request budget (may lower the server's, never raise it)",
-    )
-    _add_limits_options(c_bench)
     c_reanalyze = client_parser(
         "reanalyze",
         client_reanalyze,
@@ -1381,7 +1294,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-request budget (may lower the server's, never raise it)",
     )
-    _add_limits_options(c_reanalyze)
     stats_cmd = client_parser(
         "cache-stats",
         client_cache_stats,
@@ -1392,13 +1304,8 @@ def build_parser() -> argparse.ArgumentParser:
         client_metrics,
         "live server metrics: per-op request counters, latency tails, gauges",
     )
-    metrics_cmd.add_argument(
-        "--prometheus",
-        action="store_true",
-        help="print the Prometheus text exposition instead of tables",
-    )
     client_parser("shutdown", client_shutdown, "graceful shutdown: drain, flush, exit")
-    for sub in (version, c_analyze, c_bench, c_reanalyze, stats_cmd, metrics_cmd, health_cmd):
+    for sub in (version, c_analyze, c_reanalyze, stats_cmd, metrics_cmd, health_cmd):
         sub.add_argument("--json", action="store_true", help="machine-readable output")
 
     return parser

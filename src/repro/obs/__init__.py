@@ -31,7 +31,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     latency_tails,
-    render_prometheus,
 )
 from .trace import (
     Tracer,
@@ -54,7 +53,6 @@ __all__ = [
     "current_tracer",
     "install_tracer",
     "latency_tails",
-    "render_prometheus",
     "span",
     "stopwatch",
     "tracing_enabled",

@@ -25,8 +25,6 @@ hold, mirroring :class:`~repro.analysis.context.AnalysisStats` and
 Naming scheme: dotted ``component.metric`` names (``suite.workload_seconds``,
 ``server.requests_total``) with optional ``{label="value"}`` dimensions;
 durations end in ``_seconds``, monotone totals in ``_total``.
-:func:`render_prometheus` rewrites dots to underscores for the text
-exposition the daemon's ``metrics`` op serves.
 """
 
 from __future__ import annotations
@@ -43,12 +41,11 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "latency_tails",
-    "render_prometheus",
 ]
 
 #: Upper bucket bounds for latency histograms, in seconds: log-spaced from
 #: 100µs to a minute, matching the spread between a memoized replay and a
-#: cold adaptive-escalation solve.  Observations beyond the last bound land
+#: cold solve of a large program.  Observations beyond the last bound land
 #: in the overflow bucket.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
@@ -180,7 +177,7 @@ class Histogram:
         """The q-quantile in seconds, interpolated inside its bucket.
 
         Deterministic given the bucket occupancies and the observed range
-        (Prometheus-style linear interpolation): a merge of shard
+        (linear interpolation inside the bucket): a merge of shard
         histograms reports the same quantiles as the single process would.
         The overflow bucket clamps to the largest boundary, and every
         quantile is then clamped to ``[min, max]`` of the observations — a
@@ -419,56 +416,3 @@ def latency_tails(
     if overall is not None:
         report["_overall"] = _tail_row(overall)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition
-# ---------------------------------------------------------------------------
-
-
-def _prom_name(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_")
-
-
-def _prom_labels(labels: Mapping[str, str], extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = [(k, v) for k, v in sorted(labels.items())]
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in pairs)
-    return f"{{{inner}}}"
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format (version 0.0.4)."""
-    lines: List[str] = []
-    snapshot = registry.as_dict()
-    seen_types: set = set()
-
-    def type_line(name: str, kind: str) -> None:
-        if name not in seen_types:
-            seen_types.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-
-    for entry in snapshot["counters"].values():
-        name = _prom_name(entry["name"])
-        type_line(name, "counter")
-        lines.append(f"{name}{_prom_labels(entry['labels'])} {entry['value']}")
-    for entry in snapshot["gauges"].values():
-        name = _prom_name(entry["name"])
-        type_line(name, "gauge")
-        lines.append(f"{name}{_prom_labels(entry['labels'])} {entry['value']}")
-    for entry in snapshot["histograms"].values():
-        name = _prom_name(entry["name"])
-        type_line(name, "histogram")
-        labels = entry["labels"]
-        cumulative = 0
-        for bound, occupancy in zip(entry["boundaries"], entry["counts"]):
-            cumulative += occupancy
-            le = ("le", f"{bound:g}")
-            lines.append(f"{name}_bucket{_prom_labels(labels, le)} {cumulative}")
-        lines.append(f"{name}_bucket{_prom_labels(labels, ('le', '+Inf'))} {entry['count']}")
-        lines.append(f"{name}_sum{_prom_labels(labels)} {entry['sum_ns'] / 1e9:.9f}")
-        lines.append(f"{name}_count{_prom_labels(labels)} {entry['count']}")
-    return "\n".join(lines) + "\n"

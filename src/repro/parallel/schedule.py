@@ -1,8 +1,7 @@
 """Parallel-execution cost model: work/span accounting and P-processor speedup.
 
 The paper reports *detected parallelism*; its 1989 testbed is not
-available, so the reproduction substitutes a deterministic machine model
-(see DESIGN.md §3):
+available, so the reproduction substitutes a deterministic machine model:
 
 * the interpreter (:mod:`repro.runtime.interpreter`) charges one unit per
   executed operation and computes **work** (total units) and **span**

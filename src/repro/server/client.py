@@ -41,12 +41,12 @@ from .protocol import (
 logger = logging.getLogger("repro.server.client")
 
 #: Ops safe to re-send after a transport failure or an ``overloaded``
-#: rejection: read-only ops plus ``analyze``/``bench``, whose results are
-#: pure functions of the request (re-running one costs compute, never
+#: rejection: read-only ops plus ``analyze``, whose result is a pure
+#: function of the request (re-running one costs compute, never
 #: correctness).  ``reanalyze`` mutates warm invalidation state and
 #: ``shutdown`` is one-shot — neither is retried.
 IDEMPOTENT_OPS = frozenset(
-    {"ping", "protocol_version", "health", "analyze", "bench", "cache_stats", "metrics"}
+    {"ping", "protocol_version", "health", "analyze", "cache_stats", "metrics"}
 )
 
 #: Transport failures worth a reconnect-and-retry: the connection died (or
@@ -291,10 +291,9 @@ class AnalysisClient:
         workloads: Optional[List[str]] = None,
         programs: Optional[List[Dict[str, str]]] = None,
         depth: int = 4,
-        adaptive: bool = False,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
-        params: Dict[str, Any] = {"depth": depth, "adaptive": adaptive}
+        params: Dict[str, Any] = {"depth": depth}
         if workloads is not None:
             params["workloads"] = list(workloads)
         if programs is not None:
@@ -303,32 +302,11 @@ class AnalysisClient:
             params["timeout"] = timeout
         return self.request("analyze", **params)
 
-    def bench(
-        self,
-        seeds: int = 10,
-        family: str = "all",
-        depth: int = 4,
-        seed: int = 0,
-        adaptive: bool = False,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        params: Dict[str, Any] = {
-            "seeds": seeds,
-            "family": family,
-            "depth": depth,
-            "seed": seed,
-            "adaptive": adaptive,
-        }
-        if timeout is not None:
-            params["timeout"] = timeout
-        return self.request("bench", **params)
-
     def reanalyze(
         self,
         old_source: str,
         new_source: str,
         name: str = "program",
-        adaptive: bool = False,
         verify: bool = False,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
@@ -337,7 +315,6 @@ class AnalysisClient:
             "old_source": old_source,
             "new_source": new_source,
             "name": name,
-            "adaptive": adaptive,
             "verify": verify,
         }
         if timeout is not None:
@@ -347,14 +324,9 @@ class AnalysisClient:
     def cache_stats(self) -> Dict[str, Any]:
         return self.request("cache_stats")
 
-    def metrics(self, format: str = "json") -> Dict[str, Any]:
-        """The server's live metrics registry.
-
-        ``format="json"`` returns the structured snapshot + tail tables;
-        ``format="prometheus"`` returns the text exposition under
-        ``"text"``.
-        """
-        return self.request("metrics", format=format)
+    def metrics(self) -> Dict[str, Any]:
+        """The server's live metrics registry: its snapshot + tail tables."""
+        return self.request("metrics")
 
     def shutdown(self) -> Dict[str, Any]:
         """Request graceful shutdown; the server responds, then stops."""

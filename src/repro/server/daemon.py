@@ -7,7 +7,7 @@ warm :class:`~repro.server.service.AnalysisService`:
 
 * **fast ops** (``ping``, ``protocol_version``, ``cache_stats``,
   ``shutdown``) are answered inline on the event loop;
-* **heavy ops** (``analyze``, ``bench``) are scheduled onto a bounded
+* **heavy ops** (``analyze``, ``reanalyze``) are scheduled onto a bounded
   :class:`~concurrent.futures.ThreadPoolExecutor` so the loop keeps
   multiplexing other clients while an analysis runs, wrapped in a
   per-request timeout that turns into a structured ``timeout`` error
@@ -22,7 +22,7 @@ that disconnects mid-request costs nothing but the abandoned response.
 
 **Graceful shutdown** (the ``shutdown`` op, or SIGINT/SIGTERM in
 :meth:`AnalysisServer.run`): the listener closes immediately, new
-``analyze``/``bench`` frames on surviving connections get a
+``analyze``/``reanalyze`` frames on surviving connections get a
 ``shutting_down`` error, in-flight requests drain (bounded by
 ``drain_timeout``), the service flushes its persistent store (if any),
 and only then does the process exit.
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
-from ..analysis.limits import DEFAULT_LIMITS, LimitsLike
+from ..analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from ..cache.backend import CacheConfig
 from ..faults import FaultPlan, current_fault_plan, fault_fire, install_fault_plan
 from . import protocol
@@ -75,7 +75,6 @@ KNOWN_OPS = (
     "protocol_version",
     "health",
     "analyze",
-    "bench",
     "reanalyze",
     "cache_stats",
     "metrics",
@@ -83,7 +82,7 @@ KNOWN_OPS = (
 )
 
 #: Ops dispatched to the worker pool under the request timeout.
-HEAVY_OPS = ("analyze", "bench", "reanalyze")
+HEAVY_OPS = ("analyze", "reanalyze")
 
 logger = logging.getLogger("repro.server.daemon")
 
@@ -125,7 +124,7 @@ class ServerConfig:
     #: live daemon.  ``None`` (the default) injects nothing and costs one
     #: pointer check per injection site.
     faults: Optional[FaultPlan] = None
-    limits: LimitsLike = DEFAULT_LIMITS
+    limits: AnalysisLimits = DEFAULT_LIMITS
     #: Persistent-store config (``--cache-dir``); ``None`` → no store: the
     #: in-memory transfer memo stays warm across requests, gone with the
     #: daemon.
@@ -459,10 +458,7 @@ class AnalysisServer:
         if op == "cache_stats":
             return ok_response(request_id, **self.service.cache_stats()), None
         if op == "metrics":
-            try:
-                return ok_response(request_id, **self.service.metrics_payload(message)), None
-            except RequestError as error:
-                return error_response(request_id, ERR_BAD_REQUEST, str(error)), None
+            return ok_response(request_id, **self.service.metrics_payload()), None
         if op in HEAVY_OPS:
             return await self._dispatch_heavy(request_id, op, message), None
         return (
@@ -537,7 +533,6 @@ class AnalysisServer:
             timeout = min(timeout, requested) if timeout is not None else float(requested)
         handlers = {
             "analyze": self.service.analyze,
-            "bench": self.service.bench,
             "reanalyze": self.service.reanalyze,
         }
         handler = handlers[op]

@@ -10,7 +10,7 @@ down between invocations:
   table, which stay hot simply because the process stays alive;
 * server-lifetime merged :class:`~repro.analysis.context.AnalysisStats`.
 
-Every ``analyze``/``bench`` request gets a *fresh*
+Every ``analyze`` request gets a *fresh*
 :class:`~repro.analysis.engine.BatchAnalyzer` attached to the shared cache
 (``transfer_cache=...``), so per-request stats are exact deltas; the
 request's items run through
@@ -22,11 +22,11 @@ lifetime totals that ``cache_stats`` reports.
 ``reanalyze`` requests share one more piece of state: the **held
 session**, the :class:`~repro.analysis.reanalysis.IncrementalSession`
 that solved the last request's new version, keyed on that version's exact
-source text and the request's limits.  An editor sends each edit with the
-previous one's result as its old version, so the next request finds the
-old version already solved and parses and solves only the new one.  Any
-other request starts a fresh session, which parses and solves its old
-version first.
+source text.  An editor sends each edit with the previous one's result as
+its old version, so the next request finds the old version already solved
+and parses and solves only the new one.  Any other request starts a fresh
+session, which parses and solves its old version first.  Every request
+runs at the service's limits.
 
 Why the second request is cheap: the in-memory transfer memo keys on
 statement **content** (kind and rendering), limits and input matrix, so a
@@ -53,21 +53,20 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..analysis.context import AnalysisStats
 from ..analysis.engine import BatchAnalyzer
-from ..analysis.limits import DEFAULT_LIMITS, AnalysisLimits, LimitsLike, base_limits
+from ..analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from ..analysis.pathset import intern_table_sizes
 from ..analysis.reanalysis import IncrementalSession, result_digest
 from ..analysis.transfer import TransferCache
 from ..cache.backend import CacheConfig, open_backend
-from ..obs.metrics import MetricsRegistry, latency_tails, render_prometheus
+from ..obs.metrics import MetricsRegistry, latency_tails
 from ..sil import ast
 from ..sil.normalize import parse_and_normalize
 from ..sil.typecheck import TypeInfo
-from ..workloads.generators import FAMILIES, GeneratorConfig, generate_scenarios
 from ..workloads.suite import WORKLOADS, ShardedSuiteReport, ShardedSuiteRunner, source
 
 #: Operations the service implements (the daemon adds ping/protocol_version,
 #: which never reach the service).
-SERVICE_OPS = ("analyze", "bench", "reanalyze", "cache_stats", "metrics")
+SERVICE_OPS = ("analyze", "reanalyze", "cache_stats", "metrics")
 
 logger = logging.getLogger("repro.server.service")
 
@@ -88,13 +87,8 @@ class _HeldSession(NamedTuple):
     """The session that solved the last ``reanalyze`` request's new version."""
 
     source: str
-    limits: LimitsLike
     session: IncrementalSession
     digest: str
-
-    def continues(self, old_source: str, limits: LimitsLike) -> bool:
-        """Is a request from ``old_source`` under ``limits`` this session's next edit?"""
-        return self.source == old_source and self.limits == limits
 
 
 class AnalysisService:
@@ -102,14 +96,14 @@ class AnalysisService:
 
     def __init__(
         self,
-        limits: LimitsLike = DEFAULT_LIMITS,
+        limits: AnalysisLimits = DEFAULT_LIMITS,
         cache: Optional[CacheConfig] = None,
         entry: str = "main",
     ):
         self.limits = limits
         self.entry = entry
         self.cache = TransferCache(
-            base_limits(limits).transfer_cache_size,
+            limits.transfer_cache_size,
             backend=open_backend(cache) if cache is not None else None,
         )
         self.started_at = time.time()
@@ -169,11 +163,6 @@ class AnalysisService:
             raise RequestError("nothing to analyze: empty workloads/programs")
         return items
 
-    def _request_limits(self, params: Mapping[str, Any]) -> LimitsLike:
-        if params.get("adaptive", False):
-            return AnalysisLimits.adaptive(base_limits(self.limits))
-        return self.limits
-
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
@@ -185,7 +174,7 @@ class AnalysisService:
             runner = ShardedSuiteRunner(items, shards=1)
         except ValueError as error:  # duplicate names
             raise RequestError(str(error)) from None
-        report = self._run_warm(runner, self._request_limits(params))
+        report = self._run_warm(runner)
         self._count("analyze")
         return {
             "results": report.results,
@@ -197,54 +186,14 @@ class AnalysisService:
             "seconds": round(report.seconds, 4),
         }
 
-    def bench(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """A whole population (named workloads + generated scenarios), warm.
-
-        The daemon's counterpart of ``python -m repro bench``: the same
-        generator population and the same suite-runner report shape, but
-        served from the warm cache instead of fresh worker processes.
-        """
-        seeds = params.get("seeds", 10)
-        if not isinstance(seeds, int) or seeds < 0:
-            raise RequestError(f"seeds must be a non-negative integer, got {seeds!r}")
-        family = params.get("family", "all")
-        families = None if family == "all" else str(family).split(",")
-        for name in families or []:
-            if name not in FAMILIES:
-                raise RequestError(
-                    f"unknown family {name!r}; known: {', '.join(FAMILIES)}"
-                )
-        config = GeneratorConfig(
-            procedures=params.get("procedures", 2),
-            depth=params.get("depth", 4),
-            aliasing=params.get("aliasing", 0.3),
-        ).clamped()
-        scenarios = generate_scenarios(
-            seeds, base_seed=params.get("seed", 0), config=config, families=families
-        )
-        items = [(name, source(name, depth=min(config.depth, 4))) for name in WORKLOADS]
-        items += [(s.name, s.source) for s in scenarios]
-        report = self._run_warm(
-            ShardedSuiteRunner(items, shards=1), self._request_limits(params)
-        )
-        self._count("bench")
-        payload = report.as_dict()
-        payload["population"] = {
-            "named_workloads": len(WORKLOADS),
-            "generated_scenarios": len(scenarios),
-            "base_seed": params.get("seed", 0),
-            "families": list(families) if families else list(FAMILIES),
-        }
-        return payload
-
     def reanalyze(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """Dirty-seeded re-analysis of an edited program over the warm cache.
 
         The request carries the old and new program sources.  When the old
-        source and the limits equal those of the held session — the one
-        that solved the last request's new version — the request continues
-        it: it parses only the new version, diffs, invalidates, and
-        re-solves the dirty frontier.  Otherwise a fresh
+        source is the source of the held session — the one that solved the
+        last request's new version — the request continues it: it parses
+        only the new version, diffs, invalidates, and re-solves the dirty
+        frontier.  Otherwise a fresh
         :class:`~repro.analysis.reanalysis.IncrementalSession` over the
         shared :class:`TransferCache` parses and solves the old version
         first.  ``base_reused`` says which path ran.  Either way the
@@ -267,19 +216,18 @@ class AnalysisService:
             )
         name = str(params.get("name", "program"))
         verify = bool(params.get("verify", False))
-        limits = self._request_limits(params)
         new_program, new_info = _front_end(new_source)
         with self._lock:
             if self._closed:
                 raise RequestError("service is closed")
             held = self._held
-            reused = held is not None and held.continues(old_source, limits)
+            reused = held is not None and held.source == old_source
             if reused:
                 session, base_digest = held.session, held.digest
             else:
                 old_program, old_info = _front_end(old_source)
                 session = IncrementalSession(
-                    limits=limits, entry=self.entry, transfer_cache=self.cache
+                    limits=self.limits, entry=self.entry, transfer_cache=self.cache
                 )
             self._held = None
             counters_before = session.stats.counters()
@@ -295,7 +243,7 @@ class AnalysisService:
                 }
             )
             self._lifetime = self._lifetime.merge(request_stats)
-            self._held = _HeldSession(new_source, limits, session, report.digest)
+            self._held = _HeldSession(new_source, session, report.digest)
             self.requests_served += 1
         self._count("reanalyze")
         payload = report.as_dict()
@@ -326,25 +274,16 @@ class AnalysisService:
         }
         return payload
 
-    def metrics_payload(self, params: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
-        """The live observability registry, as JSON or Prometheus text.
+    def metrics_payload(self) -> Dict[str, Any]:
+        """The live observability registry: its snapshot plus derived tail tables.
 
-        ``format: "json"`` (default) returns the raw registry snapshot plus
-        derived tail tables; ``format: "prometheus"`` returns the text
-        exposition under ``"text"``.  Counted *before* the snapshot, like
-        ``cache_stats``: the scrape shows itself in ``requests_by_op``.
+        Counted *before* the snapshot, like ``cache_stats``: the scrape
+        shows itself in ``requests_by_op``.
         """
-        fmt = (params or {}).get("format", "json")
-        if fmt not in ("json", "prometheus"):
-            raise RequestError(
-                f'metrics format must be "json" or "prometheus", got {fmt!r}'
-            )
         self._count("metrics")
         # Warm runs export cache.degraded per run and absorb() sums gauges,
         # so pin the gauge to the live truth before every scrape.
         self.metrics.gauge("cache.degraded").set(1 if self.cache.degraded else 0)
-        if fmt == "prometheus":
-            return {"format": "prometheus", "text": render_prometheus(self.metrics)}
         return {
             "format": "json",
             "metrics": self.metrics.as_dict(),
@@ -390,7 +329,7 @@ class AnalysisService:
 
     # ------------------------------------------------------------------
 
-    def _run_warm(self, runner: ShardedSuiteRunner, limits: LimitsLike) -> ShardedSuiteReport:
+    def _run_warm(self, runner: ShardedSuiteRunner) -> ShardedSuiteReport:
         """One request through the warm batch, lifetime totals updated.
 
         The lock serializes actual analysis across the daemon's worker
@@ -403,7 +342,7 @@ class AnalysisService:
             if self._closed:
                 raise RequestError("service is closed")
             batch = BatchAnalyzer(
-                limits=limits, entry=self.entry, transfer_cache=self.cache
+                limits=self.limits, entry=self.entry, transfer_cache=self.cache
             )
             report = runner.run_warm(batch)
             # run_warm reports are exact deltas, so lifetime totals stay the

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.limits import DEFAULT_LIMITS, LimitsLike
+from ..analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from ..obs.trace import span
 from ..runtime.heap import Heap, TreeSpec
 from ..sil import ast
@@ -145,9 +145,7 @@ def make_recursive_walker_program(depth: int, update: bool) -> Tuple[ast.Program
 #: The scenario families the random generator can produce.  ``dag`` (heavy
 #: cross-linked sharing — the paper's hardest aliasing case) and ``deep``
 #: (long recursion chains over deeper call graphs) deliberately push the
-#: path domain into its widening bounds; analyze them with
-#: :meth:`~repro.analysis.limits.AnalysisLimits.adaptive` limits to see the
-#: escalation policy at work.
+#: path domain into its widening bounds.
 FAMILIES = ("list", "tree", "web", "mixed", "dag", "deep")
 
 #: The families whose default-config scenarios stay inside the default
@@ -251,7 +249,7 @@ def generate_scenarios(
     ]
 
 
-def cross_check_scenario(scenario: Scenario, limits=None) -> bool:
+def cross_check_scenario(scenario: Scenario, limits: AnalysisLimits = DEFAULT_LIMITS) -> bool:
     """True iff the pipeline and reference engines agree on the scenario.
 
     Compares the canonical encodings of
@@ -260,15 +258,9 @@ def cross_check_scenario(scenario: Scenario, limits=None) -> bool:
     generated-population analogue of the golden tests on the named
     workloads.  Intended for small sizes (the reference engine re-analyzes
     every procedure every round).
-
-    An :class:`~repro.analysis.limits.AdaptiveLimits` policy is unwrapped
-    to its base rung: the reference engine has no escalation ladder, so the
-    comparison is engine-vs-engine at one fixed set of bounds.
     """
     from ..analysis import analyze_program, analyze_program_reference
-    from ..analysis.limits import base_limits
 
-    limits = base_limits(limits) if limits is not None else DEFAULT_LIMITS
     program, info = scenario.load()
     pipeline = analyze_program(program, info, limits=limits)
     reference_program, reference_info = scenario.load()
@@ -892,7 +884,7 @@ def measure_edit_replay(
     sizes: Sequence[int] = DEFAULT_EDIT_SIZES,
     edit_counts: Sequence[int] = DEFAULT_EDIT_COUNTS,
     seed: int = 0,
-    limits: LimitsLike = DEFAULT_LIMITS,
+    limits: AnalysisLimits = DEFAULT_LIMITS,
     kinds: Sequence[str] = ("insert",),
 ) -> Dict[str, object]:
     """The edit-replay bench: re-analysis work vs. edit size vs. program size.

@@ -48,7 +48,7 @@ from ..sil.typecheck import TypeInfo
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.context import AnalysisStats
     from ..analysis.engine import AnalysisResult
-    from ..analysis.limits import AnalysisLimits, LimitsLike
+    from ..analysis.limits import AnalysisLimits
     from ..cache.backend import CacheConfig
     from ..faults import FaultPlan
     from .generators import Scenario
@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ShardPayload = Tuple[
     int,
     List[Tuple[str, str]],
-    "LimitsLike",
+    "AnalysisLimits",
     Optional["CacheConfig"],
     Optional["FaultPlan"],
     int,
@@ -648,12 +648,10 @@ def analyze_pairs(
       flushed *before* the snapshot, so persistent write/eviction totals
       are included.
     * ``widening`` — a per-workload telemetry row: the widening-counter
-      deltas attributable to that workload (escalation re-runs included),
-      the number of adaptive escalations it took, and the final
-      :class:`AnalysisLimits` rung its result was produced under.  Because
-      transfer-cache hits *replay* the widening counts captured at compute
-      time, these deltas are exact — sharding or serving never loses or
-      double-counts a widening event.
+      deltas attributable to that workload.  Because transfer-cache hits
+      *replay* the widening counts captured at compute time, these deltas
+      are exact — sharding or serving never loses or double-counts a
+      widening event.
     * ``intern_tables`` — growth of this process's global interning tables
       while the call ran (fork workers inherit the parent's tables
       pre-populated, so absolute sizes would double-count the parent's
@@ -707,7 +705,6 @@ def analyze_pairs(
                 if rule.kind == "slow":
                     time.sleep(rule.delay)
             before = batch.stats.widening_counters()
-            escalations_before = batch.stats.adaptive_escalations
             pops_before = batch.stats.worklist_pops
             workload_clock = stopwatch("suite.workload", {"workload": name})
             try:
@@ -718,15 +715,10 @@ def analyze_pairs(
                 results[name] = result.canonical()
                 if census:
                     census_rows[name] = _census_row(program, info, result)
-                row: Dict[str, object] = {
+                widening[name] = {
                     counter: batch.stats.widening_counters()[counter] - before[counter]
                     for counter in before
                 }
-                row["adaptive_escalations"] = (
-                    batch.stats.adaptive_escalations - escalations_before
-                )
-                row["final_limits"] = result.limits.as_dict()
-                widening[name] = row
                 metrics.counter("suite.workloads_analyzed").inc()
                 metrics.histogram("suite.workload_seconds", workload=name).observe(
                     workload_clock.seconds
@@ -911,8 +903,7 @@ class ShardedSuiteReport:
     :meth:`repro.analysis.engine.AnalysisResult.canonical`) in input order;
     ``stats`` is the merge of every shard's counters, with the per-shard
     breakdown retained in ``shards``; ``widening`` maps every analyzed
-    workload to its widening-telemetry row (counter deltas, adaptive
-    escalations, final limits rung); ``census`` maps every analyzed
+    workload to its widening-counter deltas; ``census`` maps every analyzed
     workload to its parallelism-census row when the runner was built with
     ``census=True``.
     """
@@ -1012,13 +1003,11 @@ class ShardedSuiteRunner:
     through one run loop (:meth:`_drive`) and one per-shard step
     (:func:`analyze_pairs`).
 
-    ``limits`` may be a fixed :class:`AnalysisLimits` or an
-    :class:`~repro.analysis.limits.AdaptiveLimits` escalation policy; both
-    are plain frozen dataclasses and travel to the workers in the shard
-    payload — as does ``cache``, an optional :class:`~repro.cache.backend.
-    CacheConfig` naming a persistent transfer store every shard opens
-    read-through and flushes its computed deltas into on completion (the
-    cross-run warm-start path).
+    ``limits``, a frozen :class:`AnalysisLimits`, travels to the workers in
+    the shard payload — as does ``cache``, an optional :class:`~repro.cache.
+    backend.CacheConfig` naming a persistent transfer store every shard
+    opens read-through and flushes its computed deltas into on completion
+    (the cross-run warm-start path).
 
     ``census=True`` has every shard compute each analyzed program's
     parallelism-census row from the result it just solved; the rows land
@@ -1029,7 +1018,7 @@ class ShardedSuiteRunner:
         self,
         items: Sequence[Tuple[str, str]],
         shards: int = 2,
-        limits: Optional["LimitsLike"] = None,
+        limits: Optional["AnalysisLimits"] = None,
         cache: Optional["CacheConfig"] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -1059,7 +1048,7 @@ class ShardedSuiteRunner:
         names: Optional[Sequence[str]] = None,
         depth: int = 4,
         shards: int = 2,
-        limits: Optional["LimitsLike"] = None,
+        limits: Optional["AnalysisLimits"] = None,
         cache: Optional["CacheConfig"] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -1081,7 +1070,7 @@ class ShardedSuiteRunner:
         cls,
         scenarios: Sequence["Scenario"],
         shards: int = 2,
-        limits: Optional["LimitsLike"] = None,
+        limits: Optional["AnalysisLimits"] = None,
         cache: Optional["CacheConfig"] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,

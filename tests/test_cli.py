@@ -75,14 +75,6 @@ class TestAnalyzeCommand:
         assert "widening telemetry" in out
         assert "segment_collapses=" in out
 
-    def test_analyze_adaptive_escalates_on_deep_scenarios(self, capsys):
-        assert main(
-            ["analyze", "--generated", "2", "--family", "deep", "--adaptive"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "[adaptive limits]" in out
-        assert "adaptive_escalations=" in out
-
 
 CENSUS_ROW = re.compile(
     r"^\s+(\S+)\s+groups=(\d+)\s+call_groups=(\d+)\s+independent=(\d+)/(\d+)\s*$"
@@ -261,21 +253,18 @@ class TestBenchCommand:
         artifact_path = tmp_path / "bench.json"
         assert main(
             ["bench", "--shards", "2", "--seeds", "4", "--family", "deep",
-             "--adaptive", "--output", str(artifact_path)]
+             "--output", str(artifact_path)]
         ) == 0
         artifact = json.loads(artifact_path.read_text())
-        assert artifact["population"]["adaptive_limits"] is True
         assert artifact["verified_identical"] is True  # sharded == single process
         widening = artifact["sharded"]["widening"]
         assert len(widening) == len(WORKLOADS) + 4
         deep_rows = [row for name, row in widening.items() if name.startswith("deep_")]
         assert deep_rows and all(row["segment_collapses"] > 0 for row in deep_rows)
-        assert all(row["adaptive_escalations"] >= 1 for row in deep_rows)
-        # The safety net never fires; the final rung is recorded per workload.
+        # The safety net never fires.
         assert all(row["iteration_guard_trips"] == 0 for row in widening.values())
-        assert all("max_segments" in row["final_limits"] for row in widening.values())
         merged = artifact["sharded"]["stats"]
-        for counter in ("segment_collapses", "path_set_collapses", "adaptive_escalations"):
+        for counter in ("segment_collapses", "path_set_collapses"):
             assert counter in merged
 
     def test_bench_artifact_records_cache_section_and_digest(self, tmp_path):

@@ -12,8 +12,8 @@ the ones a previous solve stored.  Pinned here:
   the summaries; the digest composed from per-procedure text equals
   ``result_digest``, and ``worklist_pops + summaries_reused`` equals the
   cold solve's pops — over every edit kind, every generator family,
-  adaptive limits, edit-serve's seed-1 and seed-7 streams and a level that
-  adopts one component while it solves its sibling;
+  edit-serve's seed-1 and seed-7 streams and a level that adopts one
+  component while it solves its sibling;
 * a one-statement insert into ``walk0`` pops the same procedures at 4, 16,
   64 and 256 walkers;
 * on call graphs with a power-law out-degree sequence, an edit to a
@@ -25,7 +25,7 @@ import pytest
 
 from perfbench import corpus
 from repro.analysis.engine import BatchAnalyzer
-from repro.analysis.limits import DEFAULT_LIMITS, AdaptiveLimits
+from repro.analysis.limits import DEFAULT_LIMITS
 from repro.analysis.pipeline import component_levels
 from repro.analysis.reanalysis import IncrementalSession, result_digest
 from repro.analysis.summaries import compute_summaries
@@ -118,10 +118,6 @@ class TestReanalysisEqualsCold:
         reports = replay(edit_chain(scenario.source, 2 * len(EDIT_KINDS)))
         if reports[0].procedures_total > 1:
             assert any(report.summaries_reused for report in reports)
-
-    def test_adaptive_limits(self):
-        scenario = generate_scenario(2, GeneratorConfig(family="deep", procedures=2, depth=5))
-        replay(edit_chain(scenario.source, len(EDIT_KINDS)), limits=AdaptiveLimits())
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_edit_serve_streams(self, seed, monkeypatch):

@@ -6,6 +6,8 @@ key on object identity, which is only sound if equal values are always the
 same object).  These tests pin down those laws.
 """
 
+import itertools
+
 import pytest
 
 from repro.analysis.limits import AnalysisLimits
@@ -16,6 +18,7 @@ from repro.analysis.paths import (
     PathSegment,
     MAYBE_SAME,
     SAME,
+    format_path,
     parse_path,
     paths_may_intersect,
     subsumes,
@@ -46,6 +49,21 @@ SAMPLE_SETS = [
 
 def sets():
     return [PathSet.parse(text) for text in SAMPLE_SETS]
+
+
+def uninterned_path_texts(count):
+    """``count`` four-segment paths absent from the path intern table.
+
+    The domain is finite, so any path a test names may already have been
+    interned by an earlier test in the same process; these are checked
+    against the table first.
+    """
+    interned = {format_path(path) for path in list(Path._intern.values())}
+    candidates = (
+        f"L{a}R{b}L{c}R{d}" for a, b, c, d in itertools.product(range(1, 9), repeat=4)
+    )
+    fresh = (text for text in candidates if text not in interned)
+    return list(itertools.islice(fresh, count))
 
 
 class TestSegmentInterning:
@@ -159,12 +177,14 @@ class TestPathSetInterning:
         assert big.collapse(limits) is big.collapse(limits)
 
     def test_intern_tables_reported(self, intern_tables):
-        # Counts this large appear nowhere else in the suite, so the parse
-        # must intern fresh entries; the held reference keeps the weak
-        # table rows alive across the growth read.
+        # The paths are new to the process, so the parse must intern fresh
+        # entries; the held reference keeps the weak table rows alive
+        # across the growth read.
         # (>= 1, not an exact count: the tables are weak, so unrelated
         # entries may be collected between the snapshot and this read.)
-        held = PathSet.parse("L6401, L6402, R6403")  # noqa: F841
+        texts = uninterned_path_texts(3)
+        assert len(texts) == 3
+        held = PathSet.parse(", ".join(texts))  # noqa: F841
         growth = intern_tables.growth()
         assert growth["paths_interned"] >= 1
         assert growth["pathsets_interned"] >= 1

@@ -36,7 +36,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     latency_tails,
-    render_prometheus,
 )
 from repro.workloads.suite import ShardedSuiteRunner, source
 
@@ -209,14 +208,6 @@ class TestSnapshots:
             assert set(row) == {
                 "count", "p50_seconds", "p90_seconds", "p99_seconds", "mean_seconds",
             }
-
-    def test_prometheus_rendering(self):
-        text = render_prometheus(self._populated())
-        assert "# TYPE a_total counter" in text
-        assert "b_total{op=\"x\"} 1" in text
-        assert "# TYPE h_seconds histogram" in text
-        assert 'h_seconds_bucket{workload="w",le="+Inf"} 1' in text
-        assert 'h_seconds_count{workload="w"} 1' in text
 
 
 class TestShardMergeDeterminism:

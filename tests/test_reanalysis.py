@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import reanalysis
 from repro.analysis.engine import BatchAnalyzer, analyze_program_reference
-from repro.analysis.limits import DEFAULT_LIMITS, AdaptiveLimits
+from repro.analysis.limits import DEFAULT_LIMITS
 from repro.analysis.reanalysis import (
     IncrementalSession,
     cold_solve,
@@ -101,21 +101,6 @@ class TestGoldenEquivalence:
                 source = pair.new_source
         finally:
             session.close()
-
-    def test_adaptive_limits_sessions_verify(self):
-        scenario = deep_scenario(seed=2, depth=5)
-        pair = generate_edited_pair(
-            scenario.source, 0, edits=1, kinds=("insert",), target_procedure="main"
-        )
-        session = IncrementalSession(limits=AdaptiveLimits())
-        try:
-            program, info = parse_and_normalize(pair.old_source)
-            session.analyze(program, info)
-            new_program, new_info = parse_and_normalize(pair.new_source)
-            report = session.reanalyze(new_program, new_info, verify=True)
-        finally:
-            session.close()
-        assert report.verified is True
 
 
 class TestDeltaDrivenBehavior:

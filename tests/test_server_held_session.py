@@ -3,9 +3,9 @@
 An editor sends each edit with the previous edit's result as its old
 version.  :class:`~repro.server.service.AnalysisService` holds the
 :class:`~repro.analysis.reanalysis.IncrementalSession` that solved the
-last request's new version, keyed on that version's source text and the
-request's limits, and a request that matches the key continues it: it
-parses and solves only the new version.
+last request's new version, keyed on that version's source text, and a
+request whose old version is that text continues it: it parses and solves
+only the new version.
 
 Pinned here:
 
@@ -14,8 +14,8 @@ Pinned here:
   it, and each ``base_digest`` is the previous response's ``digest``;
 * the lifetime totals are the sum of every response's ``request_stats``,
   and a continued request visits fewer statements than the first;
-* any other request (another old source, other limits) starts a fresh
-  session and answers what a fresh service answers;
+* a request from any other old source starts a fresh session and answers
+  what a fresh service answers;
 * a front-end rejection leaves the held session in place, and a solver
   failure drops it;
 * threads interleaving their chains over one service get exact answers,
@@ -166,17 +166,6 @@ class TestFallback:
         assert response["base_digest"] == fresh["base_digest"]
         # The fresh session is the one held now.
         assert service.reanalyze(request(versions, 1, 2))["base_reused"] is True
-
-    def test_other_limits_take_the_fresh_path(self, versions):
-        service = AnalysisService()
-        service.reanalyze(request(versions, 0, 1))
-        response = service.reanalyze(request(versions, 1, 2, adaptive=True))
-        assert response["base_reused"] is False
-        fresh = AnalysisService().reanalyze(request(versions, 1, 2, adaptive=True))
-        assert response["digest"] == fresh["digest"]
-        # Adaptive limits compare by value, so adaptive requests chain too.
-        follow_on = service.reanalyze(request(versions, 2, 3, adaptive=True))
-        assert follow_on["base_reused"] is True
 
     def test_a_bad_new_source_leaves_the_held_session(self, versions):
         service = AnalysisService()

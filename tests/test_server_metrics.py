@@ -10,9 +10,8 @@ Two accounting subtleties are pinned on purpose:
   the scrape's own ``server.request_seconds{op=metrics}`` entry is not
   yet in the snapshot it returns.
 
-Also covered: the Prometheus text exposition, the error path for an
-unknown format, byte/connection accounting, and the slow-request
-counter under a sub-microsecond threshold.
+Also covered: byte/connection accounting and the slow-request counter
+under a sub-microsecond threshold.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from repro.server import AnalysisClient, AnalysisServer, ServerConfig, ServerError
+from repro.server import AnalysisClient, AnalysisServer, ServerConfig
 from repro.server.daemon import KNOWN_OPS
 
 
@@ -115,26 +114,6 @@ class TestMetricsOp:
         client.metrics()
         by_op = client.cache_stats()["server"]["requests_by_op"]
         assert by_op.get("metrics") == 1
-
-
-class TestPrometheusFormat:
-    def test_text_exposition(self, client):
-        client.ping()
-        response = client.metrics(format="prometheus")
-        assert response["format"] == "prometheus"
-        text = response["text"]
-        assert "# TYPE server_requests_total counter" in text
-        assert 'server_requests_total{op="ping"} 1' in text
-        assert "# TYPE server_request_seconds histogram" in text
-        assert 'server_request_seconds_bucket{op="ping",le="+Inf"} 1' in text
-        assert "# TYPE server_connections gauge" in text
-
-    def test_unknown_format_is_a_bad_request(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.metrics(format="xml")
-        assert excinfo.value.code == "bad_request"
-        # The connection survives a bad request.
-        assert client.ping()
 
 
 class TestSlowRequestLog:

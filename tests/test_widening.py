@@ -1,4 +1,4 @@
-"""Widening telemetry, limit-boundary behavior, and adaptive analysis limits.
+"""Widening telemetry and limit-boundary behavior.
 
 Covers the per-context widening counters that replaced the old
 process-global ``segment_truncation_count``:
@@ -6,20 +6,16 @@ process-global ``segment_truncation_count``:
 * exact boundary behavior of every ``AnalysisLimits`` bound in ``paths.py``
   / ``pathset.py`` (at the limit: untouched; one past it: widened, counted);
 * the transfer cache *replaying* captured widening counts on hits, so the
-  counters read identically whether a transfer was computed or memoized;
-* the ``AnalysisLimits.adaptive`` escalation ladder re-running a program
-  with stepped-up bounds when widening fires, recording the final rung.
+  counters read identically whether a transfer was computed or memoized.
 """
 
 import pytest
 
 from repro.analysis import (
-    AdaptiveLimits,
     AnalysisLimits,
     BatchAnalyzer,
     WideningTally,
     analyze_program,
-    analyze_program_adaptive,
     widening_scope,
 )
 from repro.analysis.context import AnalysisStats
@@ -185,77 +181,6 @@ class TestIterationGuard:
         assert last.canonical() == reference.canonical()
 
 
-class TestAdaptiveLimits:
-    TINY = AnalysisLimits(
-        max_exact_count=1, max_open_count=1, max_segments=2, max_paths_per_entry=2
-    )
-
-    def test_ladder_steps_every_domain_bound(self):
-        policy = AnalysisLimits.adaptive(self.TINY, growth=2, max_steps=2)
-        assert isinstance(policy, AdaptiveLimits)
-        rungs = policy.ladder()
-        assert len(rungs) == 3
-        assert rungs[0] == self.TINY
-        assert rungs[1].max_segments == 4 and rungs[2].max_segments == 8
-        assert rungs[1].max_paths_per_entry == 4
-        # The iteration safety net steps up too (a guard-trip-triggered
-        # escalation must be able to clear its own trigger); only the
-        # memory knob stays fixed.
-        assert rungs[1].max_iterations == 2 * self.TINY.max_iterations
-        assert rungs[2].transfer_cache_size == self.TINY.transfer_cache_size
-
-    def test_escalates_when_widening_fires_and_records_final_limits(self):
-        program, info = load("add_and_reverse", depth=3)
-        policy = AnalysisLimits.adaptive(self.TINY, growth=2, max_steps=2)
-        result = analyze_program_adaptive(program, info, policy=policy)
-        assert result.stats.adaptive_escalations >= 1
-        assert result.limits != self.TINY
-        assert result.limits in policy.ladder()
-
-    def test_no_escalation_when_nothing_widens(self):
-        program, info = load("swap_children", depth=3)
-        result = analyze_program_adaptive(
-            program, info, policy=AnalysisLimits.adaptive()
-        )
-        assert result.stats.adaptive_escalations == 0
-        assert result.limits == AnalysisLimits()
-
-    def test_escalated_result_equals_direct_run_at_the_final_rung(self):
-        """Escalation is pure re-analysis: same answer as starting there."""
-        program, info = load("add_and_reverse", depth=3)
-        policy = AnalysisLimits.adaptive(self.TINY, growth=2, max_steps=2)
-        adaptive = analyze_program_adaptive(program, info, policy=policy)
-        direct = analyze_program(program, info, limits=adaptive.limits)
-        assert adaptive.canonical() == direct.canonical()
-
-    def test_batch_analyzer_counts_programs_not_attempts(self):
-        batch = BatchAnalyzer(limits=AnalysisLimits.adaptive(self.TINY))
-        for name in ("add_and_reverse", "tree_add"):
-            batch.analyze(*load(name, depth=3))
-        assert batch.stats.programs_analyzed == 2
-        assert batch.stats.adaptive_escalations >= 1
-
-    def test_ladder_stops_when_widening_stops_improving(self):
-        """Convergence widening at a higher rung must not burn every rung.
-
-        ``list_walk``'s loop fixed point widens the same way at any bound
-        (it is the domain's convergence mechanism): after one exploratory
-        escalation shows no reduction, the ladder stops early instead of
-        re-analyzing ``max_steps`` times for nothing.
-        """
-        program, info = load("list_walk", depth=3)
-        policy = AnalysisLimits.adaptive(growth=2, max_steps=4)
-        result = analyze_program_adaptive(program, info, policy=policy)
-        assert result.stats.adaptive_escalations <= 1
-        assert result.limits in policy.ladder()[:2]
-
-    def test_policy_is_picklable_for_shard_payloads(self):
-        import pickle
-
-        policy = AnalysisLimits.adaptive(self.TINY, growth=3, max_steps=1)
-        assert pickle.loads(pickle.dumps(policy)) == policy
-
-
 class TestStatsRoundTrip:
     def test_merge_after_round_trip_recomputes_hit_rate_from_raw_counts(self):
         """Satellite regression: the rounded rate in ``as_dict`` is advisory.
@@ -280,7 +205,6 @@ class TestStatsRoundTrip:
             exact_widenings=2,
             path_set_collapses=7,
             iteration_guard_trips=1,
-            adaptive_escalations=4,
         )
         rebuilt = AnalysisStats.from_dict(stats.as_dict())
         assert rebuilt == stats
@@ -291,7 +215,6 @@ class TestStatsRoundTrip:
             "path_set_collapses": 14,
             "iteration_guard_trips": 2,
         }
-        assert doubled.adaptive_escalations == 8
 
     def test_widening_fired_compares_against_a_snapshot(self):
         stats = AnalysisStats()
