@@ -23,12 +23,12 @@ one JSON document:
   deltas and the census of the session's result for that version.
 
 ``benchmarks/test_work_counters.py`` runs this script and compares its
-output with the committed ``work_counters.json`` byte for byte.  It must
-run in a fresh interpreter: ``packed_segment_ops`` does not count the
-normalizations that a path-set op memo hit skips, so it reads lower in a
-process whose memos are already warm.  After a change that moves the
-counters on purpose, regenerate the file from the checkout root and
-commit it with the change::
+output with the committed ``work_counters.json`` byte for byte.  It runs
+in a fresh interpreter so that ``idle`` sees only what ``import
+repro.cli`` installs; the ``programs`` and ``edit_chain`` rows read the
+same in a process that has already analyzed other programs.  After a
+change that moves the counters on purpose, regenerate the file from the
+checkout root and commit it with the change::
 
     PYTHONPATH=src python benchmarks/work_counters.py > benchmarks/work_counters.json
 """

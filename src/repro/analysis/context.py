@@ -34,7 +34,6 @@ from ..sil.delta import StatementIdentity, statement_identity
 from ..sil.typecheck import TypeInfo
 from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix
-from .symbols import GLOBAL_SYMBOLS, SymbolTable
 from .structure import StructureDiagnostic
 from .summaries import ProcedureSummary
 from .transfer import GLOBAL_TRANSFER_CACHE, TransferCache
@@ -121,13 +120,10 @@ class AnalysisStats:
     #: and the lazy scheme deferred.  Joins and calls build no memo key, so
     #: they are not counted.
     lazy_intern_deferrals: int = 0
-    #: Packed-segment integer operations executed by the path kernels
-    #: (normalization, concat, cancellation) while this context was active.
-    #: Unlike the other counters this one depends on process history: a
-    #: path-set op memo hit skips the normalizations inside the op, and
-    #: skipped ones are never counted, so a process whose memos are warm
-    #: reads lower.  That is why ``benchmarks/work_counters.py`` writes the
-    #: exact counter file from a fresh interpreter.
+    #: Packed segments normalized by the path kernels (``make_path``,
+    #: ``concat``, ``append_link``, ``cancel_first``) while this context was
+    #: active.  No memo sits in front of those kernels, so the count is the
+    #: same whatever the process analyzed before.
     packed_segment_ops: int = 0
     #: Worklist pops a re-analysis skipped: the pops of every call-graph
     #: component adopted from the cross-run component memo because its
@@ -348,12 +344,6 @@ class AnalysisContext:
     entry_name: str = "main"
     stats: AnalysisStats = field(default_factory=AnalysisStats)
     transfer_cache: Optional[TransferCache] = None
-    #: The handle symbol table behind the packed matrix layer.  Defaults to
-    #: (and in practice always is) the process-wide table — interned rows
-    #: carry masks built from its ids and are shared across contexts, so
-    #: every context must agree on id assignment.  Exposed here so analysis
-    #: layers can reach it without importing :mod:`repro.analysis.symbols`.
-    symbols: SymbolTable = field(default_factory=lambda: GLOBAL_SYMBOLS)
 
     #: Cross-run memo of solved call-graph components, keyed by
     #: ``(members, limits, entry matrices when the component's level

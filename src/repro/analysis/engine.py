@@ -315,7 +315,7 @@ class BatchAnalyzer:
             self._owns_backend = False
             return
         backend = open_backend(cache) if cache is not None else None
-        self.cache = TransferCache(limits.transfer_cache_size, backend=backend)
+        self.cache = TransferCache(backend=backend)
         self._owns_backend = True
 
     def flush(self) -> None:

@@ -46,15 +46,9 @@ class AnalysisLimits:
     #: forcing a collapse (a safety net; the finite domain already terminates).
     max_iterations: int = 64
 
-    #: Capacity of the memoized-transfer LRU cache (entries, not bytes).  Used
-    #: when an :class:`~repro.analysis.context.AnalysisContext` builds its own
-    #: private cache (e.g. for a batch run); the process-wide default cache
-    #: uses :data:`DEFAULT_TRANSFER_CACHE_SIZE`.
-    transfer_cache_size: int = 4096
-
     def __hash__(self) -> int:
         # Limits appear in every memoized-transfer key; the generated
-        # dataclass hash re-hashes all six fields per lookup.  Cache it —
+        # dataclass hash re-hashes all five fields per lookup.  Cache it —
         # instances are frozen, so the value can never go stale.  (Pure
         # ints, so the cached value is PYTHONHASHSEED-independent, like
         # the generated hash it replaces.)
@@ -67,7 +61,6 @@ class AnalysisLimits:
                     self.max_segments,
                     self.max_paths_per_entry,
                     self.max_iterations,
-                    self.transfer_cache_size,
                 )
             )
             object.__setattr__(self, "_cached_hash", cached)
@@ -86,6 +79,3 @@ class AnalysisLimits:
 
 #: Default limits used when none are supplied.
 DEFAULT_LIMITS = AnalysisLimits()
-
-#: Capacity of the process-wide shared transfer cache.
-DEFAULT_TRANSFER_CACHE_SIZE = 4096

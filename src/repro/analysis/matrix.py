@@ -13,17 +13,14 @@ arguments of all stacked recursive invocations); see
 :mod:`repro.analysis.interproc`.
 
 **Representation.**  A matrix stores its non-empty entries *row-wise*, in
-one of two forms per row:
+one of two forms per row, both keyed by target handle *name* as the paper
+indexes the matrix:
 
-* a **sealed** :class:`MatrixRow` — immutable, hash-consed, cells keyed by
-  handle *name* (the form every canonical encoding, codec key and pickle
-  is built from, unchanged by the packed-kernel work);
+* a **sealed** :class:`MatrixRow` — immutable and hash-consed, the form
+  every canonical encoding, codec key and pickle is built from;
 * a **scratch** :class:`ScratchRow` — the private copy-on-write form a
-  matrix mutates: cells keyed by small integer handle ids from the
-  process-wide :class:`~repro.analysis.symbols.SymbolTable`, plus a
-  presence bitmask (``1 << id`` per occupied cell).  Empty-cell checks,
-  "does this row mention any renamed handle?" and "do all cells survive
-  this projection?" are single integer ANDs against that mask.
+  matrix mutates.  Freezing one adopts its cell dict as the interned
+  row's table, with no conversion.
 
 Rows are interned exactly like :class:`~repro.analysis.pathset.PathSet` —
 identical row contents always yield the same object — so an unchanged row
@@ -44,7 +41,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .pathset import PathSet
-from .symbols import GLOBAL_SYMBOLS
 
 
 def caller_symbol(formal: str) -> str:
@@ -72,13 +68,9 @@ class MatrixRow:
     and any operation that rebuilds a row without changing its contents
     (a transfer copying a matrix, a join reusing one side) automatically
     recovers the original object.  Empty cells are dropped at construction.
-
-    Every interned row also carries the presence ``mask`` of its targets'
-    symbol ids, computed once at interning — shared scratch conversions and
-    the mask prefilters read it for free.
     """
 
-    __slots__ = ("_cells", "mask", "_hash", "__weakref__")
+    __slots__ = ("_cells", "_hash", "__weakref__")
 
     _intern: "weakref.WeakValueDictionary[frozenset, MatrixRow]" = (
         weakref.WeakValueDictionary()
@@ -89,28 +81,19 @@ class MatrixRow:
         return cls._of(table)
 
     @classmethod
-    def _of(cls, table: Dict[str, PathSet], mask: Optional[int] = None) -> "MatrixRow":
+    def _of(cls, table: Dict[str, PathSet]) -> "MatrixRow":
         """Intern a table already known to contain no empty cells.
 
         The fast path the matrix's copy-on-write freeze uses: scratch rows
         are mutated privately and interned exactly once here.  The table is
-        adopted as-is — callers hand over ownership.  ``mask`` may be
-        passed when the caller already maintains the presence mask (the
-        scratch row did); otherwise it is computed from the symbol table on
-        an intern miss.
+        adopted as-is — callers hand over ownership.
         """
         key = frozenset(table.items())
         cached = cls._intern.get(key)
         if cached is not None:
             return cached
-        if mask is None:
-            id_of = GLOBAL_SYMBOLS.id_of
-            mask = 0
-            for target in table:
-                mask |= 1 << id_of(target)
         self = object.__new__(cls)
         self._cells = table
-        self.mask = mask
         self._hash = hash(key)
         cls._intern[key] = self
         return self
@@ -174,27 +157,20 @@ def _row_from_items(items: Tuple[Tuple[str, PathSet], ...]) -> MatrixRow:
 class ScratchRow:
     """The private, mutable form of a row while its matrix is writing it.
 
-    ``cells`` maps symbol ids (``SymbolTable.id_of(target)``) to path sets;
-    ``mask`` is the OR of ``1 << id`` over the occupied cells, maintained
-    exactly (ids are unique per name, so the mask is a precise presence
-    set, not a Bloom filter).  Scratch rows never leave their matrix:
-    :meth:`PathMatrix._freeze` converts them back to name-keyed interned
-    :class:`MatrixRow` objects at every sharing/comparison point, so
-    nothing downstream (codec, pickle, canonical encodings) ever sees an
-    id.
+    ``_cells`` maps target names to path sets, exactly like a
+    :class:`MatrixRow`'s, so reads need not ask which form a row is in.
+    Scratch rows never leave their matrix: :meth:`PathMatrix._freeze`
+    interns them as :class:`MatrixRow` objects at every sharing or
+    comparison point.
     """
 
-    __slots__ = ("cells", "mask")
+    __slots__ = ("_cells",)
 
-    def __init__(self, cells: Dict[int, PathSet], mask: int) -> None:
-        self.cells = cells
-        self.mask = mask
+    def __init__(self, cells: Dict[str, PathSet]) -> None:
+        self._cells = cells
 
     def __len__(self) -> int:
-        return len(self.cells)
-
-    def __bool__(self) -> bool:
-        return bool(self.cells)
+        return len(self._cells)
 
 
 #: Either row form, as stored in ``PathMatrix._rows``.
@@ -210,25 +186,23 @@ _MATRIX_INTERN: "weakref.WeakValueDictionary[Tuple, PathMatrix]" = (
 class PathMatrix:
     """A square matrix of :class:`PathSet` entries keyed by handle name.
 
-    Handles are stored in an insertion-ordered dict mapping each name to
-    its :class:`~repro.analysis.symbols.SymbolTable` id, so membership
-    tests, additions, removals *and* name→id resolution are one O(1) dict
-    probe.  Entries live row-wise, **copy-on-write**: a row is either an
-    interned :class:`MatrixRow` (immutable, possibly shared with other
+    Handles are stored as an insertion-ordered set (a dict whose values
+    are unused), so membership tests, additions and removals are one O(1)
+    dict probe.  Entries live row-wise, **copy-on-write**: a row is either
+    an interned :class:`MatrixRow` (immutable, possibly shared with other
     matrices) or a private :class:`ScratchRow` while this matrix is
-    mutating it — the first mutation of a shared row unshares it into the
-    id-keyed scratch form, later mutations are cheap int-keyed dict stores
-    with a mask update, and :meth:`_freeze` interns every scratch row
-    exactly once at the points where rows are shared or compared
-    (:meth:`copy`, :meth:`fingerprint`, :meth:`merge`, :meth:`interned`,
-    :meth:`seal`).  A matrix produced by copying therefore shares every
-    unchanged row of its original by reference, and row change detection
-    is a pointer check.  The matrix maintains a cheap mutation ``version``
-    from which an exact :meth:`fingerprint` is derived lazily, and
-    :meth:`interned` maps any matrix to the canonical sealed instance for
-    its contents — the key the memoized transfer functions and the
-    incremental solver use to recognise previously-seen inputs with a
-    pointer check.
+    mutating it — the first mutation of a shared row unshares it into a
+    scratch copy, later mutations are plain dict stores, and
+    :meth:`_freeze` interns every scratch row exactly once at the points
+    where rows are shared or compared (:meth:`copy`, :meth:`fingerprint`,
+    :meth:`merge`, :meth:`interned`, :meth:`seal`).  A matrix produced by
+    copying therefore shares every unchanged row of its original by
+    reference, and row change detection is a pointer check.  The matrix
+    maintains a cheap mutation ``version`` from which an exact
+    :meth:`fingerprint` is derived lazily, and :meth:`interned` maps any
+    matrix to the canonical sealed instance for its contents — the key the
+    memoized transfer functions and the incremental solver use to
+    recognise previously-seen inputs with a pointer check.
     """
 
     __slots__ = (
@@ -257,14 +231,8 @@ class PathMatrix:
         handles: Iterable[str] = (),
         limits: AnalysisLimits = DEFAULT_LIMITS,
     ):
-        if type(handles) is dict:
-            # Internal fast path: another matrix's name→id dict (copy,
-            # merge, restrict, intern) — ids are already resolved.
-            self._handles: Dict[str, int] = dict(handles)
-        else:
-            id_of = GLOBAL_SYMBOLS.id_of
-            # Dict insertion dedups while keeping first-occurrence order.
-            self._handles = {handle: id_of(handle) for handle in handles}
+        # Dict insertion dedups while keeping first-occurrence order.
+        self._handles: Dict[str, None] = dict.fromkeys(handles)
         self._rows: Dict[str, Row] = {}
         self.limits = limits
         self._version = 0
@@ -322,23 +290,18 @@ class PathMatrix:
         """Intern every copy-on-write (scratch) row.
 
         Idempotent and content-preserving: after freezing, all rows are
-        canonical name-keyed :class:`MatrixRow` objects, so they can be
+        interned :class:`MatrixRow` objects, so they can be
         shared across matrices and compared by pointer.  Called wherever
         rows escape this matrix or feed an identity comparison.
         """
-        name_of = GLOBAL_SYMBOLS.name_of
         for source, row in self._rows.items():
             if type(row) is ScratchRow:
-                table = {name_of(target_id): ps for target_id, ps in row.cells.items()}
-                self._rows[source] = MatrixRow._of(table, row.mask)
+                self._rows[source] = MatrixRow._of(row._cells)
         self._thawed = False
 
     def _unshare(self, source: str, row: MatrixRow) -> ScratchRow:
         """Convert a shared interned row into this matrix's private scratch form."""
-        id_of = GLOBAL_SYMBOLS.id_of
-        scratch = ScratchRow(
-            {id_of(target): ps for target, ps in row._cells.items()}, row.mask
-        )
+        scratch = ScratchRow(dict(row._cells))
         self._rows[source] = scratch
         self._thawed = True
         return scratch
@@ -364,7 +327,7 @@ class PathMatrix:
         """Add a handle unrelated to everything already tracked (idempotent)."""
         if handle not in self._handles:
             self._mutating()
-            self._handles[handle] = GLOBAL_SYMBOLS.id_of(handle)
+            self._handles[handle] = None
             self._version += 1
 
     def remove_handle(self, handle: str) -> None:
@@ -385,22 +348,14 @@ class PathMatrix:
             self._mutating()
             del self._rows[handle]
             changed = True
-        bit = 1 << GLOBAL_SYMBOLS.id_of(handle)
-        target_id = None
-        for source in list(self._rows):
-            row = self._rows[source]
-            if not (row.mask & bit):
-                # The presence mask proves the row has no cell for this
-                # handle — the common case, one AND instead of a dict probe.
+        for source, row in list(self._rows.items()):
+            if handle not in row._cells:
                 continue
             self._mutating()
             if type(row) is MatrixRow:
                 row = self._unshare(source, row)
-            if target_id is None:
-                target_id = GLOBAL_SYMBOLS.id_of(handle)
-            del row.cells[target_id]
-            row.mask &= ~bit
-            if not row.cells:
+            del row._cells[handle]
+            if not row._cells:
                 del self._rows[source]
             changed = True
         if changed:
@@ -419,11 +374,7 @@ class PathMatrix:
         row = self._rows.get(source)
         if row is None:
             return PathSet.empty()
-        if type(row) is MatrixRow:
-            paths = row._cells.get(target)
-        else:
-            target_id = self._handles.get(target)
-            paths = row.cells.get(target_id) if target_id is not None else None
+        paths = row._cells.get(target)
         return paths if paths is not None else PathSet.empty()
 
     def __getitem__(self, key: Tuple[str, str]) -> PathSet:
@@ -440,35 +391,25 @@ class PathMatrix:
             self.add_handle(target)
         paths = paths.collapse(self.limits)
         row = self._rows.get(source)
-        target_id = handles[target]
-        bit = 1 << target_id
         if paths.is_empty:
-            if row is not None and (row.mask & bit):
+            if row is not None and target in row._cells:
                 self._mutating()
                 if type(row) is MatrixRow:
                     row = self._unshare(source, row)
-                del row.cells[target_id]
-                row.mask &= ~bit
-                if not row.cells:
+                del row._cells[target]
+                if not row._cells:
                     del self._rows[source]
                 self._version += 1
         elif row is None:
             self._mutating()
-            self._rows[source] = ScratchRow({target_id: paths}, bit)
+            self._rows[source] = ScratchRow({target: paths})
             self._thawed = True
             self._version += 1
-        else:
+        elif row._cells.get(target) is not paths:
+            self._mutating()
             if type(row) is MatrixRow:
-                if row._cells.get(target) is paths:
-                    return
-                self._mutating()
                 row = self._unshare(source, row)
-            elif row.cells.get(target_id) is paths:
-                return
-            else:
-                self._mutating()
-            row.cells[target_id] = paths
-            row.mask |= bit
+            row._cells[target] = paths
             self._version += 1
 
     def __setitem__(self, key: Tuple[str, str], paths: PathSet) -> None:
@@ -649,44 +590,29 @@ class PathMatrix:
     def restricted(self, handles: Sequence[str]) -> "PathMatrix":
         """A copy keeping only the given handles (project away the rest).
 
-        The presence mask decides each row's fate in one AND: rows whose
-        targets all survive carry over (frozen rows by reference); rebuilt
-        subsets stay copy-on-write (projections are usually consumed once,
-        so eagerly interning their rows would be wasted work).
+        Rows whose targets all survive carry over (frozen rows by
+        reference); rebuilt subsets stay copy-on-write (projections are
+        usually consumed once, so eagerly interning their rows would be
+        wasted work).
         """
         keep_set = set(handles)
-        keep = {h: sid for h, sid in self._handles.items() if h in keep_set}
-        keep_mask = 0
-        for sid in keep.values():
-            keep_mask |= 1 << sid
+        keep = {handle: None for handle in self._handles if handle in keep_set}
         clone = PathMatrix(keep, self.limits)
-        drop_mask = ~keep_mask
         for source, row in self._rows.items():
             if source not in keep:
                 continue
-            if not (row.mask & drop_mask):
+            cells = row._cells
+            if cells.keys() <= keep.keys():
                 # Every target cell survives the projection: share.
                 if type(row) is MatrixRow:
                     clone._rows[source] = row
                 else:
-                    clone._rows[source] = ScratchRow(dict(row.cells), row.mask)
+                    clone._rows[source] = ScratchRow(dict(cells))
                     clone._thawed = True
                 continue
-            cells: Dict[int, PathSet] = {}
-            mask = 0
-            if type(row) is MatrixRow:
-                for target, paths in row._cells.items():
-                    if target in keep_set:
-                        sid = self._handles[target]
-                        cells[sid] = paths
-                        mask |= 1 << sid
-            else:
-                for sid, paths in row.cells.items():
-                    if (keep_mask >> sid) & 1:
-                        cells[sid] = paths
-                        mask |= 1 << sid
-            if cells:
-                clone._rows[source] = ScratchRow(cells, mask)
+            kept = {target: paths for target, paths in cells.items() if target in keep}
+            if kept:
+                clone._rows[source] = ScratchRow(kept)
                 clone._thawed = True
         return clone
 
@@ -698,37 +624,23 @@ class PathMatrix:
         Collision-free renames — the common case, e.g. rebinding the
         placeholder handle of a field load — relabel rows in place: cell
         values are already canonical, and a row whose source and targets
-        are all unmapped (one mask AND) carries over by reference.
+        are all unmapped carries over by reference.
         """
         new_names = [mapping.get(handle, handle) for handle in self._handles]
         if len(set(new_names)) == len(new_names):
             clone = PathMatrix(new_names, self.limits)
-            rename_mask = 0
-            for handle, sid in self._handles.items():
-                if handle in mapping:
-                    rename_mask |= 1 << sid
-            id_of = GLOBAL_SYMBOLS.id_of
-            name_of = GLOBAL_SYMBOLS.name_of
+            mapped = mapping.keys()
             for source, row in self._rows.items():
-                if source in mapping or (row.mask & rename_mask):
-                    if type(row) is MatrixRow:
-                        items = row._cells.items()
-                    else:
-                        items = [
-                            (name_of(sid), paths) for sid, paths in row.cells.items()
-                        ]
-                    cells: Dict[int, PathSet] = {}
-                    mask = 0
-                    for target, paths in items:
-                        sid = id_of(mapping.get(target, target))
-                        cells[sid] = paths
-                        mask |= 1 << sid
-                    clone._rows[mapping.get(source, source)] = ScratchRow(cells, mask)
+                cells = row._cells
+                if source in mapping or not mapped.isdisjoint(cells):
+                    clone._rows[mapping.get(source, source)] = ScratchRow(
+                        {mapping.get(target, target): paths for target, paths in cells.items()}
+                    )
                     clone._thawed = True
                 elif type(row) is MatrixRow:
                     clone._rows[source] = row
                 else:
-                    clone._rows[source] = ScratchRow(dict(row.cells), row.mask)
+                    clone._rows[source] = ScratchRow(dict(cells))
                     clone._thawed = True
             clone._version += 1
             return clone
@@ -771,8 +683,7 @@ class PathMatrix:
         if other._thawed:
             other._freeze()
         result = PathMatrix(self._handles, self.limits)
-        for handle, sid in other._handles.items():
-            result._handles.setdefault(handle, sid)
+        result._handles.update(other._handles)
         empty = PathSet.empty()
         for source in result._handles:
             mine_row = self._rows.get(source)

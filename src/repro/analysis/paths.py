@@ -100,12 +100,9 @@ _COUNT_SHIFT = 3
 #: Packed codes for the concrete link fields (used by the transfer kernels).
 _FIELD_CODE: Dict[Field, int] = {Field.LEFT: 0, Field.RIGHT: 1}
 
-#: Count of packed-segment kernel operations performed process-wide
-#: (normalizations count one op per segment handled; ``cancel_first`` counts
-#: one per invocation).  Snapshot-diffed into ``AnalysisStats.
-#: packed_segment_ops`` by the pipeline, mirroring ``PathMatrix.allocations``.
-#: Work a path-set op memo hit skips is never counted, so the count reads
-#: lower in a process whose memos are already warm.
+#: Count of packed segments :func:`_normalize_packed` has handled
+#: process-wide.  Snapshot-diffed into ``AnalysisStats.packed_segment_ops``
+#: by the pipeline, mirroring ``PathMatrix.allocations``.
 _PACKED_OPS = 0
 
 
@@ -479,52 +476,17 @@ def _link_code(field: Field) -> int:
     return code
 
 
-#: Memo for :func:`append_link` — the load-field transfer extends the same
-#: interned paths by the same edge at every re-analysis, and path/limits
-#: keys hash from precomputed ints.  Each entry stores the widening tally
-#: captured while the call computed (``None`` when nothing fired) so memo
-#: hits replay the exact telemetry of a fresh computation.
-_APPEND_CACHE: Dict[Tuple[Path, Field, AnalysisLimits], Tuple[Path, object]] = {}
-
-
 def append_link(path: Path, field: Field, limits: AnalysisLimits = DEFAULT_LIMITS) -> Path:
     """Extend a path x→b by one explicit edge ``b.field`` giving x→(b.field)."""
-    # Count the kernel op *before* the memo probe (like cancel_first), so a
-    # hit in this memo counts the same as a computation.  The path-set op
-    # memos above this one still skip normalizations uncounted, so
-    # ``packed_segment_ops`` depends on process history (see
-    # ``AnalysisStats.packed_segment_ops``).
-    global _PACKED_OPS
-    _PACKED_OPS += 1
-    key = (path, field, limits)
-    cached = _APPEND_CACHE.get(key)
-    if cached is not None:
-        result, tally = cached
-        if tally is not None:
-            telemetry.replay(tally)
-        return result
     link = _link_code(field) | _EXACT | (1 << _COUNT_SHIFT)
-    with telemetry.widening_scope(telemetry.WideningTally()) as tally:
-        normalized = _normalize_packed(path.packed + (link,), limits)
-        result = Path._of_packed(tuple(normalized), path.definite)
-    if len(_APPEND_CACHE) >= _PREDICATE_CACHE_CAP:  # pragma: no cover - bound
-        _APPEND_CACHE.clear()
-    if tally.fired:
-        _APPEND_CACHE[key] = (result, tally)
-        telemetry.replay(tally)
-    else:
-        _APPEND_CACHE[key] = (result, None)
-    return result
+    return Path._of_packed(
+        tuple(_normalize_packed(path.packed + (link,), limits)), path.definite
+    )
 
 
 def link_path(field: Field, definite: bool = True) -> Path:
     """The one-edge path ``L1`` or ``R1``."""
     return Path((PathSegment(Direction.of_field(field), 1, True),), definite)
-
-
-#: Memo for :func:`cancel_first` (same traffic shape and tally-replay
-#: discipline as ``_APPEND_CACHE``).
-_CANCEL_CACHE: Dict[Tuple[Path, Field, AnalysisLimits], Tuple[Tuple[Path, ...], object]] = {}
 
 
 def cancel_first(
@@ -546,61 +508,35 @@ def cancel_first(
         # b and x are the same node; the child a=b.f has no *downward* path
         # back to x (paths in the matrix are directed down the structure).
         return []
-    global _PACKED_OPS
-    _PACKED_OPS += 1
-    key = (path, field, limits)
-    cached = _CANCEL_CACHE.get(key)
-    if cached is not None:
-        results, tally = cached
-        if tally is not None:
-            telemetry.replay(tally)
-        return list(results)
-
     first, rest = path.packed[0], path.packed[1:]
     direction = first & _DIR_MASK
     if direction != _DOWN_CODE and direction != _link_code(field):
-        _CANCEL_CACHE[key] = ((), None)
         return []
     direction_certain = direction != _DOWN_CODE and direction == _link_code(field)
     base_definite = path.definite and direction_certain
     count = first >> _COUNT_SHIFT
 
     results: List[Path] = []
-    with telemetry.widening_scope(telemetry.WideningTally()) as tally:
-        if first & _EXACT:
-            if count == 1:
-                shortened = rest
-            else:
-                shortened = (direction | _EXACT | ((count - 1) << _COUNT_SHIFT),) + rest
-            results.append(
-                Path._of_packed(tuple(_normalize_packed(shortened, limits)), base_definite)
-            )
+    if first & _EXACT:
+        if count == 1:
+            shortened = rest
         else:
-            if count == 1:
-                # "one or more" edges: after removing one, either zero remain
-                # (remainder is `rest`, i.e. S if rest is empty) or one-or-more
-                # remain.  Each alternative is only possible.
-                results.append(
-                    Path._of_packed(tuple(_normalize_packed(rest, limits)), False)
-                )
-                reopened = (direction | (1 << _COUNT_SHIFT),) + rest
-                results.append(
-                    Path._of_packed(tuple(_normalize_packed(reopened, limits)), False)
-                )
-            else:
-                shortened = (direction | ((count - 1) << _COUNT_SHIFT),) + rest
-                results.append(
-                    Path._of_packed(
-                        tuple(_normalize_packed(shortened, limits)), base_definite
-                    )
-                )
-    if len(_CANCEL_CACHE) >= _PREDICATE_CACHE_CAP:  # pragma: no cover - bound
-        _CANCEL_CACHE.clear()
-    if tally.fired:
-        _CANCEL_CACHE[key] = (tuple(results), tally)
-        telemetry.replay(tally)
+            shortened = (direction | _EXACT | ((count - 1) << _COUNT_SHIFT),) + rest
+        results.append(
+            Path._of_packed(tuple(_normalize_packed(shortened, limits)), base_definite)
+        )
+    elif count == 1:
+        # "one or more" edges: after removing one, either zero remain
+        # (remainder is `rest`, i.e. S if rest is empty) or one-or-more
+        # remain.  Each alternative is only possible.
+        results.append(Path._of_packed(tuple(_normalize_packed(rest, limits)), False))
+        reopened = (direction | (1 << _COUNT_SHIFT),) + rest
+        results.append(Path._of_packed(tuple(_normalize_packed(reopened, limits)), False))
     else:
-        _CANCEL_CACHE[key] = (tuple(results), None)
+        shortened = (direction | ((count - 1) << _COUNT_SHIFT),) + rest
+        results.append(
+            Path._of_packed(tuple(_normalize_packed(shortened, limits)), base_definite)
+        )
     return results
 
 
@@ -693,12 +629,14 @@ def _path_nfa(path: Path) -> Tuple[List[dict], int]:
     return transitions, current
 
 
-#: Memo tables for the two quadratic path predicates.  Keys hold strong
-#: references to interned paths (which live forever anyway), so entries can
-#: never go stale; the domain is finite, so the tables are bounded.
-_INTERSECT_CACHE: Dict[Tuple[Path, Path], bool] = {}
+#: Memo for :func:`subsumes`.  Keys hold strong references to interned
+#: paths (which live forever anyway), so entries can never go stale; the
+#: table is cleared wholesale if it reaches :data:`OP_MEMO_CAP`.
 _SUBSUMES_CACHE: Dict[Tuple[Path, Path], bool] = {}
-_PREDICATE_CACHE_CAP = 1 << 16
+
+#: Entry cap shared by the three op memos (``subsumes`` here, ``union``
+#: and ``merge`` in :mod:`repro.analysis.pathset`).
+OP_MEMO_CAP = 1 << 16
 
 
 def paths_may_intersect(first: Path, second: Path) -> bool:
@@ -709,27 +647,12 @@ def paths_may_intersect(first: Path, second: Path) -> bool:
     node only if the *languages* of their path expressions intersect.  This
     is decided exactly with a product construction over the two (tiny) NFAs.
     Definiteness is ignored (a possible path still describes a possibility).
-    The result is memoized over the interned path pair.
     """
     if first.is_same or second.is_same:
         return first.is_same and second.is_same
     if first is second:
         # A path expression's language is never empty, so it intersects itself.
         return True
-    key = (first, second)
-    cached = _INTERSECT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _paths_may_intersect(first, second)
-    if len(_INTERSECT_CACHE) >= _PREDICATE_CACHE_CAP:  # pragma: no cover - bound
-        _INTERSECT_CACHE.clear()
-    _INTERSECT_CACHE[key] = result
-    _INTERSECT_CACHE[(second, first)] = result
-    return result
-
-
-def _paths_may_intersect(first: Path, second: Path) -> bool:
-
     first_nfa, first_accept = _path_nfa(first)
     second_nfa, second_accept = _path_nfa(second)
 
@@ -770,7 +693,7 @@ def subsumes(general: Path, specific: Path) -> bool:
     if cached is not None:
         return cached
     result = _subsumes(general, specific)
-    if len(_SUBSUMES_CACHE) >= _PREDICATE_CACHE_CAP:  # pragma: no cover - bound
+    if len(_SUBSUMES_CACHE) >= OP_MEMO_CAP:  # pragma: no cover - bound
         _SUBSUMES_CACHE.clear()
     _SUBSUMES_CACHE[key] = result
     return result

@@ -24,11 +24,12 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 from . import telemetry
 from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .paths import (
+    _SUBSUMES_CACHE,
     MAYBE_SAME,
+    OP_MEMO_CAP,
     SAME,
     Path,
     PathSegment,
-    Direction,
     format_path,
     generalize_pair,
     parse_path,
@@ -52,7 +53,7 @@ class PathSet:
 
     Path sets are *hash-consed*: after canonicalization, identical contents
     always yield the **same** instance, so equality is an identity check,
-    the hash is precomputed, and the merge/union/collapse operations used on
+    the hash is precomputed, and the merge and union operations used on
     every control-flow join are memoized over object pairs.
     """
 
@@ -252,12 +253,7 @@ class PathSet:
 
     def weakened(self) -> "PathSet":
         """Every path demoted to possible (used by destructive updates)."""
-        cached = _WEAKENED_CACHE.get(self)
-        if cached is not None:
-            return cached
-        result = PathSet._of_table(dict.fromkeys(self._paths, False))
-        _cache_put(_WEAKENED_CACHE, self, result)
-        return result
+        return PathSet._of_table(dict.fromkeys(self._paths, False))
 
     def map(self, transform) -> "PathSet":
         """Apply ``transform: Path -> Iterable[Path]`` and collect the results."""
@@ -276,19 +272,10 @@ class PathSet:
         All non-``S`` paths are generalized pairwise into a single
         open-ended path; an ``S`` member is kept separately.  The result is
         a sound over-approximation of the original set.
-
-        The widening event is counted *before* the memo lookup: an
-        oversized entry fired the ``max_paths_per_entry`` bound whether or
-        not its collapsed form was computed earlier, so the counters stay
-        deterministic per call under memoization.
         """
         if len(self._paths) <= limits.max_paths_per_entry:
             return self
         telemetry.note_path_set_collapse()
-        key = (self, limits)
-        cached = _COLLAPSE_CACHE.get(key)
-        if cached is not None:
-            return cached
         same_definite = self._paths.get(SAME)
         collapsed: Optional[Path] = None
         for path, definite in self._paths.items():
@@ -304,9 +291,7 @@ class PathSet:
             result_paths.append(SAME.with_definite(same_definite))
         if collapsed is not None:
             result_paths.append(collapsed)
-        result = PathSet(result_paths)
-        _cache_put(_COLLAPSE_CACHE, key, result)
-        return result
+        return PathSet(result_paths)
 
     def is_subset_of(self, other: "PathSet") -> bool:
         """Partial order used by fixed-point tests: self ⊑ other.
@@ -377,55 +362,36 @@ def _pathset_from_items(items: Tuple[Tuple[Tuple[PathSegment, ...], bool], ...])
     return PathSet(Path(segments, definite) for segments, definite in items)
 
 
-#: Memo tables for the binary/widening operations.  Keys hold strong
-#: references to interned path sets, so entries can never go stale; the
-#: caches are cleared wholesale if they ever reach the (generous) cap.
+#: Memo tables for the two binary operations.  Keys hold strong references
+#: to interned path sets, so entries can never go stale; the caches are
+#: cleared wholesale if they ever reach the (generous) cap.
 _UNION_CACHE: Dict[Tuple["PathSet", "PathSet"], "PathSet"] = {}
 _MERGE_CACHE: Dict[Tuple["PathSet", "PathSet"], "PathSet"] = {}
-_WEAKENED_CACHE: Dict["PathSet", "PathSet"] = {}
-_COLLAPSE_CACHE: Dict[Tuple["PathSet", AnalysisLimits], "PathSet"] = {}
-_OP_CACHE_CAP = 1 << 16
 
 
 def _cache_put(cache: Dict, key, value) -> None:
-    if len(cache) >= _OP_CACHE_CAP:  # pragma: no cover - safety bound
+    if len(cache) >= OP_MEMO_CAP:  # pragma: no cover - safety bound
         cache.clear()
     cache[key] = value
 
 
 def intern_table_sizes() -> Dict[str, int]:
-    """Sizes of the global hash-consing/memo tables (for stats and docs).
+    """Sizes of the global hash-consing and memo tables (stats and docs).
 
-    Covers every representation layer: the packed-segment and path tables
-    (int-keyed after the packed-kernel change), path sets, the matrix-layer
-    tables (rows, whole matrices, and the handle symbol table), and the
-    operation memo spaces.
+    Covers every representation layer: the packed-segment and path tables,
+    path sets, the matrix-layer tables (rows and whole matrices), and the
+    three operation memos.
     """
-    from .symbols import GLOBAL_SYMBOLS
-    from .paths import (
-        _APPEND_CACHE,
-        _CANCEL_CACHE,
-        _INTERSECT_CACHE,
-        _SUBSUMES_CACHE,
-        Path as _Path,
-        PathSegment as _Segment,
-    )
-    from .matrix import matrix_intern_table_sizes
+    from .matrix import matrix_intern_table_sizes  # matrix imports this module
 
     return {
-        "segments_interned": len(_Segment._intern),
-        "paths_interned": len(_Path._intern),
+        "segments_interned": len(PathSegment._intern),
+        "paths_interned": len(Path._intern),
         "pathsets_interned": len(PathSet._intern),
         **matrix_intern_table_sizes(),
-        "symbols_interned": len(GLOBAL_SYMBOLS),
         "union_memo": len(_UNION_CACHE),
         "merge_memo": len(_MERGE_CACHE),
-        "weakened_memo": len(_WEAKENED_CACHE),
-        "collapse_memo": len(_COLLAPSE_CACHE),
         "subsumes_memo": len(_SUBSUMES_CACHE),
-        "intersect_memo": len(_INTERSECT_CACHE),
-        "append_memo": len(_APPEND_CACHE),
-        "cancel_memo": len(_CANCEL_CACHE),
     }
 
 

@@ -20,8 +20,7 @@ the runtime ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 
 class DiagnosticKind(enum.Enum):

@@ -89,18 +89,6 @@ def widening_scope(tally) -> Iterator[object]:
         _SCOPES.pop()
 
 
-def replay(tally: WideningTally) -> None:
-    """Re-fire a captured tally into the innermost active scope.
-
-    The memoized path/transfer operations capture the widening events of a
-    computed call and replay them on every memo hit, so the counters read
-    exactly as if each call had been computed (deterministic per call, and
-    therefore additive across processes).
-    """
-    if _SCOPES:
-        tally.add_into(_SCOPES[-1])
-
-
 def note_segment_collapse() -> None:
     """A path lost tail structure to the ``max_segments`` bound."""
     if _SCOPES:

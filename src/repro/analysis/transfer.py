@@ -35,9 +35,9 @@ from ..obs.trace import span
 from ..sil import ast
 from ..sil.delta import StatementIdentity, identity_label, statement_identity
 from ..sil.printer import _format_inline as format_statement_inline
-from .limits import DEFAULT_LIMITS, DEFAULT_TRANSFER_CACHE_SIZE, AnalysisLimits
+from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix, row_delta
-from .paths import Path, append_link, cancel_first, concat, starts_with_field
+from .paths import append_link, cancel_first, concat, starts_with_field
 from .pathset import PathSet
 from .structure import StructureDiagnostic, cycle_diagnostic, sharing_diagnostic
 from .telemetry import WideningTally, widening_scope
@@ -356,7 +356,8 @@ class TransferCache:
     fingerprint` otherwise).  A transfer function is a pure function of
     exactly these, so a hit returns what recomputation would produce — for
     any statement object with that content, in any procedure of any
-    program, parsed at any time.  Eviction is least-recently-used (see
+    program, parsed at any time.  The layer holds ``capacity`` entries,
+    4,096 unless a test asks for fewer; eviction is least-recently-used (see
     :mod:`repro.cache.lru`); evictions are counted and surfaced through
     :class:`~repro.analysis.context.AnalysisStats`.  This is the only
     in-memory analysis memo: control-flow joins and call-site effects are
@@ -400,7 +401,7 @@ class TransferCache:
 
     def __init__(
         self,
-        capacity: int = DEFAULT_TRANSFER_CACHE_SIZE,
+        capacity: int = 4096,
         backend: Optional["CacheBackend"] = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
     ):

@@ -29,7 +29,7 @@ sub-trees of one tree — exactly the gap the path-matrix analysis closes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from ..analysis.summaries import ProcedureSummary, compute_summaries
 from ..parallel.oracle import DependenceOracle

@@ -21,9 +21,8 @@ Wiring: :class:`repro.analysis.transfer.TransferCache` takes an optional
 backend and reads through to it on in-memory misses, buffering computed
 deltas until ``flush()``;  :class:`repro.analysis.engine.BatchAnalyzer`
 and the sharded suite runner (:mod:`repro.workloads.suite`) accept a
-:class:`CacheConfig`; the CLI exposes ``--cache-dir`` (the store) and
-``--cache-size`` (the in-memory capacity) plus the ``repro cache
-stats|clear|compact`` subcommand.
+:class:`CacheConfig`; the CLI exposes ``--cache-dir`` (the store) plus
+the ``repro cache stats|clear|compact`` subcommand.
 """
 
 from .backend import (

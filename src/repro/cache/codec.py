@@ -88,26 +88,18 @@ def canonical_statement(stmt: ast.BasicStmt) -> List[str]:
     return list(statement_identity(stmt))
 
 
-def canonical_limits(limits: AnalysisLimits) -> Dict[str, int]:
-    """The analysis bounds only — ``transfer_cache_size`` is a memory knob
-    that never changes a transfer result, so runs with different cache
-    sizes share persistent entries."""
-    return limits.as_dict()
-
-
 def canonical_matrix(matrix: PathMatrix) -> Dict[str, object]:
     """Handles in insertion order, entries sorted, plus the matrix limits.
 
     Captures exactly what :meth:`PathMatrix.fingerprint` distinguishes:
-    equal fingerprints give equal canonical encodings and vice versa
-    (modulo ``transfer_cache_size``, which cannot affect a transfer).
+    equal fingerprints give equal canonical encodings and vice versa.
     The ``{handles, entries}`` core comes from the one shared layout
     definition (:func:`repro.analysis.matrix.canonical_document`, cached
     per sealed matrix), so the persistent-key bytes can never drift from
     the sharded bit-identity encodings.
     """
     document = canonical_document(matrix)
-    document["limits"] = canonical_limits(matrix.limits)
+    document["limits"] = matrix.limits.as_dict()
     return document
 
 
@@ -128,7 +120,7 @@ def transfer_key(
     document = {
         "v": CODEC_VERSION,
         "stmt": list(identity),
-        "limits": canonical_limits(limits),
+        "limits": limits.as_dict(),
         "matrix": canonical_matrix(matrix),
     }
     return hashlib.sha256(_canonical_json(document).encode("utf-8")).hexdigest()

@@ -32,12 +32,11 @@ The subcommands turn the reproduction into a workload-serving frontend:
   ``version``, ``analyze``, ``reanalyze``, ``cache-stats``, ``metrics``,
   ``shutdown``.
 
-``analyze``, ``bench``, ``reanalyze`` and ``serve`` accept the two cache
-knobs: ``--cache-dir`` (the disk store shards and *runs* share — rerunning
-against the same directory serves transfers from the store instead of
-recomputing them; without it there is no persistent tier) and
-``--cache-size`` (the in-memory transfer memo's capacity).  Both layers
-evict least-recently-used entries.
+``analyze``, ``bench``, ``reanalyze`` and ``serve`` accept ``--cache-dir``,
+the disk store shards and *runs* share: rerunning against the same
+directory serves transfers from the store instead of recomputing them;
+without it there is no persistent tier.  The store and the in-memory
+transfer memo both evict least-recently-used entries.
 
 Everything is built on the PR-1 architecture: scenarios travel as source
 text, every analysis goes through ``AnalysisContext`` and the pass
@@ -50,11 +49,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from .cache import STORE_FILENAME, CacheConfig, DiskBackend
 from .faults import FAULT_KINDS, KNOWN_SITES, FaultPlan
 from .workloads.generators import (
@@ -182,21 +179,6 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
         "runs (without it there is no persistent tier; rerunning against "
         "the same directory serves cached transfers instead of recomputing)",
     )
-    parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="in-memory transfer-cache capacity in entries "
-        f"(default: {DEFAULT_LIMITS.transfer_cache_size})",
-    )
-
-
-def _effective_limits(args: argparse.Namespace) -> AnalysisLimits:
-    size = getattr(args, "cache_size", None)
-    if size is None:
-        return DEFAULT_LIMITS
-    return replace(DEFAULT_LIMITS, transfer_cache_size=max(1, size))
 
 
 def _cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
@@ -253,10 +235,9 @@ def _print_report(
         )
     print()
     stats = report.stats
-    size = runner.limits.transfer_cache_size
     cache = runner.cache
     tier = f"disk @ {cache.directory}" if cache is not None else "none (in-process only)"
-    print(f"transfer cache: size={size} persistent={tier}")
+    print(f"transfer cache: persistent={tier}")
     if stats.persistent_cache_requests:
         print(
             f"  persistent: hits={stats.persistent_cache_hits} "
@@ -306,7 +287,6 @@ def _suite_runner(
     runner = ShardedSuiteRunner(
         items,
         shards=args.shards,
-        limits=_effective_limits(args),
         cache=_cache_config(args),
         faults=faults,
         max_attempts=args.max_attempts,
@@ -432,7 +412,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # "results_digest" (under "sharded") must not move at all.
         "cache": {
             "directory": cache.directory if cache is not None else None,
-            "transfer_cache_size": limits.transfer_cache_size,
             "persistent": {
                 "hits": report.stats.persistent_cache_hits,
                 "misses": report.stats.persistent_cache_misses,
@@ -640,7 +619,7 @@ def cmd_reanalyze(args: argparse.Namespace) -> int:
         print(f"front end rejected input: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
 
-    session = IncrementalSession(limits=_effective_limits(args), cache=_cache_config(args))
+    session = IncrementalSession(cache=_cache_config(args))
     try:
         session.analyze(old_program, old_info)
         report = session.reanalyze(new_program, new_info, verify=not args.no_verify)
@@ -773,7 +752,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             request_timeout=args.request_timeout if args.request_timeout > 0 else None,
             max_frame=args.max_frame if args.max_frame else DEFAULT_MAX_FRAME,
             drain_timeout=args.drain_timeout,
-            limits=_effective_limits(args),
             cache=cache,
             slow_request_threshold=(
                 args.slow_threshold if args.slow_threshold > 0 else None

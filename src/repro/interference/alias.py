@@ -13,14 +13,13 @@ live-in handles ``L`` instead: ``(l, f, r)`` is a member iff ``l ∈ L`` and
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import Sequence, Set
 
 from ..analysis.matrix import PathMatrix
 from ..analysis.pathset import PathSet
 from ..sil.ast import Field
 from .locations import (
     Location,
-    LocationKind,
     RelativeLocation,
     field_location,
     relative_field_location,

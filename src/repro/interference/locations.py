@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet
 
 from ..sil.ast import Field
 from ..analysis.paths import Path, format_path

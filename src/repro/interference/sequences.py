@@ -19,12 +19,11 @@ tree height sketched in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from ..analysis.matrix import PathMatrix
 from ..analysis.paths import concat, paths_may_intersect
-from ..analysis.pathset import PathSet
 from ..analysis.transfer import apply_basic_statement
 from ..sil import ast
 from .locations import LocationKind, RelativeLocation

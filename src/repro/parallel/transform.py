@@ -24,7 +24,7 @@ Section 5.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..sil import ast
 from ..sil.typecheck import TypeInfo, check_program

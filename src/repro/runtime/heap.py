@@ -9,7 +9,7 @@ structures from Python (used heavily by tests, examples and benchmarks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..sil.ast import Field

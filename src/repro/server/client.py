@@ -24,7 +24,7 @@ import logging
 import random
 import socket
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .protocol import (
     DEFAULT_MAX_FRAME,

@@ -6,8 +6,8 @@ down between invocations:
 * one **server-lifetime** :class:`~repro.analysis.transfer.TransferCache`,
   with the disk store shared with the batch CLI behind it when one is
   configured (``--cache-dir``) and no persistent tier otherwise;
-* the process-global interned path/matrix domain and ``GLOBAL_SYMBOLS``
-  table, which stay hot simply because the process stays alive;
+* the process-global interned path/matrix domain and op memos, which
+  stay hot simply because the process stays alive;
 * server-lifetime merged :class:`~repro.analysis.context.AnalysisStats`.
 
 Every ``analyze`` request gets a *fresh*
@@ -103,8 +103,7 @@ class AnalysisService:
         self.limits = limits
         self.entry = entry
         self.cache = TransferCache(
-            limits.transfer_cache_size,
-            backend=open_backend(cache) if cache is not None else None,
+            backend=open_backend(cache) if cache is not None else None
         )
         self.started_at = time.time()
         self.requests_served = 0

@@ -26,11 +26,11 @@ calls are not permitted inside conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import ast
 from .errors import NormalizationError
-from .typecheck import ExprType, ProcedureTypes, TypeInfo, check_program
+from .typecheck import ProcedureTypes, TypeInfo, check_program
 
 
 @dataclass

@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from . import ast
-from .errors import ParseError, SourceLocation
+from .errors import ParseError
 from .lexer import Token, TokenKind, tokenize
 
 _FIELD_NAMES = {"left": ast.Field.LEFT, "right": ast.Field.RIGHT, "value": ast.Field.VALUE}

@@ -18,14 +18,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from ..obs.trace import span
-from ..runtime.heap import Heap, TreeSpec
+from ..runtime.heap import TreeSpec
 from ..sil import ast
 from ..sil.builder import HANDLE, INT, ProgramBuilder, field, lit, name, new, not_nil
 from ..sil.delta import statement_label
-from ..sil.normalize import normalize_program, parse_and_normalize
+from ..sil.normalize import parse_and_normalize
 from ..sil.parser import parse_program
 from ..sil.printer import format_program
-from ..sil.typecheck import TypeInfo, check_program
+from ..sil.typecheck import TypeInfo
 
 
 # ---------------------------------------------------------------------------

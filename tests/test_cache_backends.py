@@ -69,18 +69,6 @@ class TestCodec:
         other.set("a", "c", PathSet.parse("R1"))
         assert base != transfer_key(stmt, AnalysisLimits(), other)
 
-    def test_key_ignores_transfer_cache_size(self):
-        # The cache size is a memory knob, not a semantics knob: runs with
-        # different sizes must share persistent entries.
-        from dataclasses import replace
-
-        stmt = ast.AssignNil(target="a")
-        limits = AnalysisLimits()
-        resized = replace(limits, transfer_cache_size=7)
-        assert transfer_key(stmt, limits, sample_matrix(limits)) == transfer_key(
-            stmt, resized, sample_matrix(resized)
-        )
-
     def test_round_trip_is_exact(self):
         limits = AnalysisLimits()
         matrix = sample_matrix(limits)
@@ -704,20 +692,20 @@ class TestWarmBatchAnalyzer:
     def test_warm_run_under_higher_cache_pressure_still_bit_identical(self, tmp_path):
         # A tiny in-memory layer forces constant eviction and re-reading
         # through the persistent tier; outcomes must not change.
-        from dataclasses import replace
-
         program, info = load("add_and_reverse", depth=3)
         config = CacheConfig(directory=str(tmp_path))
         cold = BatchAnalyzer(cache=config)
         reference = cold.analyze(program, info).canonical()
         cold.close()
 
-        tiny = replace(AnalysisLimits(), transfer_cache_size=2)
-        warm = BatchAnalyzer(limits=tiny, cache=config)
-        assert warm.analyze(program, info).canonical() == reference
-        assert warm.stats.transfer_cache_evictions > 0
-        assert warm.stats.transfer_cache_misses == 0
-        warm.close()
+        backend = open_backend(config)
+        try:
+            warm = BatchAnalyzer(transfer_cache=TransferCache(2, backend=backend))
+            assert warm.analyze(program, info).canonical() == reference
+            assert warm.stats.transfer_cache_evictions > 0
+            assert warm.stats.transfer_cache_misses == 0
+        finally:
+            backend.close()
 
 class TestStatsRoundTrip:
     def test_new_counters_merge_and_round_trip(self):

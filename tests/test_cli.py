@@ -144,15 +144,10 @@ class TestAnalyzeCensus:
 
 
 class TestCacheOptions:
-    def test_analyze_reports_configured_cache_size(self, capsys):
-        assert main(["analyze", "tree_add", "--cache-size", "512"]) == 0
-        out = capsys.readouterr().out
-        assert "transfer cache: size=512 persistent=" in out
-
     def test_analyze_default_cache_line_without_persistent_tier(self, capsys):
         assert main(["analyze", "tree_add"]) == 0
         out = capsys.readouterr().out
-        assert "transfer cache: size=4096 persistent=none" in out
+        assert "transfer cache: persistent=none" in out
 
     def test_analyze_warm_rerun_against_cache_dir(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "store")
@@ -272,13 +267,12 @@ class TestBenchCommand:
         cache_dir = str(tmp_path / "store")
         assert main(
             ["bench", "--shards", "2", "--seeds", "3", "--cache-dir", cache_dir,
-             "--cache-size", "2048", "--output", str(artifact_path)]
+             "--output", str(artifact_path)]
         ) == 0
         artifact = json.loads(artifact_path.read_text())
         cache = artifact["cache"]
         assert cache["directory"] == cache_dir
         assert "backend" not in cache and "policy" not in cache
-        assert cache["transfer_cache_size"] == 2048
         assert cache["persistent"]["writes"] > 0
         assert artifact["verified_identical"] is True
         digest = artifact["sharded"]["results_digest"]
@@ -288,7 +282,7 @@ class TestBenchCommand:
         warm_path = tmp_path / "warm.json"
         assert main(
             ["bench", "--shards", "2", "--seeds", "3", "--cache-dir", cache_dir,
-             "--cache-size", "2048", "--output", str(warm_path)]
+             "--output", str(warm_path)]
         ) == 0
         warm = json.loads(warm_path.read_text())
         assert warm["sharded"]["results_digest"] == digest

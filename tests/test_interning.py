@@ -171,7 +171,7 @@ class TestPathSetInterning:
             weak = a.weakened()
             assert weak.weakened() is weak
 
-    def test_collapse_memoized(self):
+    def test_collapse_interned(self):
         limits = AnalysisLimits(max_paths_per_entry=1)
         big = PathSet.parse("L1, L2, R1")
         assert big.collapse(limits) is big.collapse(limits)

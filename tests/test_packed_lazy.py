@@ -13,7 +13,7 @@ Covers the invariants the packed-kernel / lazy-interning change must hold:
 * the measured-lazy counters actually fire: analyzing the widening-heavy
   dag/deep families elides scratch matrices, defers interns, and runs the
   packed kernels;
-* the interning-table report covers the new packed-segment/symbol/memo
+* the interning-table report covers the packed-segment and matrix-layer
   tables, so table growth stays observable after the representation change.
 """
 
@@ -194,9 +194,6 @@ class TestLazyInterningCounters:
         sizes = intern_tables.current()
         for table in (
             "segments_interned",
-            "symbols_interned",
-            "append_memo",
-            "cancel_memo",
             "matrices_interned",
             "matrix_rows_interned",
         ):
