@@ -3,7 +3,7 @@
 ``work_counters.py`` (beside this file) analyzes a fixed population in a
 fresh interpreter and prints its work counters and span counts; the
 committed ``work_counters.json`` is that output.  A change to the work the
-analysis does — a lost memo hit, an eager intern, a span inside a
+analysis does — a lost memo hit, an extra matrix copy, a span inside a
 per-statement loop — moves a number and fails the compare, on any host.
 A change that moves the counters on purpose regenerates the file with the
 command in the script's docstring.

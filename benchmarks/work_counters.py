@@ -14,7 +14,7 @@ one JSON document:
   ``AnalysisStats.counters()`` of a fresh ``BatchAnalyzer``, the span
   counts by name of a second, traced analysis, and the program's
   ``parallelism_census`` read from the first analysis.  A hot-path tax
-  such as eager interning moves the counters; a span added inside a
+  such as an extra matrix copy moves the counters; a span added inside a
   per-statement loop moves the span counts; a flipped parallelization
   verdict moves the census, even when the reference engine flips with it.
 * ``edit_chain`` — one row per step of an edit chain through one held

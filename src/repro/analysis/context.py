@@ -26,8 +26,8 @@ workload suite shares one memoization space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Set, Tuple
 
 from ..sil import ast
 from ..sil.delta import StatementIdentity, statement_identity
@@ -82,23 +82,20 @@ class AnalysisStats:
     #: Path matrices allocated while this context was active, including
     #: the join and call-effect results recomputed at every visit.
     matrices_allocated: int = 0
-    #: :meth:`PathMatrix.interned` lookups answered from the intern table —
-    #: a previously-seen matrix was recognised by a pointer check.
-    matrix_intern_hits: int = 0
     #: Rows whose contents actually changed across transfer applications
     #: and entry-matrix absorptions — the row writes any engine must
     #: perform no matter how it is implemented.
     delta_rows_propagated: int = 0
     #: Rows a full re-propagation rewrites at the same program points (the
     #: whole matrix dimension per operation).  The gap between ``delta``
-    #: and ``full`` is what the row-reuse/interning layer turns into
+    #: and ``full`` is what the row-interning layer turns into
     #: pointer copies; the CI bench requires a *strict* gap on the
     #: widening-heavy dag/deep families, which fails if the delta path
     #: ever degenerates into every row changing at every operation.
     full_rows_propagated: int = 0
     #: Whole-matrix joins the solver skipped because the projected call-site
-    #: matrix was *identical* (same interned object) to one already absorbed
-    #: into the callee's entry matrix.
+    #: matrix was *equal* to one already absorbed into the callee's entry
+    #: matrix.
     full_joins_avoided: int = 0
     #: Programs analyzed against this stats object (one, unless batched).
     programs_analyzed: int = 0
@@ -111,15 +108,6 @@ class AnalysisStats:
     #: Times a fixed-point safety net (``max_iterations`` loop bound or the
     #: solver's pop bound) forced a cutoff instead of natural convergence.
     iteration_guard_trips: int = 0
-    #: Computed results — transfer misses, joins and call effects — kept in
-    #: scratch (sealed-not-interned) form instead of being eagerly
-    #: hash-consed — the lazy-interning win.
-    scratch_matrices_elided: int = 0
-    #: Transfer-memo lookups whose input matrix was *not* interned — each
-    #: one is an intern the eager scheme would have paid on the cold path
-    #: and the lazy scheme deferred.  Joins and calls build no memo key, so
-    #: they are not counted.
-    lazy_intern_deferrals: int = 0
     #: Packed segments normalized by the path kernels (``make_path``,
     #: ``concat``, ``append_link``, ``cancel_first``) while this context was
     #: active.  No memo sits in front of those kernels, so the count is the
@@ -138,37 +126,9 @@ class AnalysisStats:
     #: procedures plus their reverse-call-graph dependents.
     dirty_seed_size: int = 0
 
-    #: The additive counter fields, in ``as_dict`` order.  Derived values
-    #: (the hit rates) are excluded.
-    COUNTER_FIELDS = (
-        "worklist_pops",
-        "entry_updates",
-        "statements_visited",
-        "loop_iterations",
-        "transfer_cache_hits",
-        "transfer_cache_misses",
-        "transfer_cache_evictions",
-        "persistent_cache_hits",
-        "persistent_cache_misses",
-        "persistent_cache_writes",
-        "persistent_cache_evictions",
-        "matrices_allocated",
-        "matrix_intern_hits",
-        "delta_rows_propagated",
-        "full_rows_propagated",
-        "full_joins_avoided",
-        "programs_analyzed",
-        "segment_collapses",
-        "exact_widenings",
-        "path_set_collapses",
-        "iteration_guard_trips",
-        "scratch_matrices_elided",
-        "lazy_intern_deferrals",
-        "packed_segment_ops",
-        "summaries_reused",
-        "summaries_invalidated",
-        "dirty_seed_size",
-    )
+    #: The additive counter fields, in ``as_dict`` order: every dataclass
+    #: field, derived below the class.  The hit rates are not fields.
+    COUNTER_FIELDS: ClassVar[Tuple[str, ...]]
 
     #: The widening-telemetry subset of :data:`COUNTER_FIELDS` — the
     #: counters that say whether a run's bounds bit.
@@ -260,6 +220,9 @@ class AnalysisStats:
     def format(self) -> str:
         """One-per-line human-readable rendering (benchmark banners)."""
         return "\n".join(f"{key:28s} {value}" for key, value in self.as_dict().items())
+
+
+AnalysisStats.COUNTER_FIELDS = tuple(counter.name for counter in fields(AnalysisStats))
 
 
 @dataclass

@@ -27,7 +27,6 @@ from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix
 from .summaries import ProcedureSummary
 from .transfer import (
-    _bump,
     _count_rows,
     apply_basic_statement,
     apply_basic_statement_cached,
@@ -172,7 +171,6 @@ class ProcedureAnalyzer:
         merged = first.merge(second)
         if self.context is None:
             return merged
-        _bump(self.context.stats, "scratch_matrices_elided")
         return merged.seal()
 
     def _analyze_while(
@@ -222,13 +220,11 @@ class ProcedureAnalyzer:
         )
         context = self.context
         if context is not None:
-            # Sealed, not interned: the solver interns the projection at the
-            # entry-matrix escape point, and the effect matrix is ordinary
-            # downstream dataflow keyed on by later transfers.
+            # Sealed: the solver keys its absorbed-projection sets on the
+            # projection, and later transfers key on the effect matrix.
             if projected is not None:
                 projected = projected.seal()
             effect_matrix = effect_matrix.seal()
-            _bump(context.stats, "scratch_matrices_elided")
             _count_rows(context.stats, matrix, effect_matrix)
         if projected is not None:
             self.recorder.record_call_site(callee.name, projected)

@@ -25,13 +25,13 @@ indexes the matrix:
 Rows are interned exactly like :class:`~repro.analysis.pathset.PathSet` —
 identical row contents always yield the same object — so an unchanged row
 survives any number of copies, transfers and control-flow joins *by
-reference*, and "did this row change?" is a pointer comparison.  On top of
-the rows, whole matrices can be interned too (:meth:`PathMatrix.interned`):
-interned matrices are sealed, carry a precomputed hash and fingerprint, and
-obey the identity law, which turns matrix equality, transfer-cache keying
-and entry-matrix convergence checks into O(1) pointer checks.  The
-incremental solver (:mod:`repro.analysis.pipeline`) builds directly on both
-layers.
+reference*, and "did this row change?" is a pointer comparison.  Whole
+matrices are compared by value: a **sealed** matrix
+(:meth:`PathMatrix.seal`) is immutable and caches its fingerprint, hash and
+canonical form, so transfer-cache keys and memo probes hash in O(1) and an
+equality test compares handles and row pointers.  The incremental solver
+(:mod:`repro.analysis.pipeline`) reads "did an entry matrix change?" from
+the changed rows of :meth:`PathMatrix.merge_delta`.
 """
 
 from __future__ import annotations
@@ -177,12 +177,6 @@ class ScratchRow:
 Row = Union[MatrixRow, ScratchRow]
 
 
-#: Interned whole matrices, keyed by their exact fingerprint.
-_MATRIX_INTERN: "weakref.WeakValueDictionary[Tuple, PathMatrix]" = (
-    weakref.WeakValueDictionary()
-)
-
-
 class PathMatrix:
     """A square matrix of :class:`PathSet` entries keyed by handle name.
 
@@ -195,14 +189,12 @@ class PathMatrix:
     scratch copy, later mutations are plain dict stores, and
     :meth:`_freeze` interns every scratch row exactly once at the points
     where rows are shared or compared (:meth:`copy`, :meth:`fingerprint`,
-    :meth:`merge`, :meth:`interned`, :meth:`seal`).  A matrix produced by
-    copying therefore shares every unchanged row of its original by
-    reference, and row change detection is a pointer check.  The matrix
-    maintains a cheap mutation ``version`` from which an exact
-    :meth:`fingerprint` is derived lazily, and :meth:`interned` maps any
-    matrix to the canonical sealed instance for its contents — the key the
-    memoized transfer functions and the incremental solver use to
-    recognise previously-seen inputs with a pointer check.
+    :meth:`merge`, :meth:`seal`).  A matrix produced by copying therefore
+    shares every unchanged row of its original by reference, and row
+    change detection is a pointer check.  The matrix maintains a cheap
+    mutation ``version`` from which an exact :meth:`fingerprint` is
+    derived lazily; equality and the hash of a sealed matrix are both
+    taken from it.
     """
 
     __slots__ = (
@@ -213,7 +205,6 @@ class PathMatrix:
         "_fingerprint",
         "_fingerprint_version",
         "_sealed",
-        "_interned",
         "_thawed",
         "_hash",
         "_canonical",
@@ -222,9 +213,6 @@ class PathMatrix:
 
     #: Total number of matrices constructed (snapshot-diffed by AnalysisStats).
     allocations: int = 0
-    #: Times :meth:`interned` found the canonical instance already in the
-    #: table (snapshot-diffed into ``AnalysisStats.matrix_intern_hits``).
-    intern_hits: int = 0
 
     def __init__(
         self,
@@ -239,7 +227,6 @@ class PathMatrix:
         self._fingerprint: Optional[Tuple] = None
         self._fingerprint_version = -1
         self._sealed = False
-        self._interned = False
         self._thawed = False  # True while any row is a private ScratchRow
         self._hash: Optional[int] = None
         self._canonical: Optional[Tuple] = None
@@ -253,7 +240,6 @@ class PathMatrix:
                 tuple((s, t, ps) for s, t, ps in self.entries()),
                 self.limits,
                 self._sealed,
-                self._interned,
             ),
         )
 
@@ -305,11 +291,6 @@ class PathMatrix:
         self._rows[source] = scratch
         self._thawed = True
         return scratch
-
-    @property
-    def is_interned(self) -> bool:
-        """True for the canonical (sealed, hashable) instance of these contents."""
-        return self._interned
 
     @property
     def is_sealed(self) -> bool:
@@ -482,17 +463,16 @@ class PathMatrix:
         entries: Iterable[Tuple[str, str, PathSet]],
         limits: AnalysisLimits = DEFAULT_LIMITS,
     ) -> "PathMatrix":
-        """Rebuild the canonical interned matrix for already-canonical entries.
+        """Rebuild a sealed matrix from already-canonical entries.
 
         The decode path of the persistent transfer cache
         (:mod:`repro.cache.codec`): entries are installed exactly as given —
         no :meth:`set`-style re-collapse, so no widening telemetry can fire
-        from inside a decode and the rebuilt matrix is bit-identical to the
-        one that was encoded.  Callers must pass path sets that are already
-        canonical under ``limits`` (anything produced by the analysis is).
-        The result is interned: decoding the same contents twice — or
-        decoding contents this process already produced — returns the
-        **same** (sealed) object.
+        from inside a decode and the rebuilt matrix equals the one that was
+        encoded.  Callers must pass path sets that are already canonical
+        under ``limits`` (anything produced by the analysis is).  The rows
+        are interned, so the result shares them with every live matrix of
+        the same rows.
         """
         matrix = cls(handles, limits)
         grouped: Dict[str, Dict[str, PathSet]] = {}
@@ -502,21 +482,23 @@ class PathMatrix:
             grouped.setdefault(source, {})[target] = paths
         matrix._rows = {source: MatrixRow._of(cells) for source, cells in grouped.items()}
         matrix._version += 1
-        return matrix.interned()
+        return matrix.seal()
 
     # ------------------------------------------------------------------
-    # Fingerprinting and interning
+    # Fingerprinting
     # ------------------------------------------------------------------
 
     def fingerprint(self) -> Tuple:
         """An exact, hashable snapshot of this matrix's contents.
 
         Two matrices with equal fingerprints have the same handles (in the
-        same insertion order) and the same entries, so a transfer function
-        applied to either produces equal results.  With interned rows the
-        frozenset hashes from precomputed per-row hashes, and the result
-        is cached against a mutation counter so repeated lookups are cheap
-        (and free for interned matrices, whose contents can never change).
+        same insertion order), the same entries and the same limits, so a
+        transfer function applied to either produces equal results; it is
+        what ``==`` compares and what the hash of a sealed matrix hashes.
+        With interned rows the frozenset hashes from precomputed per-row
+        hashes, and the result is cached against a mutation counter so
+        repeated lookups are cheap (and free for sealed matrices, whose
+        contents can never change).
         """
         if self._fingerprint_version != self._version:
             if self._thawed:
@@ -529,42 +511,13 @@ class PathMatrix:
             self._fingerprint_version = self._version
         return self._fingerprint
 
-    def interned(self) -> "PathMatrix":
-        """The canonical (sealed, hashable) instance for these contents.
-
-        Matrices are hash-consed on demand rather than at construction —
-        transfer functions mutate scratch copies freely, and only the
-        values that outlive a single operation (entry matrices, cached
-        transfer inputs/results) are interned.  For all interned matrices
-        the identity law holds: equal contents ⇔ the same object, so
-        equality, set membership and cache keying are pointer checks.
-        Like path sets, the table holds its values weakly.
-        """
-        if self._interned:
-            return self
-        key = self.fingerprint()
-        cached = _MATRIX_INTERN.get(key)
-        if cached is not None:
-            PathMatrix.intern_hits += 1
-            return cached
-        canonical = PathMatrix(self._handles, self.limits)
-        canonical._rows = dict(self._rows)
-        canonical._version = 1
-        canonical._fingerprint = key
-        canonical._fingerprint_version = 1
-        canonical._hash = hash(key)
-        canonical._sealed = True
-        canonical._interned = True
-        _MATRIX_INTERN[key] = canonical
-        return canonical
-
     def canonical_form(self) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, str, str], ...]]:
         """``(handles, sorted (source, target, rendered-path-set) triples)``.
 
         The process-independent textual identity shared by the sharded
         suite runner and the persistent cache codec.  Sealed matrices
-        (including every interned one) compute it once and cache it — the
-        codec fast path — while mutable matrices recompute per call.
+        compute it once and cache it — the codec fast path — while mutable
+        matrices recompute per call.
         """
         if self._canonical is not None:
             return self._canonical
@@ -742,24 +695,16 @@ class PathMatrix:
             return True
         if not isinstance(other, PathMatrix):
             return NotImplemented
-        # Interned instances with equal contents *and* equal limits are the
-        # same object (caught above); content comparison still runs for
-        # mixed pairs, and per-row it is an identity check thanks to the
-        # interned rows.
-        if self._thawed:
-            self._freeze()
-        if other._thawed:
-            other._freeze()
-        return (
-            self._handles.keys() == other._handles.keys()
-            and self._rows == other._rows
-        )
+        # Exactly what the hash covers, handle order and limits included,
+        # so equal matrices always hash alike.  Per row the compare is an
+        # identity check thanks to the interned rows.
+        return self.fingerprint() == other.fingerprint()
 
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:
             if not self._sealed:
-                raise TypeError("PathMatrix is not hashable (seal or intern it first)")
+                raise TypeError("PathMatrix is not hashable (seal it first)")
             # Sealed contents can never change, so the fingerprint hash is
             # computed once and cached — memo probes keyed on the matrix
             # object then hash in O(1) instead of re-hashing the snapshot
@@ -806,17 +751,14 @@ def _matrix_from_state(
     entries: Tuple[Tuple[str, str, PathSet], ...],
     limits: AnalysisLimits,
     sealed: bool,
-    interned: bool,
 ) -> PathMatrix:
-    """Pickle support: rebuild a matrix, re-interning the canonical ones."""
+    """Pickle support: rebuild a matrix, sealed when the original was."""
     matrix = PathMatrix(handles, limits)
     grouped: Dict[str, Dict[str, PathSet]] = {}
     for source, target, paths in entries:
         grouped.setdefault(source, {})[target] = paths
     matrix._rows = {source: MatrixRow(cells) for source, cells in grouped.items()}
     matrix._version += 1
-    if interned:
-        return matrix.interned()
     if sealed:
         matrix.seal()
     return matrix
@@ -860,11 +802,3 @@ def canonical_document(matrix: PathMatrix) -> Dict[str, object]:
     """
     handles, entries = matrix.canonical_form()
     return {"handles": list(handles), "entries": [list(entry) for entry in entries]}
-
-
-def matrix_intern_table_sizes() -> Dict[str, int]:
-    """Sizes of the matrix-layer hash-consing tables (stats and benches)."""
-    return {
-        "matrix_rows_interned": len(MatrixRow._intern),
-        "matrices_interned": len(_MATRIX_INTERN),
-    }

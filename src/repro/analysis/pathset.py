@@ -379,16 +379,15 @@ def intern_table_sizes() -> Dict[str, int]:
     """Sizes of the global hash-consing and memo tables (stats and docs).
 
     Covers every representation layer: the packed-segment and path tables,
-    path sets, the matrix-layer tables (rows and whole matrices), and the
-    three operation memos.
+    path sets, matrix rows, and the three operation memos.
     """
-    from .matrix import matrix_intern_table_sizes  # matrix imports this module
+    from .matrix import MatrixRow  # matrix imports this module
 
     return {
         "segments_interned": len(PathSegment._intern),
         "paths_interned": len(Path._intern),
         "pathsets_interned": len(PathSet._intern),
-        **matrix_intern_table_sizes(),
+        "matrix_rows_interned": len(MatrixRow._intern),
         "union_memo": len(_UNION_CACHE),
         "merge_memo": len(_MERGE_CACHE),
         "subsumes_memo": len(_SUBSUMES_CACHE),

@@ -43,11 +43,11 @@ or through a callee's summary.  A hit adopts the stored entry matrices,
 recorders and emitted projections without popping, replays the widening
 counters, and counts the skipped pops in ``summaries_reused``.
 
-**Interned propagation.**  Entry matrices and call-site projections are
-hash-consed (:meth:`~repro.analysis.matrix.PathMatrix.interned`), which
-makes three things pointer checks instead of canonical-encoding walks:
+**Row-delta propagation.**  Entry matrices and call-site projections are
+sealed (:meth:`~repro.analysis.matrix.PathMatrix.seal`), so they hash in
+O(1) from a cached fingerprint of interned rows and compare by value:
 
-* a projection *identical* to one this callee already absorbed is skipped
+* a projection *equal* to one this callee already absorbed is skipped
   outright (``full_joins_avoided``) — merging it again is a no-op because
   the entry merge is idempotent;
 * a genuinely new projection is absorbed row-wise via
@@ -55,7 +55,9 @@ makes three things pointer checks instead of canonical-encoding walks:
   are reused by reference (``delta_rows_propagated`` counts the changed
   rows, ``full_rows_propagated`` the rows a non-incremental engine would
   rewrite);
-* "did the entry matrix change?" is ``merged is not current``.
+* "did the entry matrix change?" is "did the merge change a row?": the
+  merge keeps the entry's handle order and appends new handles, so an
+  empty delta means the merged contents equal the entry's.
 """
 
 from __future__ import annotations
@@ -204,18 +206,17 @@ def solve_pass(context: AnalysisContext) -> None:
     Invariants:
 
     * ``entries[p]`` only ever changes by merging in a call-site projection
-      (monotone accumulation, exactly as the seed's rounds did), and is
-      always the canonical *interned* instance of its contents, so the
-      convergence test is a pointer check;
+      (monotone accumulation, exactly as the seed's rounds did), is always
+      sealed, and changes exactly when the merge reports a changed row;
     * a procedure is queued whenever its entry matrix changes, so the last
       ``ProcedureAnalyzer`` visit of every procedure used its final entry
       matrix — its recording *is* the fixed-point recording;
     * no projection reaches a component after its level starts, so the
       entry matrices at that moment, the limits and the bodies decide
       everything the component's solve does;
-    * the merge is idempotent, so a projection identical (by interned
-      object) to one already absorbed by the callee can be skipped without
-      touching the entry matrix.
+    * the merge is idempotent, so a projection equal to one already
+      absorbed by the callee can be skipped without touching the entry
+      matrix.
     """
     program = context.program
     limits = context.limits
@@ -228,7 +229,7 @@ def solve_pass(context: AnalysisContext) -> None:
         graph = call_graph(program)
     component_of, level_of = component_levels(graph, entry_proc.name)
 
-    entries = {entry_proc.name: initial_entry_matrix(entry_proc, limits).interned()}
+    entries = {entry_proc.name: initial_entry_matrix(entry_proc, limits).seal()}
     #: Reachable procedures in the order their entry matrices appeared.
     discovered = [entry_proc.name]
     #: Per level, its procedures in the order their entry matrices appeared.
@@ -236,7 +237,7 @@ def solve_pass(context: AnalysisContext) -> None:
     arrivals[0].append(entry_proc.name)
     last_visit = context.procedure_recorders
     last_visit.clear()
-    #: Interned projections each callee's entry matrix has already absorbed.
+    #: Projections each callee's entry matrix has already absorbed.
     absorbed: Dict[str, Set[PathMatrix]] = {}
     # Safety net mirroring the seed's bound: rounds x procedures.  The bound
     # is per *program*, but the stats object may be shared across a whole
@@ -250,10 +251,11 @@ def solve_pass(context: AnalysisContext) -> None:
         """Merge ``projected`` into ``callee``'s entry: (changed, discovered)."""
         seen = absorbed.setdefault(callee, set())
         if projected in seen:
-            # Pointer-identical to an already-absorbed projection: the
-            # idempotent entry merge would change nothing.
+            # Equal to an already-absorbed projection: the idempotent entry
+            # merge would change nothing.
             stats.full_joins_avoided += 1
             return False, False
+        seen.add(projected)
         current = entries.get(callee)
         if current is None:
             base = initial_entry_matrix(program.callable(callee), limits)
@@ -262,11 +264,9 @@ def solve_pass(context: AnalysisContext) -> None:
             changed = tuple(merged.iter_handles())
         else:
             merged, changed = current.merge_delta(projected)
-        merged = merged.interned()
-        seen.add(projected)
-        if current is not None and merged is current:
-            return False, False
-        entries[callee] = merged
+            if not changed:
+                return False, False
+        entries[callee] = merged.seal()
         stats.entry_updates += 1
         stats.delta_rows_propagated += len(changed)
         stats.full_rows_propagated += len(merged.iter_handles())
@@ -334,7 +334,6 @@ def solve_pass(context: AnalysisContext) -> None:
 
             generation = len(path)
             for site, (callee, projected) in enumerate(visit.call_sites):
-                projected = projected.interned()
                 emit_key = (generation, path, site)
                 if component_of[callee] is not component:
                     deferred.append((emit_key, callee, projected))
@@ -420,14 +419,12 @@ def run_pipeline(context: AnalysisContext) -> AnalysisContext:
     # analyze_program may hold a program edited in place since its last run.
     context.statement_identities.clear()
     allocated_before = PathMatrix.allocations
-    intern_hits_before = PathMatrix.intern_hits
     packed_ops_before = packed_segment_ops()
     with widening_scope(context.stats):
         for name, analysis_pass in PIPELINE:
             with span(f"analysis.{name}"):
                 analysis_pass(context)
     context.stats.matrices_allocated += PathMatrix.allocations - allocated_before
-    context.stats.matrix_intern_hits += PathMatrix.intern_hits - intern_hits_before
     context.stats.packed_segment_ops += packed_segment_ops() - packed_ops_before
     return context
 

@@ -1,7 +1,7 @@
 """Cross-run incremental re-analysis of edited programs.
 
-The solver is incremental *within* a run (interned entry matrices and
-row-wise merges) and warm *across* runs for byte-identical programs
+The solver is incremental *within* a run (row-wise merges of sealed entry
+matrices) and warm *across* runs for byte-identical programs
 (transfer cache); this module makes it incremental across runs of
 **edited** programs:
 
@@ -146,15 +146,14 @@ class ComponentMemo:
     """Cross-run memo of solved call-graph components.
 
     Keyed by ``(members, limits, ((name, entry matrix), ...))``: the
-    component's sorted member names, the limits, and the interned entry
+    component's sorted member names, the limits, and the sealed entry
     matrix of each member that had one when the component's level started,
-    in arrival order.  The value is the
+    in arrival order.  A sealed matrix hashes from its cached fingerprint
+    and compares by value, so a later run's equal entry matrix finds the
+    component.  The value is the
     :class:`~repro.analysis.pipeline.SolvedComponent` the solve recorded:
     the members' final entry matrices and last-visit recorders, the
     projections the component emitted, its widening counts and its pops.
-    Holding the interned matrices strongly also pins them in the weak
-    intern table, so a later run's content-identical matrix resolves to
-    the *same* object and the lookup is a plain tuple hash.
 
     Callee summaries are not in the key: a component whose callee's
     summary could change holds a transitive caller of an edited procedure,

@@ -53,10 +53,6 @@ class WideningTally:
 
     FIELDS = ("segment_collapses", "exact_widenings", "path_set_collapses")
 
-    @property
-    def fired(self) -> bool:
-        return bool(self.segment_collapses or self.exact_widenings or self.path_set_collapses)
-
     def add_into(self, target) -> None:
         """Add these counts onto any object carrying the same attributes.
 

@@ -662,20 +662,12 @@ def apply_basic_statement_cached(
     freshly parsed program is answered by one dict probe.  On a miss the
     same identity keys the persistent tier
     (:func:`repro.cache.codec.transfer_key`), so the statement is rendered
-    at most once.  For an unsealed input the matrix component is its
-    fingerprint, an exact content snapshot built from the input's
-    interned *rows* (so hashing uses precomputed per-row hashes), which
-    makes the lookup just as precise as keying on a hash-consed matrix —
-    but **without** paying a whole-matrix intern on the cold path, where
-    the input is a scratch copy that will never be seen again.  Each such
-    avoided intern is counted as a ``lazy_intern_deferral``.  Computed
-    result matrices are *sealed*, not interned (counted as
-    ``scratch_matrices_elided``): sealing keeps them safely shareable
-    through the cache, while the hash-cons into the global matrix table is
-    deferred to the escape points that actually need identity semantics —
-    entry-matrix convergence, cache codec keys, ``canonical_form()`` and
-    shard boundaries — all of which still call
-    :meth:`~repro.analysis.matrix.PathMatrix.interned` themselves.
+    at most once.  The matrix component is the input itself when it is
+    sealed (its hash is cached) and otherwise its fingerprint, an exact
+    content snapshot built from the input's interned *rows* (so hashing
+    uses precomputed per-row hashes); two inputs of the same form share
+    an entry exactly when they are equal.  Computed result matrices are
+    *sealed*, so they can be shared through the cache safely.
 
     Widening accounting: the events of a computed transfer are captured in
     a :class:`~repro.analysis.telemetry.WideningTally` (shadowing any
@@ -695,8 +687,6 @@ def apply_basic_statement_cached(
     """
     if cache is None:
         cache = GLOBAL_TRANSFER_CACHE
-    if stats is not None and not matrix.is_interned:
-        _bump(stats, "lazy_intern_deferrals")
     # The fingerprint embeds matrix.limits, but the transfer is computed with
     # the separate ``limits`` argument — key on it too so a caller passing
     # mismatched limits can never be served another configuration's result.
@@ -740,12 +730,8 @@ def apply_basic_statement_cached(
         result = apply_basic_statement(matrix, stmt, limits)
     # Entering the cache makes the result shared across program points and
     # future runs; sealing makes a caller mutation fail loudly instead of
-    # silently poisoning every later hit.  Interning is deferred: the
-    # result stays out of the global matrix table unless an escape point
-    # later asks for identity semantics.
+    # silently poisoning every later hit.
     result.matrix = result.matrix.seal()
-    if stats is not None:
-        _bump(stats, "scratch_matrices_elided")
     evicted = cache.put(key, result, widening)
     if persistent_key is not None:
         cache.record_persistent(persistent_key, result, widening, identity_label(identity))

@@ -230,7 +230,6 @@ def decode_entry(
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise CacheDecodeError(f"malformed cache payload: {error}") from error
-        # Entries served from the persistent store are shared exactly like
-        # freshly-computed cached entries; seal against caller mutation.
-        matrix.seal()
+        # ``from_entries`` seals: entries served from the persistent store
+        # are shared exactly like freshly-computed cached entries.
         return TransferResult(matrix=matrix, diagnostics=diagnostics), widening

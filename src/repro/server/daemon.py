@@ -100,8 +100,9 @@ class ServerConfig:
     host: Optional[str] = None
     port: int = 0
     #: Analysis worker threads.  The service serializes actual analysis
-    #: (the interned domain is process-global), so this bounds how many
-    #: requests may be *admitted* concurrently, not parallel compute.
+    #: (the path, path-set and row tables are process-global), so this
+    #: bounds how many requests may be *admitted* concurrently, not
+    #: parallel compute.
     workers: int = 1
     #: Default per-request wall-clock budget for heavy ops, seconds.  A
     #: request may lower it with its own ``timeout`` field, never raise it.

@@ -6,8 +6,9 @@ down between invocations:
 * one **server-lifetime** :class:`~repro.analysis.transfer.TransferCache`,
   with the disk store shared with the batch CLI behind it when one is
   configured (``--cache-dir``) and no persistent tier otherwise;
-* the process-global interned path/matrix domain and op memos, which
-  stay hot simply because the process stays alive;
+* the process-global interned path domain (paths, path sets and matrix
+  rows) and op memos, which stay hot simply because the process stays
+  alive;
 * server-lifetime merged :class:`~repro.analysis.context.AnalysisStats`.
 
 Every ``analyze`` request gets a *fresh*
@@ -39,9 +40,9 @@ daemon without ``--cache-dir`` keeps no store at all: a private one would
 only cost an encode per miss and a write per request.
 
 The service is thread-safe under the daemon's bounded worker pool: one
-internal lock serializes the analysis itself (the interning tables are
-process-global and convergence is pointer-based, so analysis must not
-race), while snapshot reads (``cache_stats``) stay lock-free.
+internal lock serializes the analysis itself (the path, path-set and row
+tables and the op memos are process-global, so analysis must not race),
+while snapshot reads (``cache_stats``) stay lock-free.
 """
 
 from __future__ import annotations
@@ -332,10 +333,10 @@ class AnalysisService:
         """One request through the warm batch, lifetime totals updated.
 
         The lock serializes actual analysis across the daemon's worker
-        threads: the interned domain is process-global and convergence is
-        a pointer check, so two interleaved analyses could otherwise race
-        the hash-cons tables.  Protocol-level concurrency (many clients,
-        pipelined frames) is the daemon's job; compute is serialized here.
+        threads: the path, path-set and row tables and the op memos are
+        process-global, so two interleaved analyses could otherwise race
+        them.  Protocol-level concurrency (many clients, pipelined frames)
+        is the daemon's job; compute is serialized here.
         """
         with self._lock:
             if self._closed:

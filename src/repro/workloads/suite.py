@@ -1144,7 +1144,7 @@ class ShardedSuiteRunner:
         the server owns one warm :class:`~repro.analysis.engine.
         BatchAnalyzer` attached to its lifetime transfer cache and runs
         every request's items through it in-process, so memoized transfers,
-        the persistent tier and the interned path/matrix domain all stay
+        the persistent tier and the interned path domain all stay
         hot across requests.  The report's stats are the *growth* during
         this run (see :func:`analyze_pairs`), so per-request reports sum
         exactly into server-lifetime totals.  The runner's own ``limits``/

@@ -1,23 +1,25 @@
-"""Invariants of the hash-consed path-matrix layer.
+"""Invariants of the path-matrix layer: interned rows, sealed matrices.
 
-The incremental solver relies on two identity laws:
+The incremental solver relies on two laws:
 
 * **rows** — equal row contents are always the same :class:`MatrixRow`
   object, so "did this row change?" is a pointer check and unchanged rows
   survive copies/transfers/joins by reference;
-* **matrices** — :meth:`PathMatrix.interned` maps equal contents (under
-  equal limits) to one canonical sealed instance, so entry-matrix
-  convergence, transfer-cache keying and absorbed-projection detection are
-  pointer checks.
+* **matrices** — a sealed :class:`PathMatrix` is immutable and hashable,
+  and ``==`` compares exactly what its hash and canonical form hold
+  (handle order and limits included), so entry matrices, projections and
+  transfer inputs can key memos and sets by value.
 
-These tests pin the laws down, including the round trip through the
-persistent cache codec (decode must return the *same* interned object) and
-a subprocess check that interning-derived canonical encodings are
-``PYTHONHASHSEED``-independent, mirroring ``test_cache_determinism.py``.
+These tests pin the laws down, including the round trips through the
+persistent cache codec and through pickle (both return a sealed matrix
+equal to the input) and a subprocess check that canonical encodings of
+sealed matrices are ``PYTHONHASHSEED``-independent, mirroring
+``test_cache_determinism.py``.
 """
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -27,10 +29,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from repro.analysis.matrix import MatrixRow, PathMatrix, row_delta
-from repro.analysis.pathset import PathSet, intern_table_sizes
+from repro.analysis.pathset import PathSet
 from repro.analysis.telemetry import WideningTally
 from repro.analysis.transfer import TransferResult, apply_basic_statement
-from repro.cache.codec import decode_entry, encode_entry, transfer_key
+from repro.cache.codec import decode_entry, encode_entry
 from repro.sil import ast
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -72,45 +74,56 @@ class TestRowInterning:
 
 
 class TestMatrixInterning:
-    def test_interned_is_content_based_and_idempotent(self):
-        first = sample_matrix([("a", "b", "L1")]).interned()
-        second = sample_matrix([("a", "b", "L1")]).interned()
-        assert first is second
-        assert first.interned() is first
-        assert first.is_interned and not sample_matrix([]).is_interned
-
-    def test_intern_hits_counted(self):
-        # Hold the canonical instance: the table is weak, so an unreferenced
-        # interned matrix is collected and cannot be hit again.
-        canonical = sample_matrix([("a", "c", "S?, D+?")]).interned()
-        before = PathMatrix.intern_hits
-        assert sample_matrix([("a", "c", "S?, D+?")]).interned() is canonical
-        assert PathMatrix.intern_hits == before + 1
+    """Sealed matrices: equality, hashing and what ``merge_delta`` reports."""
 
     def test_limits_distinguish(self):
         tight = AnalysisLimits(max_paths_per_entry=3)
-        a = sample_matrix([("a", "b", "L1")]).interned()
-        b = sample_matrix([("a", "b", "L1")], limits=tight).interned()
-        assert a is not b
+        a = sample_matrix([("a", "b", "L1")]).seal()
+        b = sample_matrix([("a", "b", "L1")], limits=tight).seal()
+        assert a != b and hash(a) != hash(b)
 
     def test_interned_is_sealed_and_hashable(self):
         matrix = sample_matrix([("a", "b", "L1")])
         with pytest.raises(TypeError):
             hash(matrix)  # mutable matrices stay unhashable
-        canonical = matrix.interned()
-        assert hash(canonical) == hash(canonical)
+        sealed = matrix.seal()
+        assert sealed is matrix and sealed.is_sealed
+        assert hash(sealed) == hash(sample_matrix([("a", "b", "L1")]).seal())
         with pytest.raises(ValueError):
-            canonical.set("a", "c", PathSet.parse("R1"))
-        # ...and the original is still freely mutable.
-        matrix.set("a", "c", PathSet.parse("R1"))
+            sealed.set("a", "c", PathSet.parse("R1"))
+        # ...and a copy is freely mutable.
+        copy = sealed.copy()
+        assert copy == sealed and not copy.is_sealed
+        copy.set("a", "c", PathSet.parse("R1"))
+        assert copy != sealed
 
     def test_handle_order_distinguishes(self):
-        first = PathMatrix(["a", "b"]).interned()
-        second = PathMatrix(["b", "a"]).interned()
-        assert first is not second  # fingerprints are order-exact
+        first = PathMatrix(["a", "b"]).seal()
+        second = PathMatrix(["b", "a"]).seal()
+        # Fingerprints are order-exact, and so are equality and the hash.
+        assert first != second and hash(first) != hash(second)
+
+    def test_equality_is_what_the_hash_and_canonical_form_hold(self):
+        # Two equal copies of each content, over both handle orders and
+        # two limits: == must agree with the canonical form plus limits,
+        # and equal matrices must hash alike.
+        tight = AnalysisLimits(max_paths_per_entry=3)
+        population = [
+            sample_matrix(entries, handles=handles, limits=limits).seal()
+            for handles in (["x", "y"], ["y", "x"])
+            for limits in (DEFAULT_LIMITS, tight)
+            for entries in ([], [("x", "y", "L1")])
+            for _ in range(2)
+        ]
+        for a in population:
+            for b in population:
+                same = a.canonical_form() == b.canonical_form() and a.limits == b.limits
+                assert (a == b) is same, (a.canonical_form(), b.canonical_form())
+                if same:
+                    assert hash(a) == hash(b)
 
     def test_canonical_form_cached_on_interned(self):
-        matrix = sample_matrix([("a", "b", "L1, R1")]).interned()
+        matrix = sample_matrix([("a", "b", "L1, R1")]).seal()
         assert matrix.canonical_form() is matrix.canonical_form()
         handles, entries = matrix.canonical_form()
         assert handles == tuple(HANDLE_POOL)
@@ -118,9 +131,12 @@ class TestMatrixInterning:
 
     def test_from_entries_returns_the_interned_instance(self):
         entries = [("a", "b", PathSet.parse("L1"))]
-        first = PathMatrix.from_entries(["a", "b"], entries)
-        second = PathMatrix.from_entries(["a", "b"], entries)
-        assert first is second and first.is_interned
+        built = sample_matrix([("a", "b", "L1")], handles=["a", "b"]).seal()
+        rebuilt = PathMatrix.from_entries(["a", "b"], entries)
+        assert rebuilt.is_sealed
+        assert rebuilt == built and hash(rebuilt) == hash(built)
+        assert rebuilt.canonical_form() == built.canonical_form()
+        assert rebuilt.row("a") is built.row("a")  # rows stay interned
 
     def test_merge_delta_reports_changed_rows(self):
         base = sample_matrix([("a", "b", "L1")], handles=["a", "b"])
@@ -132,7 +148,7 @@ class TestMatrixInterning:
         # Absorbing the same contents again changes nothing.
         again, rechanged = merged.merge_delta(other)
         assert rechanged == ()
-        assert again.interned() is merged.interned()
+        assert again == merged
 
     def test_merge_delta_counts_new_handles(self):
         base = PathMatrix(["a"])
@@ -151,13 +167,15 @@ class TestMatrixInterning:
         assert full == len(HANDLE_POOL) - 1 and changed >= 2
 
     def test_transfer_results_share_unchanged_rows(self):
-        matrix = sample_matrix([("a", "b", "L1"), ("c", "b", "R1")]).interned()
+        matrix = sample_matrix([("a", "b", "L1"), ("c", "b", "R1")]).seal()
         result = apply_basic_statement(matrix, ast.AssignNil(target="a"))
         assert result.matrix.row("c") is matrix.row("c")
         assert result.matrix.row("a") is None
 
 
 class TestCodecRoundTripsToSameObject:
+    """Codec and pickle round trips give back a sealed, equal matrix."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -177,29 +195,34 @@ class TestCodecRoundTripsToSameObject:
         ]
         matrix = PathMatrix.from_entries(HANDLE_POOL, entries)
         payload = encode_entry(TransferResult(matrix=matrix), WideningTally())
-        decoded, _ = decode_entry(payload, DEFAULT_LIMITS)
-        # Not merely equal: the *same* interned object.
-        assert decoded.matrix is matrix
-        # And decoding twice is stable too.
-        redecoded, _ = decode_entry(payload, DEFAULT_LIMITS)
-        assert redecoded.matrix is matrix
+        # The codec (twice, to show decoding is stable) and pickle each
+        # return a sealed matrix equal to the input.
+        for copy in (
+            decode_entry(payload, DEFAULT_LIMITS)[0].matrix,
+            decode_entry(payload, DEFAULT_LIMITS)[0].matrix,
+            pickle.loads(pickle.dumps(matrix)),
+        ):
+            assert copy.is_sealed
+            assert copy == matrix and hash(copy) == hash(matrix)
+            assert copy.canonical_form() == matrix.canonical_form()
+        # An unsealed matrix unpickles unsealed, and stays mutable.
+        scratch = pickle.loads(pickle.dumps(matrix.copy()))
+        assert not scratch.is_sealed and scratch == matrix
+        scratch.add_handle("z")
+        assert scratch != matrix
 
     def test_intern_tables_reported(self, intern_tables):
         # A path count this large appears nowhere else in the suite, so
-        # interning this matrix must grow the tables; the held reference
+        # sealing this matrix must grow the row table; the held reference
         # keeps the weak entries alive across the growth read.
-        held = sample_matrix([("a", "b", "L7901")]).interned()  # noqa: F841
-        growth = intern_tables.growth()
-        assert growth["matrices_interned"] >= 1
-        assert growth["matrix_rows_interned"] >= 1
-        tables = intern_tables.current()
-        assert tables["matrices_interned"] > 0
-        assert tables["matrix_rows_interned"] > 0
+        held = sample_matrix([("a", "b", "L7901")]).seal()  # noqa: F841
+        assert intern_tables.growth()["matrix_rows_interned"] >= 1
+        assert intern_tables.current()["matrix_rows_interned"] > 0
 
 
-#: Builds a deterministic matrix population and prints a digest of every
-#: canonical encoding and persistent transfer key, plus interning facts.
-#: Runs in a subprocess under a controlled PYTHONHASHSEED.
+#: Builds a deterministic population of sealed matrices and prints a digest
+#: of every canonical encoding and persistent transfer key.  Runs in a
+#: subprocess under a controlled PYTHONHASHSEED.
 _WORKER = """
 import hashlib, json, sys
 sys.path.insert(0, {src!r})
@@ -221,11 +244,10 @@ for spread in range(1, 5):
         target = POOL[(index + spread) % len(POOL)]
         if source != target:
             matrix.set(source, target, PathSet.parse(text))
-    canonical = matrix.interned()
-    assert canonical is matrix.interned()  # identity law holds in-process
-    documents.append(canonical_matrix(canonical))
+    sealed = matrix.seal()
+    documents.append(canonical_matrix(sealed))
     stmt = ast.CopyHandle(target="a", source="b")
-    documents.append(transfer_key(stmt, DEFAULT_LIMITS, canonical))
+    documents.append(transfer_key(stmt, DEFAULT_LIMITS, sealed))
 
 digest = hashlib.sha256(
     json.dumps(documents, sort_keys=True, separators=(",", ":")).encode()

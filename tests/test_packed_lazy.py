@@ -1,23 +1,19 @@
-"""Packed representations & lazy interning (the cold-path kernel rewrite).
+"""Packed representations and the scratch/sealed matrix forms.
 
-Covers the invariants the packed-kernel / lazy-interning change must hold:
+Covers the invariants the packed kernels and the two matrix forms must hold:
 
 * the packed segment encoding round-trips over its *whole* domain —
   direction × count × exact, including the limit-boundary counts the
   widening logic produces (property-based, hypothesis);
 * scratch (mutable) and sealed matrices with equal contents produce
-  **byte-identical** cache-codec keys and canonical forms — laziness must
+  **byte-identical** cache-codec keys and canonical forms — the form must
   be invisible to the persistent store and the sharded digests;
 * codec keys are ``PYTHONHASHSEED``-independent (fresh subprocesses with
   different seeds agree byte for byte);
-* the measured-lazy counters actually fire: analyzing the widening-heavy
-  dag/deep families elides scratch matrices, defers interns, and runs the
-  packed kernels;
-* the interning-table report covers the packed-segment and matrix-layer
-  tables, so table growth stays observable after the representation change.
+* the interning-table report covers the packed-segment and matrix-row
+  tables, so table growth stays observable.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -25,7 +21,6 @@ from pathlib import Path as FilePath
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import analyze_program
 from repro.analysis.limits import DEFAULT_LIMITS
 from repro.analysis.matrix import PathMatrix
 from repro.analysis.paths import (
@@ -34,11 +29,9 @@ from repro.analysis.paths import (
     pack_segment,
     unpack_segment,
 )
-from repro.analysis.pathset import PathSet, intern_table_sizes
+from repro.analysis.pathset import PathSet
 from repro.cache.codec import transfer_key
 from repro.sil import ast
-from repro.sil.normalize import parse_and_normalize
-from repro.workloads import generate_scenarios
 
 SRC = str(FilePath(__file__).resolve().parent.parent / "src")
 
@@ -110,14 +103,15 @@ class TestScratchSealedCodecIdentity:
         scratch_key = transfer_key(stmt, DEFAULT_LIMITS, scratch)
 
         sealed = _scratch_matrix().seal()
-        interned = _scratch_matrix().interned()
         assert transfer_key(stmt, DEFAULT_LIMITS, sealed) == scratch_key
-        assert transfer_key(stmt, DEFAULT_LIMITS, interned) == scratch_key
 
     def test_scratch_and_sealed_canonical_forms_agree(self):
         scratch = _scratch_matrix()
-        assert scratch.canonical_form() == _scratch_matrix().seal().canonical_form()
-        assert scratch.canonical_form() == _scratch_matrix().interned().canonical_form()
+        sealed = _scratch_matrix().seal()
+        assert scratch.canonical_form() == sealed.canonical_form()
+        # Sealed matrices cache the form; scratch ones recompute it.
+        assert sealed.canonical_form() is sealed.canonical_form()
+        assert scratch == sealed
 
     def test_sealed_matrices_hash_by_content(self):
         first = _scratch_matrix().seal()
@@ -167,34 +161,12 @@ class TestHashSeedIndependence:
 
 
 class TestLazyInterningCounters:
-    def test_dag_and_deep_families_elide_scratch_matrices(self):
-        from repro.analysis.context import AnalysisContext
-        from repro.analysis.transfer import TransferCache
-
-        for family in ("dag", "deep"):
-            scenario = generate_scenarios(1, base_seed=0, families=[family])[0]
-            program, info = parse_and_normalize(scenario.source)
-            # A private transfer cache, so the transfers genuinely compute
-            # even when the process-global cache is warm from other tests.
-            context = AnalysisContext(
-                program=program, info=info, transfer_cache=TransferCache()
-            )
-            result = analyze_program(program, info, context=context)
-            stats = result.stats
-            assert stats.scratch_matrices_elided > 0, family
-            assert stats.lazy_intern_deferrals > 0, family
-            assert stats.packed_segment_ops > 0, family
-            # Laziness may not cost correctness: the reference comparison
-            # is covered elsewhere; here we pin that elision dominates —
-            # far fewer matrices reach the global intern table than the
-            # transfer layer produced.
-            assert stats.scratch_matrices_elided >= stats.matrix_intern_hits, family
+    """The intern-table report."""
 
     def test_intern_table_report_covers_the_new_tables(self, intern_tables):
         sizes = intern_tables.current()
         for table in (
             "segments_interned",
-            "matrices_interned",
             "matrix_rows_interned",
         ):
             assert table in sizes and sizes[table] >= 0, table

@@ -1,11 +1,15 @@
-"""The benchmark's span probes still find every call they wrap.
+"""The benchmark's span probes still find every call and counter they read.
 
 ``perfbench/probes.py`` patches named functions and methods of the
 ``repro`` layers (``repro.cache.memory.MemoryBackend.get``,
-``repro.workloads.suite.analyze_pairs``, ...).  A rename under ``src/``
-that removes one of those names breaks every traced benchmark run; this
-test catches it in milliseconds by installing the probes against the tree
-and checking that ``undo()`` restores every patched attribute.
+``repro.workloads.suite.analyze_pairs``, ...) and records
+``AnalysisStats`` counters by name on its solve and re-analysis spans.  A
+rename under ``src/`` that removes one of those names, or a removed
+counter, breaks every traced benchmark run; these tests catch it in
+milliseconds by installing the probes against the tree, checking that each
+patch wraps the original and that ``undo()`` restores every patched
+attribute, and checking the counter names against
+``AnalysisStats.COUNTER_FIELDS``.
 """
 
 import sys
@@ -20,6 +24,11 @@ import repro.cli  # noqa: E402,F401 - loads the layers the probes patch
 import repro.parallel.oracle  # noqa: E402,F401
 import repro.server  # noqa: E402,F401
 from perfbench import probes, spans  # noqa: E402
+from repro.analysis.context import AnalysisStats  # noqa: E402
+
+#: The counters the probes' ``reanalysis.reanalyze`` span records (the
+#: ``session_after`` hook inside ``probes.install``).
+SESSION_COUNTERS = ("summaries_reused", "worklist_pops", "dirty_seed_size")
 
 
 def _loaded_modules():
@@ -56,14 +65,23 @@ def _changed(before, after):
 def test_probes_install_on_the_tree_and_undo_restores_every_patch():
     modules = set(_loaded_modules())
     before = _attributes()
+    # install() looks each target up by name, so a renamed one raises here.
     undo = probes.install(spans.Links())
     try:
         # Every probe target lives in a module loaded above, so the
         # snapshot covers everything install() may have patched.
         assert set(_loaded_modules()) == modules
-        patched = _changed(before, _attributes())
+        after = _attributes()
+        patched = _changed(before, after)
         assert patched, "install() patched nothing"
         assert all(key in before for key in patched), "install() added attributes"
+        for key in patched:
+            assert after[key].__wrapped__ is before[key], key
     finally:
         undo()
     assert not _changed(before, _attributes())
+
+
+def test_every_counter_the_probes_record_is_an_analysis_counter():
+    missing = set(probes.SOLVE_COUNTERS + SESSION_COUNTERS) - set(AnalysisStats.COUNTER_FIELDS)
+    assert not missing, f"counters the probes record but AnalysisStats lacks: {sorted(missing)}"

@@ -29,6 +29,11 @@ from repro.workloads import load
 LIMITS = AnalysisLimits()  # the defaults: k=8, segments=4, paths/entry=8
 
 
+def widening_counts(tally):
+    """``(segment collapses, exact widenings, path-set collapses)``."""
+    return (tally.segment_collapses, tally.exact_widenings, tally.path_set_collapses)
+
+
 def seg(direction, count, exact=True):
     return PathSegment(Direction(direction), count, exact)
 
@@ -39,7 +44,7 @@ class TestSegmentBoundaries:
             path = make_path([seg("L", LIMITS.max_exact_count)], limits=LIMITS)
         assert path == parse_path(f"L{LIMITS.max_exact_count}")
         assert path.segments[0].exact
-        assert not tally.fired
+        assert widening_counts(tally) == (0, 0, 0)
 
     def test_exact_count_one_past_limit_widens_to_open(self):
         with widening_scope(WideningTally()) as tally:
@@ -58,14 +63,14 @@ class TestSegmentBoundaries:
         assert not path.segments[0].exact
         # Clamping an already-open count loses no exactness: it is not one
         # of the counted widening events.
-        assert not tally.fired
+        assert widening_counts(tally) == (0, 0, 0)
 
     def test_path_at_max_segments_is_untouched(self):
         segments = [seg("LRLR"[i % 4], 1) for i in range(LIMITS.max_segments)]
         with widening_scope(WideningTally()) as tally:
             path = make_path(segments, limits=LIMITS)
         assert len(path.segments) == LIMITS.max_segments
-        assert not tally.fired
+        assert widening_counts(tally) == (0, 0, 0)
 
     def test_path_exactly_one_segment_too_long_collapses_tail(self):
         segments = [seg("LRLRL"[i % 5], 1) for i in range(LIMITS.max_segments + 1)]
@@ -92,7 +97,7 @@ class TestPathSetCollapseBoundary:
         assert len(full) == LIMITS.max_paths_per_entry
         with widening_scope(WideningTally()) as tally:
             assert full.collapse(LIMITS) is full
-        assert not tally.fired
+        assert widening_counts(tally) == (0, 0, 0)
 
     def test_set_one_past_limit_collapses_to_same_plus_descendant(self):
         overfull = self.make_overfull_set(extra=1)
