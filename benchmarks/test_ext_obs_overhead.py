@@ -2,12 +2,11 @@
 
 The observability layer's cost contract: with no tracer installed (the
 default), every ``span()`` call site in the analysis hot paths reduces to
-one module-global read returning a shared no-op object, and with no fault
-plan installed every ``fault_fire()`` site is one ``None`` check.  This
-bench holds that contract with counts, not wall time:
+one module-global read returning a shared no-op object.  This bench holds
+that contract with counts, not wall time:
 
 * ``work_counters.py`` records, in a fresh interpreter after ``import
-  repro.cli``, that no tracer and no fault plan is installed, and counts
+  repro.cli``, that no tracer is installed, and counts
   the spans a traced analysis of each program records.  The committed
   ``work_counters.json`` is held to a fresh run byte for byte
   (``test_work_counters.py``), so a span added inside a per-statement
@@ -36,7 +35,7 @@ def population():
 
 def test_ext_idle_process_has_no_tracer_or_fault_plan():
     document = json.loads(COUNTERS.read_text())
-    assert document["idle"] == {"tracing_enabled": False, "fault_plan_installed": False}
+    assert document["idle"] == {"tracing_enabled": False}
     banner("EXT-G — spans per traced analysis (work_counters.json)")
     for name, row in sorted(document["programs"].items()):
         spans = dict(row["spans"])

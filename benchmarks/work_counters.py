@@ -6,21 +6,24 @@ applications.  Tier-1 gates on that counted work; wall time is
 ``perfbench/``'s job.  This script analyzes a fixed population and prints
 one JSON document:
 
-* ``idle`` — what ``import repro.cli`` leaves installed.  With no tracer
-  and no fault plan, every ``span()`` and ``fault_fire()`` call site is a
-  single ``None`` check.
+* ``idle`` — what ``import repro.cli`` leaves installed.  With no tracer,
+  every ``span()`` call site is a single ``None`` check.
 * ``programs`` — one row per program: the named workloads at depth 4 and
   twelve dag/deep/mixed scenarios.  Each row holds the
   ``AnalysisStats.counters()`` of a fresh ``BatchAnalyzer``, the span
-  counts by name of a second, traced analysis, and the program's
-  ``parallelism_census`` read from the first analysis.  A hot-path tax
-  such as an extra matrix copy moves the counters; a span added inside a
-  per-statement loop moves the span counts; a flipped parallelization
-  verdict moves the census, even when the reference engine flips with it.
+  counts by name of a second, traced analysis, the program's
+  ``parallelism_census`` read from the first analysis, and ``verdicts``:
+  the oracle's answers in query order, ``1`` for independent and ``0``
+  otherwise.  A hot-path tax such as an extra matrix copy moves the
+  counters; a span added inside a per-statement loop moves the span
+  counts; a flipped parallelization verdict moves its character in
+  ``verdicts``, even when the census totals and the reference engine do
+  not move.
 * ``edit_chain`` — one row per step of an edit chain through one held
   ``IncrementalSession``, the re-analysis path the daemon serves: one
   edit of each kind, then their undos.  Each row holds the step's counter
-  deltas and the census of the session's result for that version.
+  deltas and the census and verdicts of the session's result for that
+  version.
 
 ``benchmarks/test_work_counters.py`` runs this script and compares its
 output with the committed ``work_counters.json`` byte for byte.  It runs
@@ -42,7 +45,6 @@ from collections import Counter
 import repro.cli  # noqa: F401 - the import every CLI call pays
 from repro.analysis.engine import BatchAnalyzer
 from repro.analysis.reanalysis import IncrementalSession
-from repro.faults import current_fault_plan
 from repro.obs.trace import Tracer, install_tracer, tracing_enabled, uninstall_tracer
 from repro.parallel import PathMatrixOracle, parallelism_census
 from repro.sil.normalize import parse_and_normalize
@@ -69,11 +71,24 @@ def population():
     return items
 
 
+class RecordingOracle(PathMatrixOracle):
+    """The path-matrix oracle, keeping each answer it gives in query order."""
+
+    def __init__(self, analysis):
+        super().__init__(analysis=analysis)
+        self.answers = []
+
+    def independent(self, first, second, group_start, procedure):
+        answer = super().independent(first, second, group_start, procedure)
+        self.answers.append("1" if answer else "0")
+        return answer
+
+
 def census(result):
-    """The parallelization verdicts counted over an already-solved result."""
-    return parallelism_census(
-        result.program, result.info, oracle=PathMatrixOracle(analysis=result)
-    )
+    """The census of an already-solved result and the verdicts behind it."""
+    oracle = RecordingOracle(result)
+    row = parallelism_census(result.program, result.info, oracle=oracle)
+    return {"census": row, "verdicts": "".join(oracle.answers)}
 
 
 def program_row(text):
@@ -87,7 +102,7 @@ def program_row(text):
     finally:
         uninstall_tracer()
     spans = Counter(event["name"] for event in tracer.events())
-    return {"counters": counters, "spans": dict(spans), "census": census(result)}
+    return {"counters": counters, "spans": dict(spans), **census(result)}
 
 
 def edit_chain():
@@ -109,23 +124,18 @@ def edit_chain():
     ]
     session = IncrementalSession()
     base = session.analyze(*parse_and_normalize(versions[0]))
-    rows = [
-        {"edit": "base", "counters": session.stats.counters(), "census": census(base)}
-    ]
+    rows = [{"edit": "base", "counters": session.stats.counters(), **census(base)}]
     for edit, text in steps:
         report = session.reanalyze(*parse_and_normalize(text))
         rows.append(
-            {"edit": edit, "counters": report.stats_delta, "census": census(report.result)}
+            {"edit": edit, "counters": report.stats_delta, **census(report.result)}
         )
     return rows
 
 
 def main():
     document = {
-        "idle": {
-            "tracing_enabled": tracing_enabled(),
-            "fault_plan_installed": current_fault_plan() is not None,
-        },
+        "idle": {"tracing_enabled": tracing_enabled()},
         "programs": {name: program_row(text) for name, text in population()},
         "edit_chain": edit_chain(),
     }

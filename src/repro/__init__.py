@@ -1,9 +1,11 @@
 """repro — reproduction of Hendren & Nicolau (1989).
 
 *Parallelizing Programs with Recursive Data Structures*: the SIL language,
-path-matrix interference analysis for TREE/DAG data structures, and the
-three parallelization methods built on top of it, together with a parallel
-execution simulator, baseline analyses and the paper's workloads.
+path-matrix interference analysis for TREE/DAG data structures, and a
+parallelizer built on top of it that applies the paper's §5.1 statement and
+§5.2 call interference tests (plus a conservative test for a statement
+beside a call), together with a parallel execution simulator, baseline
+analyses and the paper's workloads.
 
 Quickstart::
 

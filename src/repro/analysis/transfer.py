@@ -30,7 +30,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..faults import fault_fire
 from ..obs.trace import span
 from ..sil import ast
 from ..sil.delta import StatementIdentity, identity_label, statement_identity
@@ -503,11 +502,6 @@ class TransferCache:
                 return None
         if payload is None:
             return None
-        rule = fault_fire("cache.payload", persistent_key)
-        if rule is not None and rule.kind == "corrupt" and pending_payload is None:
-            # Chaos harness: mangle the stored payload so the codec rejects
-            # it, driving the same quarantine path a bit-rotted row would.
-            payload = "\x00corrupt\x00" + payload
         try:
             # Shield the decode behind a throwaway tally: reconstructing a
             # result must never advance the caller's widening telemetry —

@@ -40,7 +40,6 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
-from ..faults import fault_fire
 from .backend import DEFAULT_STORE_CAPACITY
 
 logger = logging.getLogger("repro.cache.disk")
@@ -143,7 +142,7 @@ class DiskBackend:
         self._session_retries = 0
         self._touched: Dict[str, int] = {}
 
-    def _with_retry(self, site: str, key: str, operation: Callable[[], _T]) -> _T:
+    def _with_retry(self, site: str, operation: Callable[[], _T]) -> _T:
         """Run ``operation`` with a bounded retry on transient SQLite errors.
 
         ``sqlite3.OperationalError`` covers the two recoverable operational
@@ -153,17 +152,11 @@ class DiskBackend:
         before surfacing to the caller (where the transfer layer's circuit
         breaker takes over).  Retries are counted session-locally and folded
         into the lifetime ``retries`` meta counter at flush, like
-        hits/misses.  ``site``/``key`` also form a fault-injection point so
-        the chaos suite can drive exactly this path.
+        hits/misses.  ``site`` names the operation in the retry log line.
         """
         backoff = _RETRY_BACKOFF_SECONDS
         for attempt in range(self.io_retries):
             try:
-                rule = fault_fire(site, key)
-                if rule is not None and rule.kind == "io_error":
-                    raise sqlite3.OperationalError(
-                        f"injected disk I/O error ({site}, key={key!r})"
-                    )
                 return operation()
             except sqlite3.OperationalError as error:
                 if attempt + 1 >= self.io_retries:
@@ -194,7 +187,6 @@ class DiskBackend:
         with self._lock:
             row = self._with_retry(
                 "cache.get",
-                key,
                 lambda: self._connection.execute(
                     "SELECT payload FROM entries WHERE key = ?", (key,)
                 ).fetchone(),
@@ -213,7 +205,7 @@ class DiskBackend:
             # The whole flush transaction is the retry unit: _write_locked
             # rolls back on any failure, so a retry starts clean.
             return self._with_retry(
-                "cache.write", "flush", lambda: self._write_locked(pending, labels)
+                "cache.write", lambda: self._write_locked(pending, labels)
             )
 
     def _write_locked(
@@ -284,7 +276,7 @@ class DiskBackend:
         with self._lock:
             # Like write(), the whole transaction is the retry unit.
             return self._with_retry(
-                "cache.write", "invalidate", lambda: self._invalidate_locked(doomed)
+                "cache.invalidate", lambda: self._invalidate_locked(doomed)
             )
 
     def _invalidate_locked(self, doomed: List[str]) -> int:

@@ -3,11 +3,9 @@
 Wraps the same bounded :class:`~repro.cache.lru.LRUCache` the in-memory
 transfer memo uses, but stores *canonical payload strings* (see
 :mod:`repro.cache.codec`) instead of live objects — so every lookup served
-from it exercises the exact encode/decode path the disk store uses, and
-it compiles in the same ``cache.get`` / ``cache.write`` fault-injection
-sites.  That makes it a cheap stand-in for
-:class:`~repro.cache.disk.DiskBackend` wherever a test needs a persistent
-tier without a file: attach one to a
+from it exercises the exact encode/decode path the disk store uses.  That
+makes it a cheap stand-in for :class:`~repro.cache.disk.DiskBackend`
+wherever a test needs a persistent tier without a file: attach one to a
 :class:`~repro.analysis.transfer.TransferCache` (``backend=...``), or
 share one instance between several caches to warm them from each other.
 Nothing outside the tests opens it; the store a run configures is always
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..faults import fault_fire
 from .backend import DEFAULT_STORE_CAPACITY
 from .lru import LRUCache
 
@@ -42,12 +39,6 @@ class MemoryBackend:
         return len(self._store)
 
     def get(self, key: str) -> Optional[str]:
-        # The same fault-injection sites the disk backend compiles in, so
-        # the transfer layer's error tolerance is testable backend-agnostic
-        # (MemoryBackend has no retry tier — nothing here is transient).
-        rule = fault_fire("cache.get", key)
-        if rule is not None and rule.kind == "io_error":
-            raise OSError(f"injected cache I/O error (cache.get, key={key!r})")
         payload = self._store.get(key)
         if payload is None:
             self.misses += 1
@@ -58,9 +49,6 @@ class MemoryBackend:
     def write(
         self, pending: Mapping[str, str], labels: Optional[Mapping[str, str]] = None
     ) -> Tuple[int, int]:
-        rule = fault_fire("cache.write", "flush")
-        if rule is not None and rule.kind == "io_error":
-            raise OSError("injected cache I/O error (cache.write)")
         written = 0
         evictions_before = self._store.evictions
         for key, payload in pending.items():

@@ -53,7 +53,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cache import STORE_FILENAME, CacheConfig, DiskBackend
-from .faults import FAULT_KINDS, KNOWN_SITES, FaultPlan
 from .workloads.generators import (
     EDIT_KINDS,
     FAMILIES,
@@ -68,7 +67,6 @@ from .workloads.generators import (
     measure_edit_replay,
 )
 from .workloads.suite import (
-    DEFAULT_MAX_ATTEMPTS,
     WORKLOADS,
     ShardedSuiteReport,
     ShardedSuiteRunner,
@@ -126,49 +124,6 @@ def _add_trace_option(parser: argparse.ArgumentParser) -> None:
         "this run and write a Chrome trace-event JSON file (load it in "
         "Perfetto or chrome://tracing)",
     )
-
-
-def _add_chaos_options(
-    parser: argparse.ArgumentParser, max_attempts: bool = True
-) -> None:
-    parser.add_argument(
-        "--chaos",
-        action="append",
-        default=None,
-        metavar="SITE=KIND[:PROB[:MATCH[:DELAY]]]",
-        help="inject a deterministic seeded fault at SITE "
-        f"(sites: {', '.join(KNOWN_SITES)}; kinds: {', '.join(FAULT_KINDS)}); "
-        "repeatable. Example: --chaos 'shard.workload=crash:1.0:@0' crashes "
-        "every workload's first attempt",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed of the fault plan's deterministic probability draws "
-        "(default: 0)",
-    )
-    if max_attempts:
-        parser.add_argument(
-            "--max-attempts",
-            type=int,
-            default=DEFAULT_MAX_ATTEMPTS,
-            metavar="N",
-            help="attempts per workload before a crashed shard's work is "
-            f"reported as failed (default: {DEFAULT_MAX_ATTEMPTS})",
-        )
-
-
-def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
-    """The validated fault plan ``--chaos``/``--chaos-seed`` describe.
-
-    Raises ``ValueError`` on a malformed spec (reported as exit 2).
-    """
-    specs = getattr(args, "chaos", None)
-    if not specs:
-        return None
-    return FaultPlan.parse(specs, seed=getattr(args, "chaos_seed", 0))
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
@@ -275,29 +230,6 @@ def _print_report(
         print(f"  {name:24s} {' '.join(parts)}")
 
 
-def _suite_runner(
-    args: argparse.Namespace, items: List[Tuple[str, str]], census: bool = False
-) -> ShardedSuiteRunner:
-    """The suite runner ``analyze`` and ``bench`` build from their options.
-
-    Prints the chaos banner when ``--chaos`` installs a fault plan.  Raises
-    ``ValueError`` on a malformed spec (reported as exit 2).
-    """
-    faults = _fault_plan(args)
-    runner = ShardedSuiteRunner(
-        items,
-        shards=args.shards,
-        cache=_cache_config(args),
-        faults=faults,
-        max_attempts=args.max_attempts,
-        census=census,
-    )
-    if faults is not None:
-        print(f"chaos: {'; '.join(faults.describe())} (seed {faults.seed}, "
-              f"max attempts {args.max_attempts})")
-    return runner
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -326,11 +258,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.generated:
         items += [(s.name, s.source) for s in _population(args, args.generated)]
 
-    try:
-        runner = _suite_runner(args, items, census=args.census)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
+    runner = ShardedSuiteRunner(
+        items, shards=args.shards, cache=_cache_config(args), census=args.census
+    )
 
     # Streaming collection: rows appear as each shard finishes, not behind
     # the final barrier.
@@ -373,12 +303,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"scenarios (seed {args.seed}, families {', '.join(_family_list(args))})"
     )
 
-    try:
-        runner = _suite_runner(args, items)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    cache, faults, limits = runner.cache, runner.faults, runner.limits
+    runner = ShardedSuiteRunner(items, shards=args.shards, cache=_cache_config(args))
+    cache, limits = runner.cache, runner.limits
 
     def stream(output: Dict) -> None:
         print(
@@ -426,46 +352,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # histograms every shard shipped home.
         "tails": report.tails(),
     }
-
-    if faults is not None:
-        # The chaos ledger: what was injected and what the recovery paths
-        # did about it.  The headline acceptance check is elsewhere in the
-        # artifact — "results_digest" must match a fault-free run's.
-        counters = report.metrics.as_dict().get("counters", {})
-
-        def metric_total(metric: str) -> int:
-            return sum(
-                int(entry["value"])
-                for entry in counters.values()
-                if entry["name"] == metric
-            )
-
-        chaos = {
-            "plan": faults.describe(),
-            "seed": faults.seed,
-            "max_attempts": args.max_attempts,
-            "injected": {
-                key: int(entry["value"])
-                for key, entry in sorted(counters.items())
-                if entry["name"] == "faults.injected_total"
-            },
-            "workload_retries": metric_total("suite.workload_retries"),
-            "shard_crashes": metric_total("suite.shard_crashes_total"),
-            "workloads_abandoned": metric_total("suite.workloads_abandoned_total"),
-            "cache_quarantined": metric_total("cache.quarantined_total"),
-            "cache_backend_errors": metric_total("cache.backend_errors_total"),
-            "attempts": {
-                name: count for name, count in sorted(report.attempts.items()) if count
-            },
-        }
-        artifact["chaos"] = chaos
-        print(
-            f"\nchaos ledger: {sum(chaos['injected'].values())} faults injected, "
-            f"{chaos['workload_retries']} workload retries, "
-            f"{chaos['shard_crashes']} shard crashes, "
-            f"{chaos['workloads_abandoned']} abandoned, "
-            f"{chaos['cache_quarantined']} cache entries quarantined"
-        )
 
     edit_replay_failed = False
     if args.edit_replay:
@@ -743,7 +629,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         cache = _cache_config(args)
-        faults = _fault_plan(args)
         config = ServerConfig(
             socket_path=args.socket,
             host=args.host,
@@ -757,7 +642,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 args.slow_threshold if args.slow_threshold > 0 else None
             ),
             max_inflight=args.max_inflight if args.max_inflight > 0 else None,
-            faults=faults,
         ).validated()
     except ValueError as error:
         print(error, file=sys.stderr)
@@ -809,7 +693,7 @@ def cmd_client(args: argparse.Namespace) -> int:
         return 1
     except ProtocolError as error:
         # Covers ConnectionClosed/TruncatedFrame: the connection died
-        # mid-conversation (daemon restart, injected drop) and the request
+        # mid-conversation (daemon restart, idle reap) and the request
         # was not retried to completion — suggest the knob that would.
         print(
             f"connection to the analysis server failed: {error} "
@@ -997,7 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--list", action="store_true", help="list workloads and families")
     _add_generator_options(analyze)
     _add_cache_options(analyze)
-    _add_chaos_options(analyze)
     _add_trace_option(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -1030,7 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_generator_options(bench)
     _add_cache_options(bench)
-    _add_chaos_options(bench)
     _add_trace_option(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -1201,7 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 64)",
     )
     _add_cache_options(serve)
-    _add_chaos_options(serve, max_attempts=False)
     _add_trace_option(serve)
     serve.set_defaults(func=cmd_serve)
 

@@ -117,7 +117,7 @@ class AnalysisClient:
         self.hello: Optional[Dict[str, Any]] = None
         self._sock: Optional[socket.socket] = None
         self._next_id = 0
-        # Seeded: chaos runs retry on a reproducible schedule; the jitter
+        # Seeded: one client retries on a reproducible schedule; the jitter
         # exists to de-synchronize *distinct* clients, which construct
         # distinct generators and interleave differently.
         self._jitter = random.Random(0xC0FFEE)

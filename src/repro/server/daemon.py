@@ -14,7 +14,8 @@ warm :class:`~repro.server.service.AnalysisService`:
   response instead of a dropped connection.  (A timed-out analysis thread
   runs to completion in the background — Python threads cannot be
   interrupted — and its stats still merge into the lifetime totals; only
-  the response is abandoned.)
+  the response is abandoned.  It keeps its in-flight slot until it
+  returns, so admission, ``health`` and the shutdown drain count it.)
 
 Connections are handled sequentially per peer: frames pipelined on one
 socket are answered in order, so responses are never interleaved.  A peer
@@ -48,7 +49,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..analysis.limits import DEFAULT_LIMITS, AnalysisLimits
 from ..cache.backend import CacheConfig
-from ..faults import FaultPlan, current_fault_plan, fault_fire, install_fault_plan
 from . import protocol
 from .protocol import (
     DEFAULT_MAX_FRAME,
@@ -120,11 +120,6 @@ class ServerConfig:
     #: of being queued without bound.  Fast ops (ping, health, metrics, ...)
     #: always answer.  ``None`` or ``0`` disables shedding.
     max_inflight: Optional[int] = 64
-    #: A validated fault plan installed process-wide at startup — the chaos
-    #: hook for exercising ``server.frame`` drops and cache-tier faults in a
-    #: live daemon.  ``None`` (the default) injects nothing and costs one
-    #: pointer check per injection site.
-    faults: Optional[FaultPlan] = None
     limits: AnalysisLimits = DEFAULT_LIMITS
     #: Persistent-store config (``--cache-dir``); ``None`` → no store: the
     #: in-memory transfer memo stays warm across requests, gone with the
@@ -146,8 +141,6 @@ class ServerConfig:
             raise ValueError("slow_request_threshold must be positive (or None)")
         if self.max_inflight is not None and self.max_inflight < 0:
             raise ValueError("max_inflight must be >= 0 (0/None disables shedding)")
-        if self.faults is not None:
-            self.faults.validated()
         return self
 
 
@@ -223,13 +216,6 @@ class AnalysisServer:
     # ------------------------------------------------------------------
 
     async def _main(self) -> None:
-        if self.config.faults is not None and current_fault_plan() is None:
-            # Chaos mode: the plan is process-global, so it reaches the
-            # cache tier and warm suite runs inside worker threads too.
-            install_fault_plan(self.config.faults)
-            logger.warning(
-                "fault injection active: %s", "; ".join(self.config.faults.describe())
-            )
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
         self._drained = asyncio.Event()
@@ -338,21 +324,6 @@ class AnalysisServer:
                     continue
                 if message is None:
                     break  # clean EOF
-                rule = fault_fire("server.frame", str(message.get("op")))
-                if rule is not None and rule.kind == "drop":
-                    # Injected connection drop: hang up after reading the
-                    # request, before any response — the client sees a clean
-                    # EOF, exactly what a daemon restart looks like.  Counted
-                    # here directly (suite-side export skips server.* sites).
-                    self.metrics.counter(
-                        "faults.injected_total", site="server.frame", kind="drop"
-                    ).inc()
-                    logger.warning(
-                        "injected connection drop (op=%r id=%r)",
-                        message.get("op"),
-                        message.get("id"),
-                    )
-                    break
                 response, action = await self._dispatch(message)
                 try:
                     await self._send(writer, response)
@@ -539,17 +510,14 @@ class AnalysisServer:
         handler = handlers[op]
         self._inflight += 1
         self._drained.clear()
-        # Admission accounting: requests beyond the worker count sit in the
-        # executor's queue, so queue depth is the in-flight overflow.
-        self.metrics.gauge("server.inflight").set(self._inflight)
-        self.metrics.gauge("server.queue_depth").set(
-            max(0, self._inflight - self.config.workers)
-        )
+        self._set_load_gauges()
+        work = self._loop.run_in_executor(self._executor, partial(handler, message))
+        # The slot is released when the thread returns, not when the
+        # response goes out: the shield keeps a timeout from cancelling the
+        # future, because the thread itself runs on regardless.
+        work.add_done_callback(self._release_slot)
         try:
-            payload = await asyncio.wait_for(
-                self._loop.run_in_executor(self._executor, partial(handler, message)),
-                timeout=timeout,
-            )
+            payload = await asyncio.wait_for(asyncio.shield(work), timeout=timeout)
         except asyncio.TimeoutError:
             logger.warning(
                 "request timeout: op=%s id=%r exceeded %.3gs", op, request_id, timeout
@@ -568,15 +536,22 @@ class AnalysisServer:
             return error_response(
                 request_id, ERR_INTERNAL, f"{type(error).__name__}: {error}"
             )
-        finally:
-            self._inflight -= 1
-            self.metrics.gauge("server.inflight").set(self._inflight)
-            self.metrics.gauge("server.queue_depth").set(
-                max(0, self._inflight - self.config.workers)
-            )
-            if self._inflight == 0:
-                self._drained.set()
         return ok_response(request_id, **payload)
+
+    def _release_slot(self, work: "asyncio.Future") -> None:
+        """A heavy request's thread returned: free its in-flight slot."""
+        self._inflight -= 1
+        self._set_load_gauges()
+        if self._inflight == 0:
+            self._drained.set()
+
+    def _set_load_gauges(self) -> None:
+        # Admission accounting: requests beyond the worker count sit in the
+        # executor's queue, so queue depth is the in-flight overflow.
+        self.metrics.gauge("server.inflight").set(self._inflight)
+        self.metrics.gauge("server.queue_depth").set(
+            max(0, self._inflight - self.config.workers)
+        )
 
 
 def run_server(config: ServerConfig) -> int:

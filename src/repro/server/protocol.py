@@ -87,7 +87,7 @@ class ConnectionClosed(ProtocolError):
     Raised by the client when the server hangs up *between* frames — a
     clean EOF, not a truncated one.  Split from :class:`TruncatedFrame`
     because a clean close is the signature of a dropped-but-healthy server
-    (restart, idle reap, injected drop) and is therefore safe to retry for
+    (restart, idle reap) and is therefore safe to retry for
     idempotent requests, while a mid-frame truncation may have left a
     request half-processed.
     """
@@ -116,6 +116,10 @@ def decode_frame(payload: bytes) -> Dict[str, Any]:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"frame payload is not valid JSON: {error}") from None
+    except RecursionError:
+        # A frame well under the size cap can nest arrays deeper than the
+        # decoder's recursion allows; the peer's input, not a daemon fault.
+        raise ProtocolError("frame payload nests too deeply to decode") from None
     if not isinstance(message, dict):
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(message).__name__}"

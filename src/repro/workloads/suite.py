@@ -26,19 +26,10 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import re
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..faults import (
-    InjectedWorkerCrash,
-    current_fault_plan,
-    fault_fire,
-    fault_scope,
-    injected_counts,
-    install_fault_plan,
-)
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry, latency_tails
 from ..obs.trace import current_tracer, span, stopwatch
 from ..sil import ast
@@ -50,21 +41,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.engine import AnalysisResult
     from ..analysis.limits import AnalysisLimits
     from ..cache.backend import CacheConfig
-    from ..faults import FaultPlan
     from .generators import Scenario
 
 #: One shard's work order: (index, (name, source) pairs, limits, cache
-#: config, fault plan, attempt, census).  ``attempt`` starts at 0
-#: and counts up on every requeue of the same workloads after a worker
-#: crash, bounding retries and giving the crash-injection site a fresh
-#: deterministic draw per attempt.  ``census`` asks for each analyzed
-#: program's parallelism-census row.
+#: config, attempt, census).  ``attempt`` starts at 0 and counts up on
+#: every requeue of the same workloads after their shard raised, bounding
+#: retries.  ``census`` asks for each analyzed program's parallelism-census
+#: row.
 ShardPayload = Tuple[
     int,
     List[Tuple[str, str]],
     "AnalysisLimits",
     Optional["CacheConfig"],
-    Optional["FaultPlan"],
     int,
     bool,
 ]
@@ -663,16 +651,8 @@ def analyze_pairs(
 
     The caller keeps ownership of ``batch``: this flushes computed
     transfer deltas (one write batch per call) but never closes the
-    persistent backend.
-
-    Under an installed :class:`~repro.faults.FaultPlan`, each workload is
-    a ``shard.workload`` injection site keyed ``"{name}@{attempt}"``: a
-    ``slow`` rule sleeps before analyzing, a ``crash`` rule *poisons* the
-    shard — the loop stops, computed deltas are still flushed, and the
-    output carries ``crashed`` plus the ``pending`` (not yet analyzed)
-    workload names for the parent runner to requeue.  Because the decision
-    key carries the attempt, requeued work gets a fresh deterministic draw
-    instead of crashing forever.
+    persistent backend.  An exception inside one workload's analysis is
+    that workload's failure; the loop goes on with the next one.
     """
     from ..analysis.pathset import intern_table_sizes
 
@@ -681,7 +661,6 @@ def analyze_pairs(
     with clock:
         tables_before = intern_table_sizes()
         counters_before = batch.stats.counters()
-        injected_before = injected_counts()
         cache_tier = getattr(batch, "cache", None)
         quarantined_before = getattr(cache_tier, "quarantined", 0)
         backend_errors_before = getattr(cache_tier, "backend_errors", 0)
@@ -689,21 +668,7 @@ def analyze_pairs(
         failures: Dict[str, str] = {}
         widening: Dict[str, Dict] = {}
         census_rows: Dict[str, Dict] = {}
-        crashed: Optional[Dict[str, object]] = None
-        pending: List[str] = []
-        for position, (name, source_text) in enumerate(pairs):
-            rule = fault_fire("shard.workload", f"{name}@{attempt}")
-            if rule is not None:
-                if rule.kind == "crash":
-                    # Poison the shard: abandon this and every following
-                    # workload.  Already-computed results and flushed cache
-                    # deltas survive (the store is content-addressed), so
-                    # the parent only requeues the pending tail.
-                    crashed = {"workload": name, "kind": rule.kind, "attempt": attempt}
-                    pending = [pair_name for pair_name, _ in pairs[position:]]
-                    break
-                if rule.kind == "slow":
-                    time.sleep(rule.delay)
+        for name, source_text in pairs:
             before = batch.stats.widening_counters()
             pops_before = batch.stats.worklist_pops
             workload_clock = stopwatch("suite.workload", {"workload": name})
@@ -743,16 +708,7 @@ def analyze_pairs(
         counters_after = batch.stats.counters()
         # Recovery observability, reported as deltas over this call like
         # everything else so the numbers merge exactly across shards and
-        # server requests.  Server-side sites (``server.*``) are excluded:
-        # the daemon records those straight into its own registry.
-        for (site, kind), count in injected_counts().items():
-            if site.startswith("server."):
-                continue
-            delta = count - injected_before.get((site, kind), 0)
-            if delta:
-                metrics.counter("faults.injected_total", site=site, kind=kind).inc(
-                    delta
-                )
+        # server requests.
         if cache_tier is not None:
             quarantined = getattr(cache_tier, "quarantined", 0) - quarantined_before
             if quarantined:
@@ -764,7 +720,7 @@ def analyze_pairs(
                 metrics.counter("cache.backend_errors_total").inc(backend_errors)
             if getattr(cache_tier, "degraded", False):
                 metrics.gauge("cache.degraded").set(1)
-    output = {
+    return {
         "shard": shard,
         "attempt": attempt,
         "workloads": [name for name, _ in pairs],
@@ -783,10 +739,6 @@ def analyze_pairs(
         "metrics": metrics.as_dict(),
         "seconds": clock.seconds,
     }
-    if crashed is not None:
-        output["crashed"] = crashed
-        output["pending"] = pending
-    return output
 
 
 def _census_row(program: ast.Program, info: TypeInfo, result) -> Dict:
@@ -820,26 +772,13 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
     boundaries) and reads through to it — a warm store means the shard
     decodes transfers other runs or other shards already computed — then
     flushes its computed deltas in one batch when the shard completes.
-
-    The payload's fault plan (when present) is installed for **spawned**
-    workers, which inherit no parent globals; forked workers (and the
-    inline path) already see the plan :meth:`ShardedSuiteRunner.run`
-    installed via :func:`~repro.faults.fault_scope`.  A ``shard.worker``
-    crash rule fires *before* any analysis — the worker dies with
-    :class:`~repro.faults.InjectedWorkerCrash` and the parent requeues the
-    whole shard (the dead-worker path, vs. the mid-shard poisoning
-    ``shard.workload`` exercises).
+    An exception that escapes this function (the store cannot be opened,
+    the worker runs out of memory) costs the whole shard, which the parent
+    runner requeues.
     """
     from ..analysis.engine import BatchAnalyzer
 
-    shard_index, pairs, limits, cache, faults, attempt, census = payload
-    if faults is not None and current_fault_plan() is None:
-        install_fault_plan(faults)
-    rule = fault_fire("shard.worker", f"{shard_index}@{attempt}")
-    if rule is not None and rule.kind == "crash":
-        raise InjectedWorkerCrash(
-            f"injected worker crash (shard {shard_index}, attempt {attempt})"
-        )
+    shard_index, pairs, limits, cache, attempt, census = payload
     batch = BatchAnalyzer(limits=limits, cache=cache)
     try:
         return analyze_pairs(
@@ -881,7 +820,7 @@ class ShardReport:
     #: shard (see ``_analyze_shard``); empty for legacy outputs.
     intern_tables: Dict[str, int] = field(default_factory=dict)
     #: Which attempt this shard ran as (0 for the original dispatch; > 0
-    #: for payloads requeued after a worker crash).
+    #: for payloads requeued after their shard raised).
     attempt: int = 0
 
     def as_dict(self) -> Dict:
@@ -925,7 +864,7 @@ class ShardedSuiteReport:
     metrics: "MetricsRegistry" = field(default_factory=MetricsRegistry)
     #: Per-workload attempt counts, for workloads that needed more than
     #: one: ``{name: attempts}`` where attempts includes the first try.
-    #: Empty in a fault-free run.
+    #: Empty when no shard raised.
     attempts: Dict[str, int] = field(default_factory=dict)
     census: Dict[str, Dict] = field(default_factory=dict)
     seconds: float = 0.0
@@ -1020,8 +959,6 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["AnalysisLimits"] = None,
         cache: Optional["CacheConfig"] = None,
-        faults: Optional["FaultPlan"] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         census: bool = False,
     ):
         from collections import Counter
@@ -1036,10 +973,6 @@ class ShardedSuiteRunner:
         self.shards = max(1, int(shards))
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self.cache = cache.validated() if cache is not None else None
-        #: Optional :class:`~repro.faults.FaultPlan`, installed for the
-        #: duration of each run (and shipped to workers in the payloads).
-        self.faults = faults.validated() if faults is not None else None
-        self.max_attempts = max(1, int(max_attempts))
         self.census = census
 
     @classmethod
@@ -1050,20 +983,12 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["AnalysisLimits"] = None,
         cache: Optional["CacheConfig"] = None,
-        faults: Optional["FaultPlan"] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> "ShardedSuiteRunner":
         """A runner over named workloads from :data:`WORKLOADS`."""
         if names is None:
             names = list(WORKLOADS)
-        return cls(
-            [(name, source(name, depth=depth)) for name in names],
-            shards,
-            limits,
-            cache,
-            faults=faults,
-            max_attempts=max_attempts,
-        )
+        items = [(name, source(name, depth=depth)) for name in names]
+        return cls(items, shards, limits, cache)
 
     @classmethod
     def from_scenarios(
@@ -1072,27 +997,16 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["AnalysisLimits"] = None,
         cache: Optional["CacheConfig"] = None,
-        faults: Optional["FaultPlan"] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> "ShardedSuiteRunner":
         """A runner over generated scenarios (see :mod:`.generators`)."""
-        return cls(
-            [(s.name, s.source) for s in scenarios],
-            shards,
-            limits,
-            cache,
-            faults=faults,
-            max_attempts=max_attempts,
-        )
+        return cls([(s.name, s.source) for s in scenarios], shards, limits, cache)
 
     # ------------------------------------------------------------------
 
     def _payload(
         self, index: int, pairs: List[Tuple[str, str]], attempt: int = 0
     ) -> ShardPayload:
-        return (
-            index, pairs, self.limits, self.cache, self.faults, attempt, self.census
-        )
+        return (index, pairs, self.limits, self.cache, attempt, self.census)
 
     def _payloads(self, shards: int) -> List[ShardPayload]:
         buckets: List[List[Tuple[str, str]]] = [[] for _ in range(shards)]
@@ -1116,23 +1030,22 @@ class ShardedSuiteRunner:
         final all-shards barrier.  The merged report is identical either
         way — ``_merge`` orders by shard index.
 
-        Fault tolerance: a shard that comes back *poisoned* (a crash rule
-        fired mid-shard) or whose worker died with an exception has its
-        pending workloads requeued as a fresh payload — onto a free pool
-        worker, or back onto the inline queue — with the attempt counter
-        bumped, up to ``max_attempts`` total tries per workload.  Requeued
+        Fault tolerance: a shard whose worker raised has its workloads
+        requeued as a fresh payload — onto a free pool worker, or back onto
+        the inline queue — with the attempt counter bumped, up to
+        :data:`DEFAULT_MAX_ATTEMPTS` total tries per workload.  Requeued
         workloads recompute from the same sources, so the merged report
-        stays bit-identical to a fault-free run; only retries are bounded,
-        and exhausted workloads are reported as failures, never dropped
-        silently.
+        stays bit-identical to an undisturbed run; only retries are
+        bounded, and exhausted workloads are reported as failures, never
+        dropped silently.
         """
         return self._drive(self.shards, progress)
 
     def run_single_process(self, progress=None) -> ShardedSuiteReport:
         """The same suite, analyzed inline as one shard (the reference run).
 
-        The same run loop as :meth:`run` at one shard, so even the reference
-        run completes — and matches — under an installed fault plan; the
+        The same run loop as :meth:`run` at one shard, so the reference run
+        requeues a shard that raised just as the pooled run does; the
         bit-identity claim is symmetric.
         """
         return self._drive(1, progress)
@@ -1149,9 +1062,8 @@ class ShardedSuiteRunner:
         this run (see :func:`analyze_pairs`), so per-request reports sum
         exactly into server-lifetime totals.  The runner's own ``limits``/
         ``cache`` are ignored — the batch already owns those choices; the
-        batch is flushed but left open.  An exception the analysis raises
-        propagates; only a poisoned shard (a crash rule under an installed
-        fault plan) is requeued, through the same warm batch.
+        batch is flushed but left open.  An exception outside the
+        per-workload analysis propagates to the caller; nothing is requeued.
         """
         return self._drive(1, progress, batch=batch)
 
@@ -1164,8 +1076,8 @@ class ShardedSuiteRunner:
         any free surviving worker.  A single payload is analyzed in this
         process (through ``batch`` when one is given) the moment it is
         submitted.  Either way every completion — a shard output, or
-        ``(payload, error)`` for a worker that died — lands on one queue
-        that this drains in completion order, requeueing crashed work.
+        ``(payload, error)`` for a shard that raised — lands on one queue
+        that this drains in completion order, requeueing the failed work.
         """
         workloads = len(self.items)
         if batch is None:
@@ -1176,7 +1088,7 @@ class ShardedSuiteRunner:
         attempts: Dict[str, int] = {}
         outputs: List[Dict] = []
         completions: "queue_module.Queue" = queue_module.Queue()
-        with fault_scope(self.faults), clock, ExitStack() as stack:
+        with clock, ExitStack() as stack:
             payloads = self._payloads(shards)
             next_index = outstanding = len(payloads)
             pool = None
@@ -1197,7 +1109,7 @@ class ShardedSuiteRunner:
                         error_callback=lambda error: completions.put((payload, error)),
                     )
                 elif batch is not None:
-                    index, pairs, _, _, _, attempt, census = payload
+                    index, pairs, _, _, attempt, census = payload
                     completions.put(
                         analyze_pairs(
                             batch, pairs, shard=index, attempt=attempt, census=census
@@ -1209,62 +1121,37 @@ class ShardedSuiteRunner:
                     except Exception as error:  # noqa: BLE001 - the recovery boundary
                         completions.put((payload, error))
 
-            def requeue(output: Dict, names: List[str], kind: str, reason: str) -> bool:
-                """Count the crash that cost ``names`` their analysis.
-
-                Within the attempt budget the names are resubmitted as a
-                fresh payload with the attempt bumped (True); past it each
-                is recorded as failed in ``output`` (False).
-                """
-                nonlocal next_index, outstanding
-                control.counter("suite.shard_crashes_total", kind=kind).inc()
-                attempt = int(output["attempt"]) + 1
-                if attempt >= self.max_attempts:
-                    for name in names:
-                        attempts[name] = attempt
-                        output["failures"][name] = (
-                            f"{reason}; retries exhausted after "
-                            f"{self.max_attempts} attempts"
-                        )
-                    control.counter("suite.workloads_abandoned_total").inc(len(names))
-                    return False
-                for name in names:
-                    attempts[name] = attempt + 1
-                control.counter("suite.workload_retries").inc(len(names))
-                sources = dict(self.items)
-                next_index += 1
-                outstanding += 1
-                submit(
-                    self._payload(
-                        next_index - 1, [(name, sources[name]) for name in names], attempt
-                    )
-                )
-                return True
-
             for payload in payloads:
                 submit(payload)
             while outstanding:
                 output = completions.get()
                 outstanding -= 1
-                if isinstance(output, tuple):  # (payload, error): the worker died
-                    (index, pairs, _, _, _, attempt, _), error = output
+                if isinstance(output, tuple):  # (payload, error): the shard raised
+                    (index, pairs, _, _, attempt, _), error = output
                     names = [name for name, _ in pairs]
+                    control.counter("suite.shard_crashes_total", kind="worker").inc()
+                    if attempt + 1 < DEFAULT_MAX_ATTEMPTS:
+                        attempts.update((name, attempt + 2) for name in names)
+                        control.counter("suite.workload_retries").inc(len(names))
+                        outstanding += 1
+                        submit(self._payload(next_index, pairs, attempt + 1))
+                        next_index += 1
+                        continue
+                    attempts.update((name, attempt + 1) for name in names)
+                    control.counter("suite.workloads_abandoned_total").inc(len(names))
+                    reason = (
+                        f"shard worker died ({type(error).__name__}: {error}); "
+                        f"retries exhausted after {DEFAULT_MAX_ATTEMPTS} attempts"
+                    )
                     output = {
                         "shard": index,
                         "attempt": attempt,
                         "workloads": names,
                         "results": {},
-                        "failures": {},
+                        "failures": dict.fromkeys(names, reason),
                         "stats": {},
                         "seconds": 0.0,
                     }
-                    reason = f"shard worker died ({type(error).__name__}: {error})"
-                    if requeue(output, names, "worker", reason):
-                        continue
-                elif output.get("pending"):  # a crash rule poisoned the shard
-                    kind = str(output["crashed"].get("kind", "crash"))
-                    reason = f"shard worker crashed ({kind})"
-                    requeue(output, output["pending"], kind, reason)
                 outputs.append(output)
                 if progress is not None:
                     progress(output)

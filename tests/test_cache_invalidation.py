@@ -15,7 +15,6 @@ from repro.analysis.reanalysis import IncrementalSession
 from repro.analysis.transfer import TransferCache
 from repro.cache import STORE_FILENAME, DiskBackend
 from repro.cache.memory import MemoryBackend
-from repro.faults import FaultPlan, fault_scope
 from repro.sil.normalize import parse_and_normalize
 
 
@@ -123,6 +122,24 @@ class FailingInvalidateBackend(MemoryBackend):
         raise OSError("store unavailable")
 
 
+class LockedOnce:
+    """A store connection whose first ``BEGIN IMMEDIATE`` meets a locked
+    database, as it would while a sibling shard holds the write lock."""
+
+    def __init__(self, connection):
+        self._connection = connection
+        self.locked = True
+
+    def execute(self, sql, *args):
+        if self.locked and sql == "BEGIN IMMEDIATE":
+            self.locked = False
+            raise sqlite3.OperationalError("database is locked")
+        return self._connection.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
 class TestInvalidationFaults:
     def test_backend_error_during_reanalysis_costs_no_result(self):
         cache = TransferCache(backend=FailingInvalidateBackend())
@@ -141,9 +158,9 @@ class TestInvalidationFaults:
         backend = DiskBackend(str(tmp_path))
         try:
             populate(backend)
-            plan = FaultPlan.parse(["cache.write=io_error:1.0:invalidate#1"])
-            with fault_scope(plan):
-                assert backend.invalidate({"Assign|x := nil"}) == 2
+            backend._connection = LockedOnce(backend._connection)
+            assert backend.invalidate({"Assign|x := nil"}) == 2
+            assert not backend._connection.locked
             assert backend.get("key-a") is None and backend.get("key-b") is None
             assert backend.get("key-c") == "payload-c"
             backend.write({})  # folds the session's retry count into the store

@@ -1,36 +1,38 @@
-"""Chaos-harness tests: seeded fault injection and end-to-end recovery.
+"""Recovery tests: every fault-tolerance path, driven by test doubles.
 
-The contract pinned here, layer by layer:
+Nothing in ``src/`` injects faults.  Each test stands in for the failing
+part with a small double defined here — a patched function, a store
+connection, a backend subclass — and pins what the recovery path promises,
+layer by layer:
 
-* **Plan grammar & determinism** — ``SITE=KIND[:PROB[:MATCH[:DELAY]]]``
-  specs parse into frozen, picklable plans; every fire decision is a pure
-  hash of ``(seed, site, kind, key, occurrence)``, so a chaos scenario
-  replays identically run over run.
-* **Zero cost when idle** — with no plan installed, ``fault_fire`` returns
-  ``None`` and nothing else happens (``benchmarks/work_counters.json``
-  records that ``import repro.cli`` installs no plan; here we pin the
-  semantics).
-* **Shard recovery** — a crashed worker or poisoned shard output gets its
-  pending workloads requeued under a bounded attempt budget, and the merged
-  report is *bit-identical* (results digest) to a fault-free run; exhausted
-  retries surface as honest per-workload failures, never silent drops.
+* **Shard recovery** — a shard whose worker raised has its workloads
+  requeued under the bounded attempt budget (``DEFAULT_MAX_ATTEMPTS``), and
+  the merged report is *bit-identical* (results digest) to an undisturbed
+  run; exhausted retries surface as honest per-workload failures, never
+  silent drops.  The double is ``suite._analyze_shard`` patched to raise on
+  chosen attempts; the pool forks, so its workers inherit the patch.
 * **Cache degradation** — corrupt persistent-store payloads are quarantined
-  (discarded + treated as misses) and recomputed; backend I/O errors are
-  retried at the disk tier, then tolerated by the transfer tier until its
-  circuit breaker drops to memory-only.  Results never change, only the
-  counters.
+  (discarded + treated as misses) and recomputed; "database is locked"
+  reads are retried at the disk tier, and surface once the retries run
+  out; a store whose reads keep failing trips the transfer tier's circuit
+  breaker, and the run goes on memory-only.  Results never change, only
+  the counters.
 * **Daemon backpressure & client backoff** — past ``max_inflight`` the
   daemon sheds heavy requests with a retryable ``overloaded`` error while
-  ``health`` still answers; the client retries idempotent ops through
-  injected connection drops with exponential backoff, bounded by its
-  deadline, and never retries non-idempotent ops.
+  ``health`` still answers, and a timed-out request holds its slot until
+  its thread returns; the client retries idempotent ops through dropped
+  connections with exponential backoff, bounded by its deadline, and never
+  retries non-idempotent ops.  A held request is ``service.analyze``
+  waiting on an event; a dropped connection is the daemon's ``_dispatch``
+  raising ``ConnectionResetError``, which closes the connection before any
+  response, as a daemon restart would.
 """
 
 from __future__ import annotations
 
-import pickle
 import sqlite3
 import sys
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -46,18 +48,6 @@ from repro.analysis.transfer import TransferCache
 from repro.cache.backend import CacheConfig
 from repro.cache.disk import DiskBackend, STORE_FILENAME
 from repro.cache.memory import MemoryBackend
-from repro.faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultRule,
-    current_fault_plan,
-    fault_fire,
-    fault_scope,
-    injected_counts,
-    install_fault_plan,
-    uninstall_fault_plan,
-)
-from repro.faults.plan import draw
 from repro.server import (
     AnalysisClient,
     AnalysisServer,
@@ -66,120 +56,46 @@ from repro.server import (
 )
 from repro.server.client import IDEMPOTENT_OPS
 from repro.server.daemon import KNOWN_OPS
-from repro.server.protocol import ERR_OVERLOADED, ConnectionClosed, ProtocolError
+from repro.server.protocol import (
+    ERR_OVERLOADED,
+    ERR_TIMEOUT,
+    ConnectionClosed,
+    ProtocolError,
+)
+from repro.workloads import suite
 from repro.workloads.suite import DEFAULT_MAX_ATTEMPTS, ShardedSuiteRunner
 
 #: A small, fast subset of the named workloads (the full suite is pinned
-#: elsewhere; chaos tests re-run these many times).
+#: elsewhere; recovery tests re-run these many times).
 NAMES = ["list_walk", "tree_add", "swap_children", "cycle_bug"]
-
-
-@pytest.fixture(autouse=True)
-def _no_plan_leaks():
-    """Every test starts and ends with no process-global plan installed."""
-    uninstall_fault_plan()
-    yield
-    uninstall_fault_plan()
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    """The fault-free reference: digest + failures of the NAMES suite."""
+    """The undisturbed reference: digest + failures of the NAMES suite."""
     report = ShardedSuiteRunner.from_names(NAMES, shards=1).run()
     assert not report.failures
     return report
 
 
-# ---------------------------------------------------------------------------
-# plan grammar and the deterministic draw
-# ---------------------------------------------------------------------------
+def crash_shards(monkeypatch, attempts):
+    """Make every shard raise on the given attempts (``None``: on all of them).
 
+    Returns the list of ``(shard, attempt)`` calls this process made; pool
+    workers are forked copies, so their calls land in their own lists.
+    """
+    real = suite._analyze_shard
+    calls = []
 
-class TestPlanGrammar:
-    def test_parse_full_spec(self):
-        plan = FaultPlan.parse(["shard.workload=crash:0.5:@0:0.2"], seed=9)
-        assert plan.seed == 9
-        (rule,) = plan.rules
-        assert rule.site == "shard.workload"
-        assert rule.kind == "crash"
-        assert rule.probability == 0.5
-        assert rule.match == "@0"
-        assert rule.delay == 0.2
+    def flaky(payload):
+        index, attempt = payload[0], payload[4]
+        calls.append((index, attempt))
+        if attempts is None or attempt in attempts:
+            raise RuntimeError(f"worker lost (shard {index}, attempt {attempt})")
+        return real(payload)
 
-    def test_parse_defaults(self):
-        (rule,) = FaultPlan.parse(["cache.get=io_error"]).rules
-        assert rule.probability == 1.0
-        assert rule.match == ""
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "no-equals-sign",
-            "cache.get=meteor_strike",  # unknown kind
-            "cache.get=io_error:2.0",  # probability out of range
-            "cache.get=io_error:0",  # zero probability is meaningless
-            "cache.get=io_error:soon",  # non-numeric probability
-            "cache.get=io_error:1.0:x:later",  # non-numeric delay
-            "cache.get=io_error:1.0:x:0.1:extra",  # too many pieces
-        ],
-    )
-    def test_parse_rejects(self, spec):
-        with pytest.raises(ValueError):
-            FaultPlan.parse([spec])
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            FaultRule(site="", kind="crash").validated()
-        with pytest.raises(ValueError):
-            FaultRule(site="cache.get", kind="crash", delay=-1).validated()
-        for kind in FAULT_KINDS:
-            FaultRule(site="cache.get", kind=kind).validated()
-
-    def test_draw_is_deterministic_and_occurrence_sensitive(self):
-        a = draw(7, "cache.get", "io_error", "deadbeef#1")
-        assert a == draw(7, "cache.get", "io_error", "deadbeef#1")
-        assert 0.0 <= a < 1.0
-        # Different occurrence, seed, or site: an independent draw.
-        assert a != draw(7, "cache.get", "io_error", "deadbeef#2")
-        assert a != draw(8, "cache.get", "io_error", "deadbeef#1")
-
-    def test_plan_pickles_roundtrip(self):
-        plan = FaultPlan.parse(
-            ["shard.worker=crash:0.3", "cache.payload=corrupt:1.0:#1"], seed=4
-        )
-        assert pickle.loads(pickle.dumps(plan)) == plan
-
-    def test_describe_reparses_to_the_same_plan(self):
-        plan = FaultPlan.parse(["shard.workload=crash:0.5:@0", "cache.get=io_error"])
-        assert FaultPlan.parse(plan.describe()) == plan
-
-
-class TestInjector:
-    def test_zero_cost_when_uninstalled(self):
-        assert current_fault_plan() is None
-        assert fault_fire("cache.get", "any-key") is None
-        assert injected_counts() == {}
-
-    def test_occurrence_scoped_match(self):
-        install_fault_plan(FaultPlan.parse(["cache.get=io_error:1.0:#1"]))
-        assert fault_fire("cache.get", "k1") is not None  # occurrence 1
-        assert fault_fire("cache.get", "k1") is None  # occurrence 2
-        assert fault_fire("cache.get", "k2") is not None  # fresh key
-        assert injected_counts() == {("cache.get", "io_error"): 2}
-
-    def test_unmatched_site_never_fires(self):
-        install_fault_plan(FaultPlan.parse(["cache.get=io_error"]))
-        assert fault_fire("server.frame", "ping") is None
-
-    def test_fault_scope_restores_the_previous_plan(self):
-        ambient = FaultPlan.parse(["cache.get=io_error"])
-        install_fault_plan(ambient)
-        inner = FaultPlan.parse(["cache.write=io_error"])
-        with fault_scope(inner):
-            assert current_fault_plan() == inner
-        assert current_fault_plan() == ambient
-        with fault_scope(None):  # None: leave the ambient plan untouched
-            assert current_fault_plan() == ambient
+    monkeypatch.setattr(suite, "_analyze_shard", flaky)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -188,63 +104,54 @@ class TestInjector:
 
 
 class TestShardRecovery:
-    def _crash_first_attempts(self, shards):
-        plan = FaultPlan.parse(["shard.workload=crash:1.0:@0"])
-        runner = ShardedSuiteRunner.from_names(NAMES, shards=shards, faults=plan)
-        return runner.run()
-
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_crash_requeue_is_bit_identical(self, baseline, shards):
-        report = self._crash_first_attempts(shards)
+    def test_crash_requeue_is_bit_identical(self, baseline, monkeypatch, shards):
+        crash_shards(monkeypatch, {0})
+        report = ShardedSuiteRunner.from_names(NAMES, shards=shards).run()
         assert not report.failures
         assert report.results_digest() == baseline.results_digest()
         # Every workload took exactly two attempts: crash, then success.
         assert report.attempts == {name: 2 for name in NAMES}
         assert report.metrics.counter("suite.workload_retries").value == len(NAMES)
-        assert (
-            report.metrics.counter(
-                "faults.injected_total", site="shard.workload", kind="crash"
-            ).value
-            > 0
-        )
-        # The runner's plan never leaks out of the run.
-        assert current_fault_plan() is None
+        crashes = report.metrics.counter("suite.shard_crashes_total", kind="worker")
+        assert crashes.value == shards
 
-    def test_dead_worker_requeues_the_whole_shard(self, baseline):
-        plan = FaultPlan.parse(["shard.worker=crash:1.0:@0"])
-        report = ShardedSuiteRunner.from_names(NAMES, shards=2, faults=plan).run()
-        assert not report.failures
-        assert report.results_digest() == baseline.results_digest()
-        assert (
-            report.metrics.counter("suite.shard_crashes_total", kind="worker").value
-            == 2
-        )
-
-    def test_exhausted_retries_fail_honestly(self):
-        plan = FaultPlan.parse(["shard.workload=crash:1.0"])  # every attempt
-        report = ShardedSuiteRunner.from_names(
-            NAMES, shards=1, faults=plan, max_attempts=2
-        ).run()
+    def test_exhausted_retries_fail_honestly(self, monkeypatch):
+        crash_shards(monkeypatch, None)
+        report = ShardedSuiteRunner.from_names(NAMES, shards=1).run()
         assert not report.ok
         assert set(report.failures) == set(NAMES)
         for message in report.failures.values():
+            assert "RuntimeError: worker lost" in message
             assert "retries exhausted" in message
         assert (
             report.metrics.counter("suite.workloads_abandoned_total").value
             == len(NAMES)
         )
 
-    def test_single_process_reference_also_recovers(self, baseline):
-        plan = FaultPlan.parse(["shard.workload=crash:1.0:@0"])
-        runner = ShardedSuiteRunner.from_names(NAMES, shards=2, faults=plan)
+    def test_single_process_reference_also_recovers(self, baseline, monkeypatch):
+        crash_shards(monkeypatch, {0})
+        runner = ShardedSuiteRunner.from_names(NAMES, shards=2)
         single = runner.run_single_process()
         assert not single.failures
         assert single.results_digest() == baseline.results_digest()
 
-    def test_default_attempt_budget(self):
+    def test_default_attempt_budget(self, monkeypatch):
         assert DEFAULT_MAX_ATTEMPTS == 3
-        runner = ShardedSuiteRunner.from_names(NAMES, max_attempts=0)
-        assert runner.max_attempts == 1  # clamped: at least the first try
+        calls = crash_shards(monkeypatch, None)
+        report = ShardedSuiteRunner.from_names(NAMES, shards=1).run()
+        # The first try plus two retries, then the workloads are abandoned.
+        assert [attempt for _, attempt in calls] == list(range(DEFAULT_MAX_ATTEMPTS))
+        assert report.attempts == {name: DEFAULT_MAX_ATTEMPTS for name in NAMES}
+
+    def test_run_warm_propagates_instead_of_requeueing(self):
+        class BrokenFlush(BatchAnalyzer):
+            def flush(self):
+                raise OSError("store vanished")
+
+        runner = ShardedSuiteRunner.from_names(NAMES, shards=1)
+        with pytest.raises(OSError, match="store vanished"):
+            runner.run_warm(BrokenFlush())
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +159,36 @@ class TestShardRecovery:
 # ---------------------------------------------------------------------------
 
 
-def _disk_config(tmp_path):
-    return CacheConfig(directory=str(tmp_path / "store"))
+class LockedConnection:
+    """A store connection whose first ``times`` matching statements meet a
+    locked database, as they would while a sibling shard holds the write
+    lock; everything else goes to the real connection."""
+
+    def __init__(self, connection, prefix, times):
+        self._connection = connection
+        self.prefix = prefix
+        self.times = times
+
+    def execute(self, sql, *args):
+        if self.times and sql.startswith(self.prefix):
+            self.times -= 1
+            raise sqlite3.OperationalError("database is locked")
+        return self._connection.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+class FailingReads(MemoryBackend):
+    """A store every read of which fails, as an unreadable disk would."""
+
+    def get(self, key):
+        raise OSError("cache I/O error")
 
 
 class TestCorruptPayloadQuarantine:
     def test_disk_rows_hand_corrupted_are_quarantined(self, tmp_path, baseline):
-        cache = _disk_config(tmp_path)
+        cache = CacheConfig(directory=str(tmp_path / "store"))
         cold = ShardedSuiteRunner.from_names(NAMES, shards=1, cache=cache).run()
         assert cold.results_digest() == baseline.results_digest()
 
@@ -317,51 +247,49 @@ class TestCorruptPayloadQuarantine:
 
 
 class TestDiskRetries:
-    def _populated_backend(self, tmp_path):
+    def _backend_with_locked_reads(self, tmp_path, times):
         backend = DiskBackend(str(tmp_path / "retry-store"))
         backend.write({"k1": "payload-one", "k2": "payload-two"})
+        backend._connection = LockedConnection(
+            backend._connection, "SELECT payload", times
+        )
         return backend
 
     def test_transient_read_errors_are_retried(self, tmp_path):
-        backend = self._populated_backend(tmp_path)
+        # Fewer locked reads than the retry budget: each get succeeds.
+        backend = self._backend_with_locked_reads(tmp_path, times=2)
         try:
-            # "#1" scopes the fault to the first try of each key: the
-            # bounded in-process retry deterministically succeeds.
-            with fault_scope(FaultPlan.parse(["cache.get=io_error:1.0:#1"])):
-                assert backend.get("k1") == "payload-one"
-                assert backend.get("k2") == "payload-two"
+            assert backend.get("k1") == "payload-one"
+            assert backend.get("k2") == "payload-two"
             backend.write({"k3": "payload-three"})  # folds session retries in
-            assert backend.stats()["retries"] >= 2
+            assert backend.stats()["retries"] == 2
         finally:
             backend.close()
 
     def test_persistent_read_errors_exhaust_and_raise(self, tmp_path):
-        backend = self._populated_backend(tmp_path)
+        backend = self._backend_with_locked_reads(tmp_path, times=1_000)
         try:
-            with fault_scope(FaultPlan.parse(["cache.get=io_error:1.0"])):
-                with pytest.raises(sqlite3.OperationalError):
-                    backend.get("k1")
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                backend.get("k1")
         finally:
             backend.close()
 
 
 class TestCircuitBreaker:
-    def test_unrecoverable_backend_degrades_to_memory_only(self, tmp_path, baseline):
-        cache = _disk_config(tmp_path)
-        ShardedSuiteRunner.from_names(NAMES, shards=1, cache=cache).run()
-
-        plan = FaultPlan.parse(["cache.get=io_error:1.0"])  # every try, every key
-        report = ShardedSuiteRunner.from_names(
-            NAMES, shards=1, cache=cache, faults=plan
-        ).run()
+    def test_unrecoverable_backend_degrades_to_memory_only(self, baseline):
+        cache = TransferCache(backend=FailingReads())
+        runner = ShardedSuiteRunner.from_names(NAMES, shards=1)
+        report = runner.run_warm(BatchAnalyzer(transfer_cache=cache))
         assert not report.failures
         assert report.results_digest() == baseline.results_digest()
-        assert report.metrics.counter("cache.backend_errors_total").value >= 3
+        errors = report.metrics.counter("cache.backend_errors_total").value
+        assert errors == cache.breaker_threshold
         assert report.metrics.gauge("cache.degraded").value == 1
+        assert cache.degraded and cache.backend is None
 
 
 # ---------------------------------------------------------------------------
-# daemon backpressure, drop injection, client backoff
+# daemon backpressure, dropped connections, client backoff
 # ---------------------------------------------------------------------------
 
 
@@ -376,6 +304,42 @@ def _start_server(tmp_path, **config_kwargs):
 def _stop_server(server):
     server.request_stop()
     assert server.join(timeout=15)
+
+
+def hold_analyze(server):
+    """Hold every ``analyze`` thread until the returned event is set."""
+    release = threading.Event()
+    real = server.service.analyze
+
+    def held(params):
+        release.wait(timeout=30)
+        return real(params)
+
+    server.service.analyze = held
+    return release
+
+
+def drop_connections(monkeypatch, server, op, times=None):
+    """Hang up on ``op`` requests before any response: on the first ``times``
+    of them, or on all (``None``).  Returns the dropped requests."""
+    real = server._dispatch
+    dropped = []
+
+    async def dispatch(message):
+        if message.get("op") == op and (times is None or len(dropped) < times):
+            dropped.append(message)
+            raise ConnectionResetError(f"dropped {op}")
+        return await real(message)
+
+    monkeypatch.setattr(server, "_dispatch", dispatch)
+    return dropped
+
+
+def wait_for_inflight(client, expected, seconds=10):
+    deadline = time.monotonic() + seconds
+    while client.health()["inflight"] != expected:
+        assert time.monotonic() < deadline, f"in-flight never reached {expected}"
+        time.sleep(0.01)
 
 
 class TestDaemonBackpressure:
@@ -395,52 +359,75 @@ class TestDaemonBackpressure:
         assert "health" in KNOWN_OPS
 
     def test_overload_sheds_with_retryable_error(self, tmp_path):
-        # Every workload's first-request analysis sleeps, so one admitted
-        # analyze pins the single in-flight slot for a deterministic window.
-        slow_plan = FaultPlan.parse(["shard.workload=slow:1.0:#1:0.5"])
-        server = _start_server(
-            tmp_path, workers=2, max_inflight=1, faults=slow_plan
-        )
+        server = _start_server(tmp_path, workers=2, max_inflight=1)
+        release = hold_analyze(server)
         try:
             occupant = AnalysisClient(socket_path=server.config.socket_path)
             occupant.connect()
             occupant.send("analyze", workloads=NAMES)
-            shed_error = None
-            deadline = time.monotonic() + 10
             with AnalysisClient(socket_path=server.config.socket_path) as probe:
-                while time.monotonic() < deadline:
-                    try:
-                        probe.analyze(workloads=[NAMES[0]])
-                        time.sleep(0.02)
-                    except ServerError as error:
-                        shed_error = error
-                        break
-                assert shed_error is not None, "no request was shed in 10s"
-                assert shed_error.code == ERR_OVERLOADED
-                assert shed_error.error.get("retryable") is True
+                wait_for_inflight(probe, 1)
+                with pytest.raises(ServerError) as shed:
+                    probe.analyze(workloads=[NAMES[0]])
+                assert shed.value.code == ERR_OVERLOADED
+                assert shed.value.error.get("retryable") is True
                 # Fast ops still answer while heavy ops are being shed.
-                health = probe.health()
-                assert health["shed_total"] >= 1
+                assert probe.health()["shed_total"] == 1
                 assert probe.ping() is True
-            assert occupant.recv()["ok"] is True  # the occupant finished
-            # A backoff-aware client rides out the load window.
+            # A backoff-aware client rides out the load window, which ends
+            # when its own first attempt has been shed too.
+            shed_total = server.metrics.counter("server.shed_total")
+
+            def release_after_the_next_shed():
+                deadline = time.monotonic() + 30
+                while shed_total.value < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                release.set()
+
+            watcher = threading.Thread(target=release_after_the_next_shed)
+            watcher.start()
             retry = AnalysisClient(
                 socket_path=server.config.socket_path,
-                retries=5,
+                retries=8,
                 backoff=0.05,
                 deadline=30,
             )
             with retry:
                 assert retry.analyze(workloads=[NAMES[0]])["ok"] is True
+            watcher.join(timeout=30)
+            assert not watcher.is_alive()
+            assert retry.retries_performed >= 1
+            assert occupant.recv()["ok"] is True  # the occupant finished
             occupant.close()
         finally:
+            release.set()
             _stop_server(server)
 
-    def test_injected_drop_is_ridden_out_by_retries(self, tmp_path):
-        # "#1" = the first frame of each op is dropped, the re-sent one
-        # goes through: exactly one retry per op, deterministically.
-        plan = FaultPlan.parse(["server.frame=drop:1.0:#1"])
-        server = _start_server(tmp_path, faults=plan)
+    def test_timed_out_request_holds_its_slot_until_its_thread_returns(
+        self, tmp_path
+    ):
+        server = _start_server(tmp_path, max_inflight=1)
+        release = hold_analyze(server)
+        try:
+            with AnalysisClient(socket_path=server.config.socket_path) as client:
+                with pytest.raises(ServerError) as timed_out:
+                    client.analyze(workloads=[NAMES[0]], timeout=0.2)
+                assert timed_out.value.code == ERR_TIMEOUT
+                # The thread still runs, so it still counts against the cap.
+                assert client.health()["inflight"] == 1
+                with pytest.raises(ServerError) as shed:
+                    client.analyze(workloads=[NAMES[0]])
+                assert shed.value.code == ERR_OVERLOADED
+                release.set()
+                wait_for_inflight(client, 0)
+                assert client.analyze(workloads=[NAMES[0]])["ok"] is True
+        finally:
+            release.set()
+            _stop_server(server)
+
+    def test_injected_drop_is_ridden_out_by_retries(self, tmp_path, monkeypatch):
+        server = _start_server(tmp_path)
+        dropped = drop_connections(monkeypatch, server, "cache_stats", times=1)
         try:
             client = AnalysisClient(
                 socket_path=server.config.socket_path, retries=3, backoff=0.01
@@ -449,21 +436,15 @@ class TestDaemonBackpressure:
                 response = client.cache_stats()
                 assert response["ok"] is True
             assert client.retries_performed == 1
-            # "#1" drops the first frame of *every* op, including this
-            # metrics read — which therefore also needs a retry budget.
-            reader = AnalysisClient(
-                socket_path=server.config.socket_path, retries=3, backoff=0.01
-            )
-            with reader:
-                metrics = reader.metrics()["metrics"]["counters"]
-                key = "faults.injected_total{kind=drop,site=server.frame}"
-                assert metrics[key]["value"] >= 1
+            assert len(dropped) == 1
         finally:
             _stop_server(server)
 
-    def test_drop_without_retries_raises_connection_closed(self, tmp_path):
-        plan = FaultPlan.parse(["server.frame=drop:1.0:ping"])
-        server = _start_server(tmp_path, faults=plan)
+    def test_drop_without_retries_raises_connection_closed(
+        self, tmp_path, monkeypatch
+    ):
+        server = _start_server(tmp_path)
+        drop_connections(monkeypatch, server, "ping")
         try:
             with AnalysisClient(socket_path=server.config.socket_path) as client:
                 with pytest.raises(ConnectionClosed):
@@ -471,11 +452,11 @@ class TestDaemonBackpressure:
         finally:
             _stop_server(server)
 
-    def test_non_idempotent_ops_are_never_retried(self, tmp_path):
+    def test_non_idempotent_ops_are_never_retried(self, tmp_path, monkeypatch):
         assert "shutdown" not in IDEMPOTENT_OPS
         assert "reanalyze" not in IDEMPOTENT_OPS
-        plan = FaultPlan.parse(["server.frame=drop:1.0:shutdown"])
-        server = _start_server(tmp_path, faults=plan)
+        server = _start_server(tmp_path)
+        drop_connections(monkeypatch, server, "shutdown")
         try:
             client = AnalysisClient(
                 socket_path=server.config.socket_path, retries=5, backoff=0.01
@@ -490,9 +471,9 @@ class TestDaemonBackpressure:
         finally:
             _stop_server(server)
 
-    def test_deadline_bounds_the_retry_loop(self, tmp_path):
-        plan = FaultPlan.parse(["server.frame=drop:1.0:cache_stats"])
-        server = _start_server(tmp_path, faults=plan)
+    def test_deadline_bounds_the_retry_loop(self, tmp_path, monkeypatch):
+        server = _start_server(tmp_path)
+        drop_connections(monkeypatch, server, "cache_stats")
         try:
             client = AnalysisClient(
                 socket_path=server.config.socket_path,
@@ -532,16 +513,3 @@ class TestServerConfigValidation:
     def test_zero_and_none_disable_shedding(self):
         ServerConfig(socket_path="/tmp/x.sock", max_inflight=0).validated()
         ServerConfig(socket_path="/tmp/x.sock", max_inflight=None).validated()
-
-    def test_fault_plan_is_validated(self):
-        bad = FaultPlan(rules=(FaultRule(site="cache.get", kind="nope"),))
-        with pytest.raises(ValueError):
-            ServerConfig(socket_path="/tmp/x.sock", faults=bad).validated()
-
-
-class TestChaosCli:
-    def test_bad_chaos_spec_exits_two(self, capsys):
-        from repro.cli import main
-
-        assert main(["analyze", "list_walk", "--chaos", "bogus"]) == 2
-        assert "bad fault spec" in capsys.readouterr().err

@@ -8,8 +8,9 @@ malformed payloads, oversized frames).
 
 The error-handling contract pinned here:
 
-* a well-framed payload that is not a JSON object → ``bad_frame``
-  response, connection **stays open** (framing is still in sync);
+* a well-framed payload that is not a JSON object, or nests too deeply
+  to decode → ``bad_frame`` response, connection **stays open** (framing
+  is still in sync);
 * a frame whose declared length exceeds the limit → ``frame_too_large``
   response, connection **closed** (the body was never read, so the
   stream cannot be re-synchronized);
@@ -22,7 +23,9 @@ The error-handling contract pinned here:
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,6 +78,33 @@ def server(tmp_path_factory):
 def client(server):
     with AnalysisClient(socket_path=server.config.socket_path, timeout=30) as handle:
         yield handle
+
+
+#: Runs a daemon in a fresh interpreter at the default recursion limit
+#: (tier-1 raises it in ``conftest.py``) and sends one frame whose payload
+#: nests 20,000 JSON arrays: about 40 KB, far under the frame cap, yet deep
+#: enough to exhaust the decoder's recursion on every supported Python.
+#: Then a ping on the same connection.  Prints both responses.
+_DEEP_FRAME_CHECK = """
+import json, socket, sys
+from repro.server import AnalysisServer, ServerConfig
+from repro.server.protocol import HEADER, recv_frame, send_frame
+
+server = AnalysisServer(ServerConfig(socket_path=sys.argv[1])).start_background()
+sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+sock.settimeout(30)
+sock.connect(sys.argv[1])
+recv_frame(sock)
+payload = b"[" * 20000 + b"]" * 20000
+sock.sendall(HEADER.pack(len(payload)) + payload)
+responses = [recv_frame(sock)]
+send_frame(sock, {"id": 1, "op": "ping"})
+responses.append(recv_frame(sock))
+sock.close()
+server.request_stop()
+assert server.join(timeout=30)
+print(json.dumps(responses))
+"""
 
 
 def raw_connection(server) -> socket.socket:
@@ -165,6 +195,22 @@ class TestErrorHandling:
             assert recv_frame(sock) == {"id": 1, "ok": True, "pong": True}
         finally:
             sock.close()
+
+    def test_deeply_nested_payload_gets_bad_frame_and_survives(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", _DEEP_FRAME_CHECK, str(tmp_path / "deep.sock")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        rejected, pong = json.loads(done.stdout)
+        assert rejected["ok"] is False
+        assert rejected["error"]["code"] == ERR_BAD_FRAME
+        assert "nests too deeply" in rejected["error"]["message"]
+        assert pong == {"id": 1, "ok": True, "pong": True}
 
     def test_oversized_frame_is_rejected_and_the_connection_closed(self, server):
         sock = raw_connection(server)
