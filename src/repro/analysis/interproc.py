@@ -35,15 +35,19 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..sil import ast
 from .limits import DEFAULT_LIMITS, AnalysisLimits
 from .matrix import PathMatrix, caller_symbol, stacked_symbol
-from .paths import MAYBE_SAME, Direction, Path, PathSegment
+from .paths import MAYBE_SAME, Direction, Path, PathSegment, concat
 from .pathset import PathSet
 from .summaries import ProcedureSummary
 
 
+def _maybe_down() -> Path:
+    """``D+?``: possibly one or more links down."""
+    return Path((PathSegment(Direction.DOWN, 1, False),), False)
+
+
 def maybe_descendant() -> PathSet:
     """The coarse "somewhere at or below" relationship ``{S?, D+?}``."""
-    down = Path((PathSegment(Direction.DOWN, 1, False),), False)
-    return PathSet([MAYBE_SAME, down])
+    return PathSet([MAYBE_SAME, _maybe_down()])
 
 
 def handle_actual_names(
@@ -214,6 +218,24 @@ def apply_call_effect(
                         result.set(first, second, entry.weakened())
                         if first not in weakened:
                             weakened.append(first)
+        #    A weakened path still names its old route, but the callee may
+        #    have moved a node strictly below an update argument ``u``
+        #    anywhere below ``u``.  A handle outside every update region
+        #    therefore also reaches it as ``(p[first, u] · D+)?``.
+        outside = [name for name in matrix.iter_handles() if name not in at_or_below_update]
+        below = _maybe_down()
+        for second in strictly_below_update:
+            for update in update_actuals:
+                if not matrix.get(update, second).has_proper_path:
+                    continue
+                for first in outside:
+                    result.add_paths(
+                        first,
+                        second,
+                        matrix.get(first, update).map(
+                            lambda path: (concat(path, below, limits),)
+                        ),
+                    )
 
         # 2. Add possible new relationships the callee could have created by
         #    linking one argument's structure below an update argument's.

@@ -22,12 +22,16 @@ lifetime totals that ``cache_stats`` reports.
 
 ``reanalyze`` requests share one more piece of state: the **held
 session**, the :class:`~repro.analysis.reanalysis.IncrementalSession`
-that solved the last request's new version, keyed on that version's exact
-source text.  An editor sends each edit with the previous one's result as
-its old version, so the next request finds the old version already solved
-and parses and solves only the new one.  Any other request starts a fresh
-session, which parses and solves its old version first.  Every request
-runs at the service's limits.
+that solved the last request's new version, beside that version's
+:class:`~repro.sil.window.ParsedVersion` (its exact source text, program,
+types and callable offsets).  An editor sends each edit with the previous
+one's result as its old version, so the next request finds the old
+version already solved.  Its front end reads only the *edit window*, the
+callables between the first and the last changed character, and carries
+every other callable over from the held version; when the window cannot
+show that it equals a full parse, the whole new version is parsed.  Any
+other request starts a fresh session, which parses and solves its old
+version first.  Every request runs at the service's limits.
 
 Why the second request is cheap: the in-memory transfer memo keys on
 statement **content** (kind and rendering), limits and input matrix, so a
@@ -63,6 +67,7 @@ from ..obs.metrics import MetricsRegistry, latency_tails
 from ..sil import ast
 from ..sil.normalize import parse_and_normalize
 from ..sil.typecheck import TypeInfo
+from ..sil.window import ParsedVersion
 from ..workloads.suite import WORKLOADS, ShardedSuiteReport, ShardedSuiteRunner, source
 
 #: Operations the service implements (the daemon adds ping/protocol_version,
@@ -87,7 +92,7 @@ def _front_end(source: str) -> Tuple[ast.Program, TypeInfo]:
 class _HeldSession(NamedTuple):
     """The session that solved the last ``reanalyze`` request's new version."""
 
-    source: str
+    version: ParsedVersion
     session: IncrementalSession
     digest: str
 
@@ -191,9 +196,11 @@ class AnalysisService:
 
         The request carries the old and new program sources.  When the old
         source is the source of the held session — the one that solved the
-        last request's new version — the request continues it: it parses
-        only the new version, diffs, invalidates, and re-solves the dirty
-        frontier.  Otherwise a fresh
+        last request's new version — the request continues it: it reads the
+        new version through the edit window
+        (:meth:`~repro.sil.window.ParsedVersion.edited`, or a full parse
+        when the window declines), diffs, invalidates, and re-solves the
+        dirty frontier.  Otherwise a fresh
         :class:`~repro.analysis.reanalysis.IncrementalSession` over the
         shared :class:`TransferCache` parses and solves the old version
         first.  ``base_reused`` says which path ran.  Either way the
@@ -216,12 +223,22 @@ class AnalysisService:
             )
         name = str(params.get("name", "program"))
         verify = bool(params.get("verify", False))
-        new_program, new_info = _front_end(new_source)
+        window_base = self._held
+        new = None
+        if window_base is not None and window_base.version.source == old_source:
+            new = window_base.version.edited(new_source)
+        if new is None:
+            window_base = None
+            new = ParsedVersion(new_source, *_front_end(new_source))
         with self._lock:
             if self._closed:
                 raise RequestError("service is closed")
             held = self._held
-            reused = held is not None and held.source == old_source
+            if window_base is not None and held is not window_base:
+                # Another request replaced the version the window was read
+                # against while this one was outside the lock.
+                new = ParsedVersion(new_source, *_front_end(new_source))
+            reused = held is not None and held.version.source == old_source
             if reused:
                 session, base_digest = held.session, held.digest
             else:
@@ -233,7 +250,7 @@ class AnalysisService:
             counters_before = session.stats.counters()
             if not reused:
                 base_digest = result_digest(session.analyze(old_program, old_info))
-            report = session.reanalyze(new_program, new_info, verify=verify)
+            report = session.reanalyze(new.program, new.info, verify=verify)
             session.flush()
             counters_after = session.stats.counters()
             request_stats = AnalysisStats.from_dict(
@@ -243,7 +260,7 @@ class AnalysisService:
                 }
             )
             self._lifetime = self._lifetime.merge(request_stats)
-            self._held = _HeldSession(new_source, session, report.digest)
+            self._held = _HeldSession(new, session, report.digest)
             self.requests_served += 1
         self._count("reanalyze")
         payload = report.as_dict()

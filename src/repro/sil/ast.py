@@ -552,80 +552,111 @@ def count_statements(program: Program) -> int:
     return sum(1 for _ in walk_program_stmts(program))
 
 
-def clone_expr(expr: Expr) -> Expr:
-    """Deep-copy an expression tree."""
+def _moved(loc: Optional[SourceLocation], line_offset: int) -> Optional[SourceLocation]:
+    if loc is None or not line_offset:
+        return loc
+    return SourceLocation(loc.line + line_offset, loc.column)
+
+
+def clone_expr(expr: Expr, line_offset: int = 0) -> Expr:
+    """Deep-copy an expression tree, every location ``line_offset`` lines down."""
+    loc = _moved(expr.loc, line_offset)
     if isinstance(expr, IntLit):
-        return IntLit(loc=expr.loc, value=expr.value)
+        return IntLit(loc=loc, value=expr.value)
     if isinstance(expr, NilLit):
-        return NilLit(loc=expr.loc)
+        return NilLit(loc=loc)
     if isinstance(expr, NewExpr):
-        return NewExpr(loc=expr.loc)
+        return NewExpr(loc=loc)
     if isinstance(expr, Name):
-        return Name(loc=expr.loc, ident=expr.ident)
+        return Name(loc=loc, ident=expr.ident)
     if isinstance(expr, FieldAccess):
-        return FieldAccess(loc=expr.loc, base=clone_expr(expr.base), field_name=expr.field_name)
+        return FieldAccess(
+            loc=loc, base=clone_expr(expr.base, line_offset), field_name=expr.field_name
+        )
     if isinstance(expr, BinOp):
-        return BinOp(loc=expr.loc, op=expr.op, left=clone_expr(expr.left), right=clone_expr(expr.right))
+        return BinOp(
+            loc=loc,
+            op=expr.op,
+            left=clone_expr(expr.left, line_offset),
+            right=clone_expr(expr.right, line_offset),
+        )
     if isinstance(expr, UnOp):
-        return UnOp(loc=expr.loc, op=expr.op, operand=clone_expr(expr.operand))
+        return UnOp(loc=loc, op=expr.op, operand=clone_expr(expr.operand, line_offset))
     if isinstance(expr, CallExpr):
-        return CallExpr(loc=expr.loc, name=expr.name, args=[clone_expr(a) for a in expr.args])
+        return CallExpr(
+            loc=loc, name=expr.name, args=[clone_expr(a, line_offset) for a in expr.args]
+        )
     raise TypeError(f"unknown expression node: {expr!r}")
 
 
-def clone_stmt(stmt: Stmt) -> Stmt:
-    """Deep-copy a statement tree."""
+def clone_stmt(stmt: Stmt, line_offset: int = 0) -> Stmt:
+    """Deep-copy a statement tree, every location ``line_offset`` lines down."""
+    loc = _moved(stmt.loc, line_offset)
     if isinstance(stmt, Block):
-        return Block(loc=stmt.loc, stmts=[clone_stmt(s) for s in stmt.stmts])
+        return Block(loc=loc, stmts=[clone_stmt(s, line_offset) for s in stmt.stmts])
     if isinstance(stmt, Assign):
-        return Assign(loc=stmt.loc, lhs=clone_expr(stmt.lhs), rhs=clone_expr(stmt.rhs))
+        return Assign(
+            loc=loc, lhs=clone_expr(stmt.lhs, line_offset), rhs=clone_expr(stmt.rhs, line_offset)
+        )
     if isinstance(stmt, IfStmt):
         return IfStmt(
-            loc=stmt.loc,
-            cond=clone_expr(stmt.cond),
-            then_branch=clone_stmt(stmt.then_branch),
-            else_branch=clone_stmt(stmt.else_branch) if stmt.else_branch is not None else None,
+            loc=loc,
+            cond=clone_expr(stmt.cond, line_offset),
+            then_branch=clone_stmt(stmt.then_branch, line_offset),
+            else_branch=(
+                clone_stmt(stmt.else_branch, line_offset)
+                if stmt.else_branch is not None
+                else None
+            ),
         )
     if isinstance(stmt, WhileStmt):
-        return WhileStmt(loc=stmt.loc, cond=clone_expr(stmt.cond), body=clone_stmt(stmt.body))
+        return WhileStmt(
+            loc=loc, cond=clone_expr(stmt.cond, line_offset), body=clone_stmt(stmt.body, line_offset)
+        )
     if isinstance(stmt, ProcCall):
-        return ProcCall(loc=stmt.loc, name=stmt.name, args=[clone_expr(a) for a in stmt.args])
+        return ProcCall(
+            loc=loc, name=stmt.name, args=[clone_expr(a, line_offset) for a in stmt.args]
+        )
     if isinstance(stmt, FuncAssign):
         return FuncAssign(
-            loc=stmt.loc, target=stmt.target, name=stmt.name, args=[clone_expr(a) for a in stmt.args]
+            loc=loc,
+            target=stmt.target,
+            name=stmt.name,
+            args=[clone_expr(a, line_offset) for a in stmt.args],
         )
     if isinstance(stmt, ParallelStmt):
-        return ParallelStmt(loc=stmt.loc, branches=[clone_stmt(s) for s in stmt.branches])
+        return ParallelStmt(loc=loc, branches=[clone_stmt(s, line_offset) for s in stmt.branches])
     if isinstance(stmt, SkipStmt):
-        return SkipStmt(loc=stmt.loc)
+        return SkipStmt(loc=loc)
     if isinstance(stmt, AssignNil):
-        return AssignNil(loc=stmt.loc, target=stmt.target)
+        return AssignNil(loc=loc, target=stmt.target)
     if isinstance(stmt, AssignNew):
-        return AssignNew(loc=stmt.loc, target=stmt.target)
+        return AssignNew(loc=loc, target=stmt.target)
     if isinstance(stmt, CopyHandle):
-        return CopyHandle(loc=stmt.loc, target=stmt.target, source=stmt.source)
+        return CopyHandle(loc=loc, target=stmt.target, source=stmt.source)
     if isinstance(stmt, LoadField):
-        return LoadField(loc=stmt.loc, target=stmt.target, source=stmt.source, field_name=stmt.field_name)
+        return LoadField(loc=loc, target=stmt.target, source=stmt.source, field_name=stmt.field_name)
     if isinstance(stmt, StoreField):
-        return StoreField(loc=stmt.loc, target=stmt.target, field_name=stmt.field_name, source=stmt.source)
+        return StoreField(loc=loc, target=stmt.target, field_name=stmt.field_name, source=stmt.source)
     if isinstance(stmt, LoadValue):
-        return LoadValue(loc=stmt.loc, target=stmt.target, source=stmt.source)
+        return LoadValue(loc=loc, target=stmt.target, source=stmt.source)
     if isinstance(stmt, StoreValue):
-        return StoreValue(loc=stmt.loc, target=stmt.target, expr=clone_expr(stmt.expr))
+        return StoreValue(loc=loc, target=stmt.target, expr=clone_expr(stmt.expr, line_offset))
     if isinstance(stmt, ScalarAssign):
-        return ScalarAssign(loc=stmt.loc, target=stmt.target, expr=clone_expr(stmt.expr))
+        return ScalarAssign(loc=loc, target=stmt.target, expr=clone_expr(stmt.expr, line_offset))
     raise TypeError(f"unknown statement node: {stmt!r}")
 
 
-def clone_procedure(proc: Procedure) -> Procedure:
-    """Deep-copy a procedure or function declaration."""
-    params = [VarDecl(loc=p.loc, name=p.name, type=p.type) for p in proc.params]
-    locals_ = [VarDecl(loc=v.loc, name=v.name, type=v.type) for v in proc.locals]
-    body = clone_stmt(proc.body)
+def clone_procedure(proc: Procedure, line_offset: int = 0) -> Procedure:
+    """Deep-copy a procedure or function, every location ``line_offset`` lines down."""
+    params = [VarDecl(loc=_moved(p.loc, line_offset), name=p.name, type=p.type) for p in proc.params]
+    locals_ = [VarDecl(loc=_moved(v.loc, line_offset), name=v.name, type=v.type) for v in proc.locals]
+    body = clone_stmt(proc.body, line_offset)
     assert isinstance(body, Block)
+    loc = _moved(proc.loc, line_offset)
     if isinstance(proc, Function):
         return Function(
-            loc=proc.loc,
+            loc=loc,
             name=proc.name,
             params=params,
             locals=locals_,
@@ -633,7 +664,7 @@ def clone_procedure(proc: Procedure) -> Procedure:
             return_type=proc.return_type,
             return_var=proc.return_var,
         )
-    return Procedure(loc=proc.loc, name=proc.name, params=params, locals=locals_, body=body)
+    return Procedure(loc=loc, name=proc.name, params=params, locals=locals_, body=body)
 
 
 def clone_program(program: Program) -> Program:

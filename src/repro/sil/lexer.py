@@ -113,12 +113,16 @@ class Token:
         return self.text
 
 
-def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` into a list of tokens (ending with EOF)."""
+def tokenize(source: str, pos: int = 0, line: int = 1, line_start: int = 0) -> List[Token]:
+    """Tokenize ``source`` into a list of tokens (ending with EOF).
+
+    Lexing starts at offset ``pos``, which lies on line ``line``; that line
+    starts at offset ``line_start``.  The defaults lex the whole text.
+    """
     match = _TOKEN.match
     tokens: List[Token] = []
     append = tokens.append
-    line, line_start, pos, end = 1, 0, 0, len(source)
+    end = len(source)
     while pos < end:
         found = match(source, pos)
         if found is None:

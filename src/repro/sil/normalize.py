@@ -26,7 +26,7 @@ calls are not permitted inside conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from . import ast
 from .errors import NormalizationError
@@ -65,9 +65,17 @@ class Normalizer:
 
     def normalize_program(self) -> ast.Program:
         new_program = ast.clone_program(self.program)
-        for proc in new_program.all_callables:
-            self._normalize_procedure(proc)
+        self.lower(new_program.all_callables)
         return new_program
+
+    def lower(self, callables: Iterable[ast.Procedure]) -> None:
+        """Lower each of ``callables`` in place.
+
+        Each one needs its surface scope in :attr:`info`.  A call reads
+        only its callee's parameters from :attr:`program`.
+        """
+        for proc in callables:
+            self._normalize_procedure(proc)
 
     def _normalize_procedure(self, proc: ast.Procedure) -> None:
         scope = self.info.for_procedure(proc.name)
@@ -344,8 +352,12 @@ def normalize_program(
 
 
 def parse_and_normalize(source: str) -> Tuple[ast.Program, TypeInfo]:
-    """Convenience helper: parse, type check and normalize SIL source text."""
+    """Parse, type check and normalize SIL source text.
+
+    The parsed program is nobody else's, so it is lowered in place.
+    """
     from .parser import parse_program
 
     program = parse_program(source)
-    return normalize_program(program)
+    Normalizer(program, check_program(program)).lower(program.all_callables)
+    return program, check_program(program)

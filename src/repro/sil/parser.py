@@ -185,14 +185,8 @@ class Parser:
 
         procedures: List[ast.Procedure] = []
         functions: List[ast.Function] = []
-        while not self.current.kind is TokenKind.EOF:
-            if self.current.is_keyword("procedure"):
-                procedures.append(self.parse_procedure())
-            elif self.current.is_keyword("function"):
-                functions.append(self.parse_function())
-            else:
-                raise self._error("expected 'procedure' or 'function'")
-            self._accept_symbol(";")
+        for proc in self.parse_callables():
+            (functions if isinstance(proc, ast.Function) else procedures).append(proc)
 
         program = ast.Program(name=name, procedures=procedures, functions=functions, loc=loc)
         try:
@@ -200,6 +194,22 @@ class Parser:
         except KeyError:
             raise ParseError("program has no procedure 'main'", loc) from None
         return program
+
+    def parse_callables(self) -> List[ast.Procedure]:
+        """Procedures and functions up to the end of input, in source order.
+
+        Each may be followed by one ``;``.
+        """
+        callables: List[ast.Procedure] = []
+        while not self.current.kind is TokenKind.EOF:
+            if self.current.is_keyword("procedure"):
+                callables.append(self.parse_procedure())
+            elif self.current.is_keyword("function"):
+                callables.append(self.parse_function())
+            else:
+                raise self._error("expected 'procedure' or 'function'")
+            self._accept_symbol(";")
+        return callables
 
     def parse_procedure(self) -> ast.Procedure:
         loc = self.current.location

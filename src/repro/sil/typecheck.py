@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from . import ast
 from .errors import TypeCheckError
@@ -91,9 +91,19 @@ class TypeChecker:
 
     def check(self) -> TypeInfo:
         self._check_callable_names()
-        for proc in self.program.all_callables:
-            self._check_procedure(proc)
+        self.check_callables(self.program.all_callables)
         self._check_main()
+        return self.info
+
+    def check_callables(self, callables: Iterable[ast.Procedure]) -> TypeInfo:
+        """Check each of ``callables`` against this program's callables and
+        record its scope in :attr:`info`.
+
+        A callable's check reads only its own declarations and body, the
+        names of the program's callables and the signatures of its callees.
+        """
+        for proc in callables:
+            self._check_procedure(proc)
         return self.info
 
     def _check_main(self) -> None:

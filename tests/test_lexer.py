@@ -105,6 +105,17 @@ class TestLocations:
         tokens = tokenize("{ comment }\nx")
         assert tokens[0].location.line == 2
 
+    def test_lexing_from_an_offset_gives_the_tail_of_a_full_lex(self):
+        source = "a := b;\n{ two\n  lines } c.left := d // e\n  f := 1\n"
+        start = source.index("c.left")
+        line_start = source.rindex("\n", 0, start) + 1
+        tail = tokenize(source, start, 3, line_start)
+        full = tokenize(source)
+        assert [(t.kind, t.text, t.location) for t in tail] == [
+            (t.kind, t.text, t.location) for t in full[-len(tail):]
+        ]
+        assert tail[0].location == (3, 11)
+
 
 class TestErrors:
     def test_unexpected_character(self):

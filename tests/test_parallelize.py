@@ -13,7 +13,7 @@ from repro.parallel import (
     parallelize_program,
 )
 from repro.runtime import run_program
-from repro.sil import ast, check_program, format_procedure
+from repro.sil import ast, check_program, format_procedure, format_stmt
 from repro.sil.normalize import parse_and_normalize
 from repro.workloads import load
 from tests.conftest import load_workload, parallelized
@@ -153,6 +153,106 @@ class TestSemanticPreservation:
         collect(root)
         assert leaves == sorted(leaves)
         assert execution.race_free
+
+
+#: ``main`` of the two call-effect regressions.  ``callee(a)`` moves the
+#: node ``lr`` names to ``root.left.{second}``, so ``c`` and ``lr`` end up
+#: naming one node and their ``value`` updates must not run in parallel.
+ROUTE_MAIN = """
+program {name}
+
+procedure main()
+  root, a, b, c, lr: handle
+begin
+  root := build(3);
+  a := root.left;
+  lr := a.{first};
+  {callee}(a);
+  a := nil;
+  b := root.left;
+  c := b.{second};
+  b := nil;
+  c.value := 1;
+  lr.value := 2
+end
+
+function build(d: int): handle
+  t, cl, cr: handle
+begin
+  t := nil;
+  if d > 0 then
+  begin
+    t := new();
+    t.value := d;
+    cl := build(d - 1);
+    cr := build(d - 1);
+    t.left := cl;
+    t.right := cr
+  end
+end
+return (t)
+"""
+
+#: ``tree_mirror``'s ``mirror``: swaps the children at every level.
+MIRROR = """
+procedure mirror(h: handle)
+  l, r: handle
+begin
+  if h <> nil then
+  begin
+    l := h.left;
+    r := h.right;
+    mirror(l);
+    mirror(r);
+    h.left := r;
+    h.right := l
+  end
+end
+"""
+
+#: Moves the left subtree to the right, without a swap.
+MOVE = """
+procedure move(h: handle)
+  t: handle
+begin
+  t := h.left;
+  h.left := nil;
+  h.right := t
+end
+"""
+
+
+class TestCallEffectRoutes:
+    """After a call that rearranges links below an update argument, a
+    handle outside the argument's region may reach a node below it by a
+    new route.  Weakening the old route is not enough: the call effect
+    also adds ``(p[first, u] . D+)?``, and the parallelizer then keeps the
+    two updates of one node apart."""
+
+    @pytest.mark.parametrize(
+        "callee,body,first,second",
+        [("mirror", MIRROR, "right", "left"), ("move", MOVE, "left", "right")],
+        ids=["mirror", "move"],
+    )
+    def test_a_moved_node_is_not_updated_in_parallel(self, callee, body, first, second):
+        source = ROUTE_MAIN.format(name=f"{callee}_route", first=first, second=second, callee=callee)
+        program, info = parse_and_normalize(source + body)
+        sequential = run_program(program, info)
+        result = parallelize_program(program, info)
+        parallel = run_program(result.program, check_program(result.program))
+        assert parallel.race_free, [str(race) for race in parallel.races]
+        assert sequential.main_locals.keys() == parallel.main_locals.keys()
+        for variable, value in sequential.main_locals.items():
+            par_value = parallel.main_locals[variable]
+            if value is None or par_value is None:
+                assert value is par_value, variable
+            else:
+                assert sequential.heap.extract(value) == parallel.heap.extract(par_value), variable
+        groups = [
+            [format_stmt(branch) for branch in group.branches]
+            for group in parallel_groups_in(result.procedure("main"))
+        ]
+        assert not any("c.value := 1" in g and "lr.value := 2" in g for g in groups), groups
 
 
 class TestBaselines:
